@@ -10,9 +10,10 @@ conferences into aligned blocks dissolves it.
 Run:  python examples/adversarial_analysis.py
 """
 
-from repro import ConferenceNetwork, place_aligned
+from repro import ConferenceNetwork
 from repro.analysis.theory import cube_link_multiplicity
 from repro.analysis.worstcase import cube_adversarial_set
+from repro.core.admission import place_aligned
 from repro.core.routing import RoutingPolicy
 from repro.report.ascii import render_routes
 from repro.topology.graph import unique_path

@@ -26,14 +26,13 @@ Run:  python examples/fault_tolerant_conferencing.py
 from repro import (
     Conference,
     ConferenceNetwork,
-    GroupConnection,
     RetryPolicy,
     SelfHealingController,
     UnroutableError,
-    route_group,
 )
 from repro.analysis.resilience import critical_points, survivability, random_link_faults
 from repro.core.conflict import analyze_conflicts
+from repro.core.groupcast import GroupConnection, route_group
 from repro.core.routing import route_conference
 from repro.sim.engine import EventLoop
 from repro.sim.faults import FaultInjector, FaultTransition

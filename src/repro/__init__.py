@@ -18,51 +18,23 @@ Quickstart::
     assert result.ok  # every member heard the full mix
 
 The supported surface is defined by :mod:`repro.api`; every name listed
-there resolves through this package (``from repro import X``).  A few
-pre-1.1 spellings keep working through deprecation shims that warn once
-per process and point at the name's home module.
+there resolves through this package (``from repro import X``).  Anything
+else is imported from its home module.
 
 See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 reproduced evaluation, and docs/api.md for the stability policy.
 """
 
-import warnings
-
 from repro import api
 
-__version__ = "1.4.0"
-
-#: Pre-1.1 top-level names that are no longer part of the stable
-#: surface: legacy name -> (home module, attribute).  Accessing them via
-#: ``repro`` still works but emits one DeprecationWarning per process.
-_LEGACY = {
-    "BuddyAllocator": ("repro.core.admission", "BuddyAllocator"),
-    "place_aligned": ("repro.core.admission", "place_aligned"),
-    "GroupConnection": ("repro.core.groupcast", "GroupConnection"),
-    "route_group": ("repro.core.groupcast", "route_group"),
-}
+__version__ = "2.0.0"
 
 __all__ = sorted([*api.__all__, "__version__"])
 
 
 def __getattr__(name: str):
-    # PEP 562: resolve the stable surface through repro.api and legacy
-    # spellings through their home modules.  Either way the value is
-    # cached in globals(), so this body — and any deprecation warning in
-    # it — runs at most once per name per process.
-    if name in _LEGACY:
-        module_name, attr = _LEGACY[name]
-        warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated; "
-            f"use 'from {module_name} import {attr}'",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from importlib import import_module
-
-        value = getattr(import_module(module_name), attr)
-        globals()[name] = value
-        return value
+    # PEP 562: resolve the stable surface through repro.api, caching the
+    # value in globals() so this body runs at most once per name.
     if name in api.__all__:
         value = getattr(api, name)
         globals()[name] = value
@@ -71,4 +43,4 @@ def __getattr__(name: str):
 
 
 def __dir__():
-    return sorted({*__all__, *_LEGACY, "api"})
+    return sorted({*__all__, "api"})

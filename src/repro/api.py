@@ -12,9 +12,8 @@ Stability policy (see ``docs/api.md`` for the full statement):
 * Names in ``__all__`` only gain keyword arguments; they are removed or
   re-signatured only across a major version, after at least one minor
   release of ``DeprecationWarning``.
-* Names importable from :mod:`repro` but *not* listed here are legacy
-  spellings kept working through warn-once deprecation shims in the
-  package ``__init__``; import them from their home modules instead.
+* :mod:`repro` resolves exactly these names; import anything else from
+  its home module.
 * Everything else (``repro.*`` submodules' private helpers) carries no
   compatibility promise.
 
@@ -29,11 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Protocol, runtime_checkable
 
-from repro.core.admission import (
-    AdmissionController,
-    AdmissionDenied,
-    BatchAdmissionOutcome,
-)
+from repro.core.admission import AdmissionController, AdmissionDenied
 from repro.core.batch import BatchRouteOutcome, route_batch
 from repro.core.churn import (
     ChurnLimitExceeded,
@@ -109,7 +104,7 @@ from repro.workloads.churn import (
 
 #: Version of the public surface (bumped on any additive change; the
 #: library version tracks releases, this tracks the API contract).
-API_VERSION = "1.7"
+API_VERSION = "2.0"
 
 
 @runtime_checkable
@@ -160,7 +155,6 @@ __all__ = [
     # columnar batch routing
     "route_batch",
     "BatchRouteOutcome",
-    "BatchAdmissionOutcome",
     # incremental membership churn
     "ChurnLimitExceeded",
     "ChurnPolicy",

@@ -62,6 +62,7 @@ from repro.report.serialize import result_to_dict, save_json
 from repro.report.tables import render_table
 from repro.core.routing import route_conference
 from repro.serve.backpressure import ShedPolicy
+from repro.sim.faults import FaultProcessConfig
 from repro.sim.scenarios import blocking_vs_dilation
 from repro.topology.builders import PAPER_TOPOLOGIES, TOPOLOGY_BUILDERS, build
 from repro.workloads.generators import uniform_partition
@@ -126,6 +127,117 @@ def _churn_policy(args: argparse.Namespace) -> ChurnPolicy:
         incremental=args.churn == "incremental",
         drift_limit=args.drift_limit,
     )
+
+
+def _add_workload_flags(
+    cmd: argparse.ArgumentParser, *, conferences: int, mean_size: bool = True
+) -> None:
+    """The seeded churn workload of the bench-style commands."""
+    cmd.add_argument("--conferences", type=int, default=conferences)
+    cmd.add_argument("--seed", type=int, default=0)
+    cmd.add_argument("--arrival-rate", type=float, default=4.0, help="mean conference opens per tick")
+    if mean_size:
+        cmd.add_argument("--mean-size", type=float, default=4.0, help="mean conference size (ports)")
+    cmd.add_argument("--mean-hold", type=float, default=20.0, help="mean session lifetime (ticks)")
+    cmd.add_argument("--resize-prob", type=float, default=0.2, help="per-tick chance of one join/leave")
+
+
+def _add_queue_flags(cmd: argparse.ArgumentParser, *, max_batch: int = 64) -> None:
+    """Admission-queue bound, shedding policy and per-tick batch size."""
+    cmd.add_argument("--queue-capacity", type=int, default=256)
+    cmd.add_argument(
+        "--shed-policy",
+        default="reject-newest",
+        choices=sorted(p.value for p in ShedPolicy),
+    )
+    cmd.add_argument("--max-batch", type=int, default=max_batch)
+
+
+def _add_healing_flags(
+    cmd: argparse.ArgumentParser, *, retries: int = 5, per_shard: bool = False
+) -> None:
+    """The retry budget and the backup-plan budget F."""
+    cmd.add_argument("--retries", type=int, default=retries, help="retry budget (0 disables retries)")
+    cmd.add_argument(
+        "--protection", type=int, default=0, metavar="F",
+        help="backup plans per conference on every shard (0 = reactive)"
+        if per_shard
+        else "backup plans per conference (0 = reactive reroute only)",
+    )
+
+
+def _add_fault_flags(
+    cmd: argparse.ArgumentParser,
+    *,
+    faults_help: str = "fire a seeded fault timeline underneath the workload",
+) -> None:
+    """Opt-in seeded link faults with their per-link MTTF/MTTR."""
+    cmd.add_argument("--faults", action="store_true", help=faults_help)
+    cmd.add_argument("--mttf", type=float, default=400.0, help="mean time to failure per link")
+    cmd.add_argument("--mttr", type=float, default=5.0, help="mean time to repair per link")
+
+
+def _retry_policy(args: argparse.Namespace, **overrides) -> "RetryPolicy | None":
+    """The ``--retries`` budget as a policy; ``None`` when 0 disables retries."""
+    if args.retries <= 0:
+        return None
+    return RetryPolicy(max_retries=args.retries, **overrides)
+
+
+def _fault_process(args: argparse.Namespace) -> "FaultProcessConfig | None":
+    """The ``--mttf``/``--mttr`` link-fault process.
+
+    ``None`` when the command has a ``--faults`` switch and it is off;
+    commands without one always inject faults.
+    """
+    if not getattr(args, "faults", True):
+        return None
+    return FaultProcessConfig(
+        mean_time_to_failure=args.mttf, mean_time_to_repair=args.mttr
+    )
+
+
+def _recovery_rows(report, *, plan_counts: bool) -> list[dict]:
+    """Bench-table rows for the protection budget and recovery ticks."""
+    recovery = report.recovery
+    rows = [{"metric": "protection (plans/conference)", "value": report.protection}]
+    if plan_counts:
+        rows.append({"metric": "plan hits / misses / stale", "value": (
+            f"{recovery.get('plan_hits', 0)} / "
+            f"{recovery.get('plan_misses', 0)} / "
+            f"{recovery.get('plan_stale', 0)}"
+        )})
+    rows.append({"metric": "recovery ticks p50 / p95 / max", "value": (
+        f"{recovery.get('recovery_ticks_p50', 0.0)} / "
+        f"{recovery.get('recovery_ticks_p95', 0.0)} / "
+        f"{recovery.get('recovery_ticks_max', 0.0)}"
+    )})
+    return rows
+
+
+def _delivery_rows(delivery: "dict | None") -> list[dict]:
+    """Bench-table rows for a buffered-delivery block (none in abstract mode)."""
+    if delivery is None:
+        return []
+    config, lat = delivery["config"], delivery["latency"]
+
+    def cell(v):
+        return round(v, 1) if v is not None else "-"
+
+    return [
+        {"metric": "delivery model", "value": (
+            f"buffered L={config['lanes']} D={config['buffer_depth']} "
+            f"F={config['flits_per_packet']}"
+            + (" tdm" if config["tdm"] else "")
+        )},
+        {"metric": "delivered / offered packets", "value": (
+            f"{delivery['delivered_packets']} / {delivery['offered_packets']} "
+            f"({round(delivery['delivery_ratio'], 4)})"
+        )},
+        {"metric": "delivery latency p50 / p95 / p99 (cycles)", "value": (
+            f"{cell(lat['p50'])} / {cell(lat['p95'])} / {cell(lat['p99'])}"
+        )},
+    ]
 
 
 def _add_perf_flags(cmd: argparse.ArgumentParser) -> None:
@@ -381,11 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     avail.add_argument("--mttf", type=float, default=1500.0, help="mean time to failure per link")
     avail.add_argument("--mttr", type=float, default=30.0, help="mean time to repair per link")
     avail.add_argument("--load", type=float, default=0.6, help="steady population port load")
-    avail.add_argument("--retries", type=int, default=10, help="retry budget (0 disables retries)")
-    avail.add_argument(
-        "--protection", type=int, default=0, metavar="F",
-        help="backup plans per conference (0 = reactive reroute only)",
-    )
+    _add_healing_flags(avail, retries=10)
     avail.add_argument("--seed", type=int, default=0)
     avail.add_argument(
         "--traffic",
@@ -469,18 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dilation", type=int, default=4)
     serve.add_argument("--load", type=float, default=0.5, help="port load of the demo workload")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--retries", type=int, default=5, help="retry budget (0 disables retries)")
-    serve.add_argument(
-        "--protection", type=int, default=0, metavar="F",
-        help="backup plans per conference (0 = reactive reroute only)",
-    )
-    serve.add_argument("--queue-capacity", type=int, default=256)
-    serve.add_argument(
-        "--shed-policy",
-        default="reject-newest",
-        choices=sorted(p.value for p in ShedPolicy),
-    )
-    serve.add_argument("--max-batch", type=int, default=64)
+    _add_healing_flags(serve)
+    _add_queue_flags(serve)
     serve.add_argument("--json", metavar="PATH", help="write every response as JSON (shared result schema)")
     _add_churn_flags(serve)
     _add_perf_flags(serve)
@@ -494,34 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench_serve.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
     bench_serve.add_argument("--ports", type=int, default=64)
     bench_serve.add_argument("--dilation", type=int, default=4)
-    bench_serve.add_argument("--conferences", type=int, default=500)
-    bench_serve.add_argument("--seed", type=int, default=0)
-    bench_serve.add_argument("--arrival-rate", type=float, default=4.0, help="mean conference opens per tick")
-    bench_serve.add_argument("--mean-size", type=float, default=4.0, help="mean conference size (ports)")
-    bench_serve.add_argument("--mean-hold", type=float, default=20.0, help="mean session lifetime (ticks)")
-    bench_serve.add_argument("--resize-prob", type=float, default=0.2, help="per-tick chance of one join/leave")
-    bench_serve.add_argument("--queue-capacity", type=int, default=256)
-    bench_serve.add_argument(
-        "--shed-policy",
-        default="reject-newest",
-        choices=sorted(p.value for p in ShedPolicy),
-    )
-    bench_serve.add_argument("--max-batch", type=int, default=64)
-    bench_serve.add_argument("--retries", type=int, default=5, help="retry budget (0 disables retries)")
-    bench_serve.add_argument(
-        "--protection", type=int, default=0, metavar="F",
-        help="backup plans per conference (0 = reactive reroute only)",
-    )
-    bench_serve.add_argument(
-        "--faults",
-        action="store_true",
-        help="fire a seeded fault timeline underneath the workload",
-    )
-    bench_serve.add_argument("--mttf", type=float, default=400.0, help="mean time to failure per link")
-    bench_serve.add_argument("--mttr", type=float, default=5.0, help="mean time to repair per link")
-    bench_serve.add_argument(
-        "--route-cache", action="store_true", help="memoize routing through a RouteCache"
-    )
+    _add_workload_flags(bench_serve, conferences=500)
+    _add_queue_flags(bench_serve)
+    _add_healing_flags(bench_serve)
+    _add_fault_flags(bench_serve)
     bench_serve.add_argument("--json", metavar="PATH", help="write the report as JSON (shared result schema)")
     _add_churn_flags(bench_serve)
     _add_perf_flags(bench_serve)
@@ -535,11 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
     cluster.add_argument("--ports", type=int, default=16, help="ports per shard fabric")
     cluster.add_argument("--shards", type=int, default=4)
-    cluster.add_argument("--conferences", type=int, default=120)
-    cluster.add_argument("--seed", type=int, default=0)
-    cluster.add_argument("--arrival-rate", type=float, default=4.0, help="mean conference opens per tick")
-    cluster.add_argument("--mean-hold", type=float, default=20.0, help="mean session lifetime (ticks)")
-    cluster.add_argument("--resize-prob", type=float, default=0.2, help="per-tick chance of one join/leave")
+    _add_workload_flags(cluster, conferences=120, mean_size=False)
     cluster.add_argument(
         "--kill-at", type=int, default=10, metavar="TICK",
         help="fail the busiest shard at this tick (negative disables)",
@@ -548,18 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--add-at", type=int, default=30, metavar="TICK",
         help="scale a fresh shard in at this tick (negative disables)",
     )
-    cluster.add_argument(
-        "--faults",
-        action="store_true",
-        help="also fire seeded per-shard link-fault timelines underneath",
+    _add_fault_flags(
+        cluster, faults_help="also fire seeded per-shard link-fault timelines underneath"
     )
-    cluster.add_argument("--mttf", type=float, default=400.0, help="mean time to failure per link")
-    cluster.add_argument("--mttr", type=float, default=5.0, help="mean time to repair per link")
-    cluster.add_argument("--retries", type=int, default=5, help="retry budget (0 disables retries)")
-    cluster.add_argument(
-        "--protection", type=int, default=0, metavar="F",
-        help="backup plans per conference on every shard (0 = reactive)",
-    )
+    _add_healing_flags(cluster, per_shard=True)
     cluster.add_argument("--migration-budget", type=int, default=8, help="moves started per tick")
     cluster.add_argument("--json", metavar="PATH", help="write the report as JSON (shared result schema)")
     _add_churn_flags(cluster)
@@ -578,24 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--dilation", type=int, default=None,
         help="links per stage hop (default: one per port, so capacity never denies)",
     )
-    bench_cluster.add_argument("--conferences", type=int, default=200)
-    bench_cluster.add_argument("--seed", type=int, default=0)
-    bench_cluster.add_argument("--arrival-rate", type=float, default=4.0, help="mean conference opens per tick")
-    bench_cluster.add_argument("--mean-size", type=float, default=4.0, help="mean conference size (ports)")
-    bench_cluster.add_argument("--mean-hold", type=float, default=20.0, help="mean session lifetime (ticks)")
-    bench_cluster.add_argument("--resize-prob", type=float, default=0.2, help="per-tick chance of one join/leave")
-    bench_cluster.add_argument("--queue-capacity", type=int, default=256)
-    bench_cluster.add_argument(
-        "--shed-policy",
-        default="reject-newest",
-        choices=sorted(p.value for p in ShedPolicy),
-    )
-    bench_cluster.add_argument("--max-batch", type=int, default=256)
-    bench_cluster.add_argument("--retries", type=int, default=0, help="retry budget (0 disables retries)")
-    bench_cluster.add_argument(
-        "--protection", type=int, default=0, metavar="F",
-        help="backup plans per conference on every shard (0 = reactive)",
-    )
+    _add_workload_flags(bench_cluster, conferences=200)
+    _add_queue_flags(bench_cluster, max_batch=256)
+    _add_healing_flags(bench_cluster, retries=0, per_shard=True)
     bench_cluster.add_argument("--migration-budget", type=int, default=8, help="moves started per tick")
     bench_cluster.add_argument("--json", metavar="PATH", help="write the full report as JSON (shared result schema)")
     bench_cluster.add_argument(
@@ -617,25 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
     slo_cmd.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
     slo_cmd.add_argument("--ports", type=int, default=32)
     slo_cmd.add_argument("--dilation", type=int, default=4)
-    slo_cmd.add_argument("--conferences", type=int, default=200)
-    slo_cmd.add_argument("--seed", type=int, default=0)
-    slo_cmd.add_argument("--arrival-rate", type=float, default=4.0, help="mean conference opens per tick")
-    slo_cmd.add_argument("--mean-size", type=float, default=4.0, help="mean conference size (ports)")
-    slo_cmd.add_argument("--mean-hold", type=float, default=20.0, help="mean session lifetime (ticks)")
-    slo_cmd.add_argument("--resize-prob", type=float, default=0.2, help="per-tick chance of one join/leave")
+    _add_workload_flags(slo_cmd, conferences=200)
     slo_cmd.add_argument("--queue-capacity", type=int, default=256)
-    slo_cmd.add_argument("--retries", type=int, default=5, help="retry budget (0 disables retries)")
-    slo_cmd.add_argument(
-        "--protection", type=int, default=0, metavar="F",
-        help="backup plans per conference (0 = reactive reroute only)",
-    )
-    slo_cmd.add_argument(
-        "--faults",
-        action="store_true",
-        help="fire a seeded fault timeline underneath the workload",
-    )
-    slo_cmd.add_argument("--mttf", type=float, default=400.0, help="mean time to failure per link")
-    slo_cmd.add_argument("--mttr", type=float, default=5.0, help="mean time to repair per link")
+    _add_healing_flags(slo_cmd)
+    _add_fault_flags(slo_cmd)
     slo_cmd.add_argument("--json", metavar="PATH", help="write the SLO report as JSON (shared result schema)")
     _add_telemetry_flags(slo_cmd)
     _add_live_obs_flags(slo_cmd)
@@ -756,16 +788,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_availability(args: argparse.Namespace) -> int:
-    from repro.sim.faults import FaultProcessConfig
-
-    process = FaultProcessConfig(
-        mean_time_to_failure=args.mttf, mean_time_to_repair=args.mttr
-    )
-    retry = (
-        RetryPolicy(max_retries=args.retries, base_delay=1.0, max_delay=2 * args.mttr)
-        if args.retries > 0
-        else None
-    )
+    process = _fault_process(args)
+    retry = _retry_policy(args, base_delay=1.0, max_delay=2 * args.mttr)
     tracer, registry = _telemetry(args)
     rows = availability_over_time(
         args.topology,
@@ -910,13 +934,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.sim.faults import FaultProcessConfig
     from repro.sim.scenarios import run_availability
 
-    process = FaultProcessConfig(
-        mean_time_to_failure=args.mttf, mean_time_to_repair=args.mttr
-    )
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
+    process = _fault_process(args)
+    retry = _retry_policy(args)
     tracer = Tracer(capacity=args.capacity)
     registry = MetricsRegistry() if args.metrics_out else None
     run = run_availability(
@@ -962,10 +983,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     tracer, registry = _telemetry(args)
     slo, flight = _live_obs(args, tracer)
     server = _exposition(args, registry, slo)
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
     service = FabricService(
         net,
-        retry=retry,
+        retry=_retry_policy(args),
         rng=args.seed,
         protection=args.protection,
         tracer=tracer,
@@ -1040,23 +1060,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
     from repro.serve.bench import run_serve_bench
-    from repro.sim.faults import FaultProcessConfig
 
     net = ConferenceNetwork.build(args.topology, args.ports, dilation=args.dilation)
     tracer, registry = _telemetry(args)
     slo, flight = _live_obs(args, tracer)
     server = _exposition(args, registry, slo)
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
-    cache = None
-    if args.route_cache:
-        from repro.parallel.cache import RouteCache
-
-        cache = RouteCache(net.topology, policy=net.policy)
-    process = (
-        FaultProcessConfig(mean_time_to_failure=args.mttf, mean_time_to_repair=args.mttr)
-        if args.faults
-        else None
-    )
     report = run_serve_bench(
         net,
         conferences=args.conferences,
@@ -1069,9 +1077,8 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         shed_policy=args.shed_policy,
         max_batch=args.max_batch,
         churn=_churn_policy(args),
-        retry=retry,
-        fault_process=process,
-        route_cache=cache,
+        retry=_retry_policy(args),
+        fault_process=_fault_process(args),
         protection=args.protection,
         tracer=tracer,
         metrics=registry,
@@ -1094,35 +1101,9 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         {"metric": "peak queue depth", "value": report.peak_queue_depth},
         {"metric": "mean admission latency (ticks)", "value": round(svc["mean_admission_latency"], 3)},
         {"metric": "fault transitions", "value": report.fault_transitions},
-        {"metric": "protection (plans/conference)", "value": report.protection},
-        {"metric": "plan hits / misses / stale", "value": (
-            f"{report.recovery.get('plan_hits', 0)} / "
-            f"{report.recovery.get('plan_misses', 0)} / "
-            f"{report.recovery.get('plan_stale', 0)}"
-        )},
-        {"metric": "recovery ticks p50 / p95 / max", "value": (
-            f"{report.recovery.get('recovery_ticks_p50', 0.0)} / "
-            f"{report.recovery.get('recovery_ticks_p95', 0.0)} / "
-            f"{report.recovery.get('recovery_ticks_max', 0.0)}"
-        )},
+        *_recovery_rows(report, plan_counts=True),
+        *_delivery_rows(report.delivery),
     ]
-    if report.delivery is not None:
-        d = report.delivery
-        lat = d["latency"]
-        def _c(v):
-            return round(v, 1) if v is not None else "-"
-        rows.append({"metric": "delivery model", "value": (
-            f"buffered L={d['config']['lanes']} D={d['config']['buffer_depth']} "
-            f"F={d['config']['flits_per_packet']}"
-            + (" tdm" if d["config"]["tdm"] else "")
-        )})
-        rows.append({"metric": "delivered / offered packets", "value": (
-            f"{d['delivered_packets']} / {d['offered_packets']} "
-            f"({round(d['delivery_ratio'], 4)})"
-        )})
-        rows.append({"metric": "delivery latency p50 / p95 / p99 (cycles)", "value": (
-            f"{_c(lat['p50'])} / {_c(lat['p95'])} / {_c(lat['p99'])}"
-        )})
     print(render_table(
         rows,
         title=f"serve bench ({args.topology}, N={args.ports}, seed={args.seed}, "
@@ -1139,17 +1120,10 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster.bench import run_cluster_bench
-    from repro.sim.faults import FaultProcessConfig
 
     tracer, registry = _telemetry(args)
     slo, flight = _live_obs(args, tracer)
     server = _exposition(args, registry, slo)
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
-    process = (
-        FaultProcessConfig(mean_time_to_failure=args.mttf, mean_time_to_repair=args.mttr)
-        if args.faults
-        else None
-    )
     report = run_cluster_bench(
         topology=args.topology,
         ports=args.ports,
@@ -1160,9 +1134,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         mean_hold_ticks=args.mean_hold,
         resize_prob=args.resize_prob,
         churn=_churn_policy(args),
-        retry=retry,
+        retry=_retry_policy(args),
         migration_budget=args.migration_budget,
-        fault_process=process,
+        fault_process=_fault_process(args),
         kill_shard_at=args.kill_at if args.kill_at >= 0 else None,
         add_shard_at=args.add_at if args.add_at >= 0 else None,
         protection=args.protection,
@@ -1231,7 +1205,6 @@ def _cmd_bench_cluster(args: argparse.Namespace) -> int:
     tracer, registry = _telemetry(args)
     slo, flight = _live_obs(args, tracer)
     server = _exposition(args, registry, slo)
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
     report = run_cluster_bench(
         topology=args.topology,
         ports=args.ports,
@@ -1247,7 +1220,7 @@ def _cmd_bench_cluster(args: argparse.Namespace) -> int:
         shed_policy=args.shed_policy,
         max_batch=args.max_batch,
         churn=_churn_policy(args),
-        retry=retry,
+        retry=_retry_policy(args),
         migration_budget=args.migration_budget,
         protection=args.protection,
         tracer=tracer,
@@ -1270,30 +1243,9 @@ def _cmd_bench_cluster(args: argparse.Namespace) -> int:
         {"metric": "sessions lost", "value": report.lost_sessions},
         {"metric": "peak queue depth", "value": report.peak_queue_depth},
         {"metric": "mean admission latency (ticks)", "value": round(cl["mean_admission_latency"], 3)},
-        {"metric": "protection (plans/conference)", "value": report.protection},
-        {"metric": "recovery ticks p50 / p95 / max", "value": (
-            f"{report.recovery.get('recovery_ticks_p50', 0.0)} / "
-            f"{report.recovery.get('recovery_ticks_p95', 0.0)} / "
-            f"{report.recovery.get('recovery_ticks_max', 0.0)}"
-        )},
+        *_recovery_rows(report, plan_counts=False),
+        *_delivery_rows(report.delivery),
     ]
-    if report.delivery is not None:
-        d = report.delivery
-        lat = d["latency"]
-        def _c(v):
-            return round(v, 1) if v is not None else "-"
-        rows.append({"metric": "delivery model", "value": (
-            f"buffered L={d['config']['lanes']} D={d['config']['buffer_depth']} "
-            f"F={d['config']['flits_per_packet']}"
-            + (" tdm" if d["config"]["tdm"] else "")
-        )})
-        rows.append({"metric": "delivered / offered packets", "value": (
-            f"{d['delivered_packets']} / {d['offered_packets']} "
-            f"({round(d['delivery_ratio'], 4)})"
-        )})
-        rows.append({"metric": "delivery latency p50 / p95 / p99 (cycles)", "value": (
-            f"{_c(lat['p50'])} / {_c(lat['p95'])} / {_c(lat['p99'])}"
-        )})
     print(render_table(
         rows,
         title=f"cluster bench ({args.topology}, N={args.ports} per shard, "
@@ -1315,7 +1267,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.obs import SLOEvaluator
     from repro.report.slo_report import build_slo_report, slo_rows
     from repro.serve.bench import run_serve_bench
-    from repro.sim.faults import FaultProcessConfig
 
     net = ConferenceNetwork.build(args.topology, args.ports, dilation=args.dilation)
     tracer, registry = _telemetry(args)
@@ -1327,12 +1278,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         if flight is not None:
             flight.attach_slo(slo)
     server = _exposition(args, registry, slo)
-    retry = RetryPolicy(max_retries=args.retries) if args.retries > 0 else None
-    process = (
-        FaultProcessConfig(mean_time_to_failure=args.mttf, mean_time_to_repair=args.mttr)
-        if args.faults
-        else None
-    )
     report = run_serve_bench(
         net,
         conferences=args.conferences,
@@ -1342,8 +1287,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         mean_hold_ticks=args.mean_hold,
         resize_prob=args.resize_prob,
         queue_capacity=args.queue_capacity,
-        retry=retry,
-        fault_process=process,
+        retry=_retry_policy(args),
+        fault_process=_fault_process(args),
         protection=args.protection,
         tracer=tracer,
         metrics=registry,

@@ -37,6 +37,7 @@ from repro.cluster.controller import ClusterService, ShardState
 from repro.cluster.directory import EntryState
 from repro.core.network import ConferenceNetwork
 from repro.serve.backpressure import ShedPolicy
+from repro.serve.bench import _fault_horizon, _PortPool, _tick_budget
 from repro.serve.protocol import ServiceResponse
 from repro.sim.faults import generate_fault_timeline
 from repro.sim.metrics import AvailabilityStats
@@ -176,36 +177,6 @@ class ClusterBenchReport:
         }
 
 
-class _PortPool:
-    """Free-port bookkeeping with deterministic sampling order.
-
-    The pool spans the cluster's *logical* endpoint space (one fabric's
-    port range): concurrent conferences are therefore port-disjoint no
-    matter which shard hosts them, which is one leg of the shard-count
-    invariance argument above.
-    """
-
-    def __init__(self, n_ports: int):
-        self._free = list(range(n_ports))  # kept sorted
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def grab(self, rng, count: int) -> tuple[int, ...]:
-        """Remove and return ``count`` uniformly-chosen free ports."""
-        picked = rng.choice(len(self._free), size=count, replace=False)
-        ports = tuple(sorted(self._free[i] for i in picked))
-        for p in ports:
-            self._free.remove(p)
-        return ports
-
-    def release(self, ports) -> None:
-        """Return ports to the pool (kept sorted for determinism)."""
-        for p in ports:
-            self._free.append(p)
-        self._free.sort()
-
-
 def run_cluster_bench(
     *,
     topology: str = "indirect-binary-cube",
@@ -226,7 +197,6 @@ def run_cluster_bench(
     retry: "RetryPolicy | None" = None,
     migration_budget: int = 8,
     fault_process: "FaultProcessConfig | None" = None,
-    fault_horizon: "float | None" = None,
     kill_shard_at: "int | None" = None,
     add_shard_at: "int | None" = None,
     protection: int = 0,
@@ -234,7 +204,6 @@ def run_cluster_bench(
     metrics: "MetricsRegistry | None" = None,
     slo: "SLOEvaluator | None" = None,
     flight: "FlightRecorder | None" = None,
-    max_ticks: "int | None" = None,
     capacity_model: str = "abstract",
     perf: "PerfModelConfig | None" = None,
 ) -> ClusterBenchReport:
@@ -290,15 +259,14 @@ def run_cluster_bench(
     )
     injectors = []
     if fault_process is not None:
-        if fault_horizon is None:
-            fault_horizon = 4.0 * conferences / arrival_rate + 8.0 * mean_hold_ticks
+        horizon = _fault_horizon(conferences, arrival_rate, mean_hold_ticks)
         for shard_id in sorted(cluster.shards):
             shard = cluster.shards[shard_id]
             (shard_fault_rng,) = fault_rng.spawn(1)
             timeline = generate_fault_timeline(
                 shard.service.network.topology,
                 fault_process,
-                fault_horizon,
+                horizon,
                 seed=shard_fault_rng,
             )
             injectors.append(cluster.attach_faults(shard_id, timeline))
@@ -401,7 +369,7 @@ def run_cluster_bench(
 
     tick = [0]
     opened = 0
-    budget = max_ticks if max_ticks is not None else max(200, conferences * 100)
+    budget = _tick_budget(conferences)
     while (
         opened < conferences
         or outstanding[0]

@@ -45,12 +45,11 @@ from repro.cluster.directory import DirectoryEntry, EntryState, SessionDirectory
 from repro.cluster.placement import place_shard, rank_shards
 from repro.cluster.rebalance import MigrationQueue, Move, RebalancePlan, plan_rebalance
 from repro.core.churn import ChurnPolicy
-from repro.perfmodel.capacity import DeliveryModel, validate_capacity_model
+from repro.perfmodel.capacity import DeliveryModel
 from repro.serve.backpressure import ShedPolicy
 from repro.serve.protocol import Priority, RequestKind, ServiceResponse
-from repro.serve.service import FabricService
+from repro.serve.service import TICK, FabricService
 from repro.util.rng import ensure_rng
-from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
@@ -61,7 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.slo import SLOEvaluator
     from repro.obs.trace import Tracer
-    from repro.parallel.cache import RouteCache
     from repro.perfmodel.model import PerfModelConfig
     from repro.serve.batcher import BatchReport
     from repro.sim.faults import FaultInjector, FaultTransition
@@ -176,9 +174,11 @@ class ClusterService:
 
     ``network_factory`` builds one fresh
     :class:`~repro.core.network.ConferenceNetwork` per shard (called
-    with the shard id); all other configuration is keyword-only and
-    applied uniformly to every shard fabric.  ``migration_budget`` caps
-    the cross-shard moves *started* per tick.
+    with the shard id); the cluster starts with ``shards`` fabrics named
+    ``shard-0`` … ``shard-{k-1}``, each of weight 1.0.  All other
+    configuration is keyword-only and applied uniformly to every shard
+    fabric.  ``migration_budget`` caps the cross-shard moves *started*
+    per tick.
     """
 
     def __init__(
@@ -186,11 +186,8 @@ class ClusterService:
         network_factory: "Callable[[str], ConferenceNetwork]",
         *,
         shards: int = 2,
-        shard_ids: "list[str] | tuple[str, ...] | None" = None,
-        weights: "dict[str, float] | None" = None,
         retry: "RetryPolicy | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        route_cache: "RouteCache | None" = None,
         protection: int = 0,
         churn: "ChurnPolicy | None" = None,
         tracer: "Tracer | None" = None,
@@ -200,19 +197,27 @@ class ClusterService:
         queue_capacity: int = 1024,
         shed_policy: "ShedPolicy | str" = ShedPolicy.REJECT_NEWEST,
         max_batch: int = 64,
-        tick_interval: float = 1.0,
         migration_budget: int = 8,
         capacity_model: str = "abstract",
         perf: "PerfModelConfig | None" = None,
     ):
-        check_positive(tick_interval, "tick_interval")
-        validate_capacity_model(capacity_model)
+        if shards < 1:
+            raise ValueError("a cluster needs at least one shard")
         self._factory = network_factory
-        self._retry = retry
+        # Every shard fabric is built from these (FabricService validates
+        # them); the cluster keeps the metrics registry to itself.
+        self._fabric_knobs = dict(
+            retry=retry,
+            protection=protection,
+            churn=churn,
+            tracer=tracer,
+            queue_capacity=queue_capacity,
+            shed_policy=shed_policy,
+            max_batch=max_batch,
+            capacity_model=capacity_model,
+            perf=perf,
+        )
         self._rng = ensure_rng(rng)
-        self._route_cache = route_cache
-        self._protection = protection
-        self._churn = churn
         self.tracer = tracer
         self._metrics = metrics
         # Cluster-level live health (see repro.obs.slo / repro.obs.flight).
@@ -220,12 +225,6 @@ class ClusterService:
         # are recorded here, at the layer clients actually experience.
         self._slo = slo
         self._flight = flight
-        self._queue_capacity = queue_capacity
-        self._shed_policy = shed_policy
-        self._max_batch = max_batch
-        self._tick_interval = tick_interval
-        self._capacity_model = capacity_model
-        self._perf = perf
         self.stats = ClusterStats()
         self._shards: dict[str, ShardInfo] = {}
         self._directory = SessionDirectory()
@@ -246,12 +245,8 @@ class ClusterService:
         # and the stat watermarks the per-tick shed-rate deltas read from.
         self._slo_recovery_seen: dict[str, int] = {}
         self._slo_prev = {"offered": 0, "dropped": 0}
-        if shard_ids is None:
-            shard_ids = [f"shard-{i}" for i in range(shards)]
-        if not shard_ids:
-            raise ValueError("a cluster needs at least one shard")
-        for shard_id in shard_ids:
-            self.add_shard(shard_id, weight=(weights or {}).get(shard_id, 1.0))
+        for _ in range(shards):
+            self.add_shard()
 
     # -- introspection -----------------------------------------------------
 
@@ -273,7 +268,7 @@ class ClusterService:
     @property
     def now(self) -> float:
         """Current cluster (virtual) time — shards tick in lockstep."""
-        return self.stats.ticks * self._tick_interval
+        return self.stats.ticks * TICK
 
     @property
     def state(self) -> str:
@@ -281,24 +276,19 @@ class ClusterService:
         return self._state
 
     @property
-    def tick_interval(self) -> float:
-        """Virtual time advanced per tick."""
-        return self._tick_interval
-
-    @property
     def protection(self) -> int:
         """Backup-plan budget F applied uniformly to every shard fabric."""
-        return self._protection
+        return self._fabric_knobs["protection"]
 
     @property
     def churn_policy(self) -> "ChurnPolicy":
         """The membership-churn policy applied uniformly to every shard."""
-        return self._churn if self._churn is not None else ChurnPolicy()
+        return self._fabric_knobs["churn"] or ChurnPolicy()
 
     @property
     def capacity_model(self) -> str:
         """``"abstract"`` or ``"buffered"``, applied uniformly to shards."""
-        return self._capacity_model
+        return self._fabric_knobs["capacity_model"]
 
     def delivery_summary(self) -> "dict[str, Any] | None":
         """Cluster-wide buffered-delivery block (``None`` in abstract mode).
@@ -308,9 +298,9 @@ class ClusterService:
         shard histograms, so the result is independent of shard
         enumeration order.
         """
-        if self._capacity_model != "buffered":
+        if self.capacity_model != "buffered":
             return None
-        merged = DeliveryModel(self._perf)
+        merged = DeliveryModel(self._fabric_knobs["perf"])
         for shard_id in sorted(self._shards):
             model = self._shards[shard_id].service.delivery
             if model is None:
@@ -376,22 +366,7 @@ class ClusterService:
         self._shard_seq += 1
         net = network if network is not None else self._factory(shard_id)
         (shard_rng,) = self._rng.spawn(1)
-        service = FabricService(
-            net,
-            retry=self._retry,
-            rng=shard_rng,
-            route_cache=self._route_cache,
-            protection=self._protection,
-            churn=self._churn,
-            tracer=self.tracer,
-            metrics=None,  # see module docstring: cluster owns the registry
-            queue_capacity=self._queue_capacity,
-            shed_policy=self._shed_policy,
-            max_batch=self._max_batch,
-            tick_interval=self._tick_interval,
-            capacity_model=self._capacity_model,
-            perf=self._perf,
-        )
+        service = FabricService(net, rng=shard_rng, **self._fabric_knobs)
         self._shards[shard_id] = ShardInfo(shard_id, float(weight), service)
         if self.tracer is not None:
             self.tracer.event("cluster.shard_add", t=self.now, shard=shard_id, weight=weight)

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.core.churn import ChurnResult
 
-from repro.core.batch import route_batch
 from repro.core.conference import Conference, ConferenceSet
 from repro.core.network import ConferenceNetwork
 from repro.core.routing import Route
@@ -39,7 +37,6 @@ __all__ = [
     "place_aligned",
     "AdmissionController",
     "AdmissionDenied",
-    "BatchAdmissionOutcome",
 ]
 
 
@@ -153,35 +150,6 @@ class AdmissionDenied(RuntimeError):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class BatchAdmissionOutcome:
-    """One conference's verdict from :meth:`AdmissionController.try_join_batch`.
-
-    Exactly one of ``route`` (admitted), ``denial`` (admission control
-    said no), or ``error`` (routing itself failed — unroutable members
-    or out-of-range ports) is set.
-    """
-
-    conference: Conference
-    route: "Route | None" = None
-    denial: "AdmissionDenied | None" = None
-    error: "ValueError | None" = None
-
-    @property
-    def ok(self) -> bool:
-        """True when the conference was admitted."""
-        return self.route is not None
-
-    def unwrap(self) -> Route:
-        """The admitted route, or re-raise what stopped the admission."""
-        if self.route is not None:
-            return self.route
-        if self.denial is not None:
-            raise AdmissionDenied(self.denial.reason, self.denial.detail)
-        assert self.error is not None
-        raise type(self.error)(*self.error.args)
-
-
 class AdmissionController:
     """Online admission of conferences under finite link dilation.
 
@@ -257,48 +225,6 @@ class AdmissionController:
         if clash:
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
         return self.admit_route(self._network.route(conference))
-
-    def try_join_batch(
-        self,
-        conferences: "Iterable[Conference | Iterable[int]]",
-    ) -> list[BatchAdmissionOutcome]:
-        """Admit a batch: one columnar routing pass, sequential verdicts.
-
-        The whole batch is routed up front by
-        :func:`~repro.core.batch.route_batch`, then the admission state machine
-        replays in order — duplicate-id check, port-clash check, then
-        :meth:`admit_route` — against the ledger as it stood when each
-        conference's turn came.  Every verdict, including denial reasons
-        and the first-over-capacity link named in a capacity denial, is
-        therefore identical to calling :meth:`try_join` once per
-        conference in the same order.
-        """
-        confs = [
-            c if isinstance(c, Conference) else Conference.of(c) for c in conferences
-        ]
-        routed = route_batch(self._network.topology, confs, self._network.policy)
-        outcomes: list[BatchAdmissionOutcome] = []
-        for conference, attempt in zip(confs, routed):
-            try:
-                if conference.conference_id in self._routes:
-                    raise AdmissionDenied(
-                        "ports", f"conference id {conference.conference_id} already live"
-                    )
-                clash = self._ports_in_use.intersection(conference.members)
-                if clash:
-                    raise AdmissionDenied(
-                        "ports", f"ports {sorted(clash)} already in a conference"
-                    )
-                route = self.admit_route(attempt.unwrap())
-            except AdmissionDenied as denial:
-                outcomes.append(
-                    BatchAdmissionOutcome(conference=conference, denial=denial)
-                )
-            except ValueError as error:
-                outcomes.append(BatchAdmissionOutcome(conference=conference, error=error))
-            else:
-                outcomes.append(BatchAdmissionOutcome(conference=conference, route=route))
-        return outcomes
 
     def admit_route(self, route: Route) -> Route:
         """Admit a pre-computed route (e.g. one routed around faults).

@@ -40,7 +40,6 @@ fallback when an incremental step would exceed ``max_taps_moved`` or
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -324,14 +323,11 @@ def _full_reroute(
     return _diff(route, after, mode="full-reroute", fallback_reason=reason)
 
 
-_warned_positional_policy = False
-
-
 def apply_churn(
     net: MultistageNetwork,
     route: Route,
     new_members: "tuple[int, ...] | list[int]",
-    *args,
+    *,
     policy: "RoutingPolicy | None" = None,
     faults: "frozenset | None" = None,
 ) -> ChurnResult:
@@ -341,23 +337,7 @@ def apply_churn(
     Returns the change set relative to the old route, with
     ``mode="full-reroute"`` (the whole tree is reinstalled — prefer
     :func:`extend_route`/:func:`prune_route` for delta-only changes).
-
-    .. deprecated:: 1.6
-        passing ``policy`` positionally; use ``policy=`` instead.
     """
-    if args:
-        global _warned_positional_policy
-        if len(args) > 1 or policy is not None:
-            raise TypeError("apply_churn takes at most a keyword-only policy")
-        if not _warned_positional_policy:
-            _warned_positional_policy = True
-            warnings.warn(
-                "passing policy positionally to apply_churn is deprecated; "
-                "use apply_churn(net, route, members, policy=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        policy = args[0]
     return _full_reroute(net, route, new_members, policy, faults)
 
 

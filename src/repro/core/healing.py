@@ -42,7 +42,6 @@ The controller is deliberately loop-agnostic: it only ever calls
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -74,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.trace import Tracer
-    from repro.parallel.cache import RouteCache
     from repro.sim.engine import EventLoop
     from repro.sim.faults import FaultTransition
 
@@ -189,27 +187,19 @@ class SelfHealingController:
     traffic source to keep its own bookkeeping (port pools, departure
     schedules, blocked counters) in sync with healing decisions.
 
-    ``route_cache`` optionally memoizes the controller's route
-    computations through a :class:`~repro.parallel.cache.RouteCache`
-    bound to the same topology and policy.  The controller always keys
-    lookups by the explicit fault set in force, so cached healthy
-    routes are never reused across a fault transition — behaviour is
-    bit-identical with and without the cache, only faster.
-
     ``protection`` (plan budget F, default 0 = purely reactive) enables
     precomputed fast failover: every admitted conference keeps backup
     routings for the F most-loaded links it crosses in a
     :class:`~repro.protect.plans.BackupPlanStore`, and a ``fault.fail``
     on a protected link switches to the stored plan in O(1) instead of
-    searching.  Plans are computed by the same (cache-assisted) pure
-    routing function the reactive path uses, so a valid plan's route is
-    **bit-identical** to what the reactive reroute would have produced —
-    protection changes when routing work happens, never what is decided
-    (the property suite in ``tests/protect`` holds the two controllers
-    side by side).  Stale or missing plans fall back to the reactive
+    searching.  Plans are computed by the same pure routing function
+    the reactive path uses, so a valid plan's route is **bit-identical**
+    to what the reactive reroute would have produced — protection
+    changes when routing work happens, never what is decided (the
+    property suite in ``tests/protect`` holds the two controllers side
+    by side).  Stale or missing plans fall back to the reactive
     search; every lookup outcome lands in the availability stats and the
-    ``repro_protect_plans_total`` counter.  Pass ``plan_store=`` to
-    share or pre-build a store (its budget then governs).
+    ``repro_protect_plans_total`` counter.
 
     ``churn`` (a :class:`~repro.core.churn.ChurnPolicy`) governs
     :meth:`resize`: by default membership changes go through the
@@ -233,57 +223,29 @@ class SelfHealingController:
         network: ConferenceNetwork,
         *,
         retry: "RetryPolicy | None" = None,
-        stats: "AvailabilityStats | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        route_cache: "RouteCache | None" = None,
         protection: int = 0,
-        plan_store: "BackupPlanStore | None" = None,
         churn: "ChurnPolicy | None" = None,
         tracer: "Tracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        seed: "int | np.random.Generator | None" = None,
     ):
-        if seed is not None:
-            # Pre-1.1 name for the jitter stream; one consistent spelling
-            # (``rng=``) now covers AdmissionController / SelfHealing /
-            # FabricService construction.
-            warnings.warn(
-                "SelfHealingController(seed=...) is deprecated; pass rng=",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if rng is None:
-                rng = seed
-        if stats is None:
-            stats = AvailabilityStats()
-        if route_cache is not None:
-            topo = network.topology
-            if (route_cache.network.name, route_cache.network.n_ports) != (topo.name, topo.n_ports):
-                raise ValueError("route cache is bound to a different network")
-            if route_cache.policy != network.policy:
-                raise ValueError("route cache is bound to a different routing policy")
-        self._cache = route_cache
         if protection < 0:
             raise ValueError(f"protection must be >= 0, got {protection}")
-        if plan_store is not None:
-            topo = network.topology
-            if (plan_store.network.name, plan_store.network.n_ports) != (topo.name, topo.n_ports):
-                raise ValueError("plan store is bound to a different network")
-            if plan_store.policy != network.policy:
-                raise ValueError("plan store is bound to a different routing policy")
-        elif protection > 0:
-            plan_store = BackupPlanStore(
+        self._plans = (
+            BackupPlanStore(
                 network.topology,
                 policy=network.policy,
                 protection=protection,
                 tracer=tracer,
             )
-        self._plans = plan_store if plan_store is not None and plan_store.protection else None
+            if protection
+            else None
+        )
         self._churn = churn or ChurnPolicy()
         self._network = network
         self._inner = AdmissionController(network, tracer=tracer)
         self._retry = retry
-        self._stats = stats
+        self._stats = AvailabilityStats()
         # Observation only: both default to None and every emission site
         # is gated on that, so instrumented and bare runs make identical
         # decisions and draw identical RNG streams (see tests/obs).
@@ -365,15 +327,12 @@ class SelfHealingController:
         return self._inner.route_of(conference_id)
 
     def _route(self, conference: Conference, faults: frozenset = frozenset()) -> Route:
-        """Route under an *explicit* fault set, via the cache if present.
+        """Route under an *explicit* fault set, consuming a primed route.
 
-        The fault set is always passed through to the cache key (never
-        left to the cache's own tracked state), so a cache entry
-        computed on the healthy network can never be served for a
-        degraded one — see ``tests/parallel/test_route_cache.py``.
+        Primed entries are keyed by the fault set they were computed
+        under, so a route primed on the healthy network is never served
+        for a degraded one (see :meth:`prime_batch`).
         """
-        if self._cache is not None:
-            return self._cache.route(conference, faults=faults)
         if self._primed:
             entry = self._primed.pop((conference.members, frozenset(faults)), None)
             if entry is not None:
@@ -416,10 +375,6 @@ class SelfHealingController:
         fault_sets = [frozenset(self._faults) if faults is None else frozenset(faults)]
         if include_healthy and fault_sets[0]:
             fault_sets.append(frozenset())
-        if self._cache is not None:
-            for fs in fault_sets:
-                self._cache.prime(confs, faults=fs)
-            return
         self._primed.clear()  # entries are single-shot; drop leftovers
         for fs in fault_sets:
             todo: dict[tuple, Conference] = {}
@@ -496,39 +451,6 @@ class SelfHealingController:
         self._count("repro_admissions_total", outcome="admitted")
         return route
 
-    def try_join_batch(
-        self,
-        conferences: "Iterable[Conference | list[int] | tuple[int, ...]]",
-        now: "float | None" = None,
-    ) -> list[SubmitOutcome]:
-        """Admit a batch: one columnar routing pass, sequential verdicts.
-
-        Routes the whole batch with the bitset kernel (via
-        :meth:`prime_batch`), then replays :meth:`try_join` in order, so
-        every outcome — including denial reasons and ledger state — is
-        identical to submitting the conferences one by one.  Returns one
-        :class:`SubmitOutcome` per conference, ``"admitted"`` (with the
-        route) or ``"lost"`` (with the denial reason); no retries are
-        scheduled.
-        """
-        confs = [
-            c if isinstance(c, Conference) else Conference.of(c) for c in conferences
-        ]
-        self.prime_batch(confs, include_healthy=True)
-        outcomes: list[SubmitOutcome] = []
-        for conference in confs:
-            try:
-                route = self.try_join(conference, now=now)
-            except AdmissionDenied as denial:
-                outcomes.append(
-                    SubmitOutcome("lost", conference.conference_id, reason=denial.reason)
-                )
-            else:
-                outcomes.append(
-                    SubmitOutcome("admitted", conference.conference_id, route=route)
-                )
-        return outcomes
-
     def _admit(self, conference: Conference) -> Route:
         clash = self._inner.ports_in_use & conference.member_set
         if clash:
@@ -570,8 +492,7 @@ class SelfHealingController:
         Pure joins and pure leaves go through the incremental churn
         engine under the controller's :class:`ChurnPolicy` (the default):
         only the exact link diff is booked against the ledger, backup
-        plans and cached routes crossing the touched links are
-        invalidated in place, and the returned
+        plans crossing the touched links are invalidated in place, and the returned
         :class:`~repro.core.churn.ChurnResult` carries the disruption
         diff (``links_added``/``links_removed``/``taps_moved``/
         ``drift_links``).  Mixed changes, ``incremental=False``, and
@@ -592,11 +513,8 @@ class SelfHealingController:
         self._healthy[conference_id] = self._route(conference) if faults else new
         self._update_degraded(conference_id, new, now=now)
         touched = churn.links_added | churn.links_removed
-        if touched:
-            if self._cache is not None:
-                self._cache.invalidate_links(touched)
-            if self._plans is not None:
-                self._plans.invalidate_links(touched)
+        if touched and self._plans is not None:
+            self._plans.invalidate_links(touched)
         self._protect(new)
         if self.tracer is not None:
             self.tracer.event(
@@ -622,8 +540,8 @@ class SelfHealingController:
 
         Pure joins extend the live route, pure leaves prune it; mixed
         changes and ``incremental=False`` reroute from scratch (through
-        the cache-assisted router, so the full path stays bit-identical
-        to the pre-churn behaviour).
+        the same router, so the full path stays bit-identical to the
+        pre-churn behaviour).
         """
         policy = self._churn
         joined = sorted(conference.member_set - old.conference.member_set)

@@ -266,9 +266,9 @@ class CycleSim:
     :class:`~repro.obs.metrics.MetricsRegistry`) receives flit/stall
     counters and occupancy gauges; passing ``None`` draws nothing.
 
-    The optional ``clock`` offset only labels metrics — the sim keeps
-    its own cycle counter so ticks composed by the serve layer stay
-    independent.
+    Every sim counts its own cycles from 0 (:attr:`cycle`), so the
+    fresh sim the serve layer builds per tick is independent of the
+    ticks before it.
     """
 
     def __init__(

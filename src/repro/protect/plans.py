@@ -11,8 +11,8 @@ plan for each of the ``F`` most-loaded links the live route crosses —
 ``F`` is the *protection level* — and the controller handles a fault on
 a protected link by switching to the stored plan in O(1).
 
-Correctness rests on the same fact the route cache leans on: routing is
-a pure function of ``(topology, policy, members, fault set)``.  A plan
+Correctness rests on one fact: routing is a pure function of
+``(topology, policy, members, fault set)``.  A plan
 is computed by the *same* router the reactive path would call, under
 the fault set ``base ∪ {point}`` — so a plan that is still **valid**
 (its base fault set is exactly the current fault set minus the failed
@@ -116,7 +116,7 @@ class BackupPlan:
     """One precomputed failover routing for ``(conference, point)``.
 
     ``entry`` is either a ``(levels, taps)`` route body — the same
-    storage shape the route cache uses — or an :class:`UnroutableError`
+    storage shape primed routes use — or an :class:`UnroutableError`
     recording that the conference cannot survive ``point``'s death (a
     negative plan).  ``base_faults`` is the fault set in force when the
     plan was cut; the plan covers exactly the fault set
@@ -154,8 +154,7 @@ class BackupPlan:
 class BackupPlanStore:
     """Fault-aware store of per-link backup routings for live conferences.
 
-    Bound to one network and one routing policy at construction, like
-    the :class:`~repro.parallel.cache.RouteCache` it sits alongside.
+    Bound to one network and one routing policy at construction.
     Plans are keyed ``(conference id, protected point)``; the conference
     id (not the membership) keys the store because plans follow the
     *lifecycle* of an admitted call — :meth:`invalidate` on leave/drop
@@ -167,9 +166,9 @@ class BackupPlanStore:
     misses, nothing is computed) — the pre-protection behaviour.
 
     The store never routes by itself: :meth:`protect` calls the
-    ``router`` the owning controller hands it, which is the same
-    (optionally cache-memoized) pure function the reactive path uses —
-    that sameness is what makes fast failover bit-identical.
+    ``router`` the owning controller hands it, which is the same pure
+    function the reactive path uses — that sameness is what makes fast
+    failover bit-identical.
     """
 
     def __init__(

@@ -1,12 +1,14 @@
 """Per-tick batching of queued session requests.
 
 Admitting requests one at a time pays the full routing overhead —
-fault-set snapshot, cache lookup, ledger bookkeeping — per request.
-The service instead accumulates arrivals between ticks and admits each
-tick's backlog in **one pass**: the batch is drained from the queue in
-service order (control first, then priority lanes), executed back to
-back against a single fault-set snapshot and a shared
-:class:`~repro.parallel.cache.RouteCache`, and answered together.  One
+fault-set snapshot, route computation, ledger bookkeeping — per
+request.  The service instead accumulates arrivals between ticks and
+admits each tick's backlog in **one pass**: the batch is drained from
+the queue in service order (control first, then priority lanes), its
+opens are routed together by one
+:meth:`~repro.core.healing.SelfHealingController.prime_batch` kernel
+call under a single fault-set snapshot, and the requests are executed
+back to back and answered together.  One
 pass per tick amortizes the fixed cost across the whole batch and keeps
 admission decisions deterministic — batch composition depends only on
 what was queued when the tick fired, never on wall-clock races.

@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.slo import SLOEvaluator
     from repro.obs.trace import Tracer
-    from repro.parallel.cache import RouteCache
     from repro.perfmodel.model import PerfModelConfig
 
 __all__ = ["ServeBenchReport", "run_serve_bench"]
@@ -120,8 +119,23 @@ class ServeBenchReport:
         }
 
 
+def _fault_horizon(conferences: int, arrival_rate: float, mean_hold_ticks: float) -> float:
+    """Fault-timeline length: generously past the expected run length."""
+    return 4.0 * conferences / arrival_rate + 8.0 * mean_hold_ticks
+
+
+def _tick_budget(conferences: int) -> int:
+    """Ticks a bench may run before it is declared stuck."""
+    return max(200, conferences * 100)
+
+
 class _PortPool:
-    """Free-port bookkeeping with deterministic sampling order."""
+    """Free-port bookkeeping with deterministic sampling order.
+
+    The pool spans one fabric's port range.  The cluster bench uses it as
+    its *logical* endpoint space, so concurrent conferences are
+    port-disjoint no matter which shard hosts them.
+    """
 
     def __init__(self, n_ports: int):
         self._free = list(range(n_ports))  # kept sorted
@@ -161,14 +175,11 @@ def run_serve_bench(
     churn: "ChurnPolicy | None" = None,
     retry: "RetryPolicy | None" = None,
     fault_process: "FaultProcessConfig | None" = None,
-    fault_horizon: "float | None" = None,
-    route_cache: "RouteCache | None" = None,
     protection: int = 0,
     tracer: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
     slo: "SLOEvaluator | None" = None,
     flight: "FlightRecorder | None" = None,
-    max_ticks: "int | None" = None,
     capacity_model: str = "abstract",
     perf: "PerfModelConfig | None" = None,
 ) -> ServeBenchReport:
@@ -179,13 +190,12 @@ def run_serve_bench(
     at ``arrival_rate`` per tick (Poisson), each holding for a geometric
     number of ticks around ``mean_hold_ticks``; ``resize_prob`` is the
     per-tick chance of one random live session growing or shrinking by a
-    member.  With ``fault_process`` set, a timeline generated up to
-    ``fault_horizon`` (default: generously past the expected run length)
-    fires underneath the workload.  ``protection`` (plan budget F,
-    default 0 = reactive) precomputes per-link backup plans so
-    fault-driven failovers switch in O(1); the report's ``recovery``
-    block carries the resulting recovery-tick distribution and plan
-    hit/miss/stale counters.
+    member.  With ``fault_process`` set, a timeline generated generously
+    past the expected run length fires underneath the workload.
+    ``protection`` (plan budget F, default 0 = reactive) precomputes
+    per-link backup plans so fault-driven failovers switch in O(1); the
+    report's ``recovery`` block carries the resulting recovery-tick
+    distribution and plan hit/miss/stale counters.
     """
     if isinstance(network, int):
         # A conference-capable default fabric (``dilation`` is ignored
@@ -207,7 +217,6 @@ def run_serve_bench(
         network,
         retry=retry,
         rng=service_rng,
-        route_cache=route_cache,
         protection=protection,
         tracer=tracer,
         metrics=metrics,
@@ -222,10 +231,11 @@ def run_serve_bench(
     )
     injector = None
     if fault_process is not None:
-        if fault_horizon is None:
-            fault_horizon = 4.0 * conferences / arrival_rate + 8.0 * mean_hold_ticks
         timeline = generate_fault_timeline(
-            network.topology, fault_process, fault_horizon, seed=fault_rng
+            network.topology,
+            fault_process,
+            _fault_horizon(conferences, arrival_rate, mean_hold_ticks),
+            seed=fault_rng,
         )
         injector = service.attach_faults(timeline)
 
@@ -305,7 +315,7 @@ def run_serve_bench(
 
     tick = [0]
     opened = 0
-    budget = max_ticks if max_ticks is not None else max(200, conferences * 100)
+    budget = _tick_budget(conferences)
     while (
         opened < conferences
         or outstanding[0]

@@ -29,10 +29,10 @@ it:
   closes the remaining sessions.
 
 Time is **virtual**: the service owns a deterministic
-:class:`~repro.sim.engine.EventLoop` advanced ``tick_interval`` per
-tick, so a seeded workload produces byte-identical metrics on every
-run.  The asyncio facade only paces ticks and parks callers on
-futures — it never influences admission decisions.
+:class:`~repro.sim.engine.EventLoop` advanced :data:`TICK` per tick, so a
+seeded workload produces byte-identical metrics on every run.  The
+asyncio facade only paces ticks and parks callers on futures — it never
+influences admission decisions.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from repro.serve.session import SessionState, SessionTable
 from repro.sim.engine import EventLoop
 from repro.sim.faults import FaultInjector
 from repro.util.rng import ensure_rng
-from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
@@ -64,11 +63,14 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.slo import SLOEvaluator
     from repro.obs.trace import Tracer
-    from repro.parallel.cache import RouteCache
     from repro.perfmodel.model import PerfModelConfig
     from repro.sim.faults import FaultTransition
 
 __all__ = ["ServiceStats", "FabricService"]
+
+#: Virtual time one tick advances.  A float, so serialized times keep
+#: their ``1.0``-style spelling.
+TICK = 1.0
 
 #: Admission-latency buckets in virtual-time units (ticks by default).
 SERVE_LATENCY_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
@@ -135,9 +137,9 @@ class FabricService:
     """A long-running conference service over one fabric.
 
     All configuration is keyword-only and uses the library-wide spelling
-    (``route_cache=``, ``tracer=``, ``metrics=``, ``rng=``).  ``retry``
-    governs both the healing controller's restore backoff and the
-    service's own re-admission backoff for denied opens.  ``protection``
+    (``tracer=``, ``metrics=``, ``rng=``).  ``retry`` governs both the
+    healing controller's restore backoff and the service's own
+    re-admission backoff for denied opens.  ``protection``
     (plan budget F, default 0 = reactive) turns on the healing
     controller's precomputed fast failover: faults on protected links
     switch sessions to stored backup plans in O(1) inside the same tick,
@@ -146,6 +148,8 @@ class FabricService:
     ``leave`` reshape live routes — incrementally by default, with
     full reroute as the configured fallback — and the applied
     response's ``detail`` carries the disruption diff.
+    ``perf`` configures the ``capacity_model="buffered"`` overlay and is
+    refused in abstract mode, where nothing would read it.
     """
 
     def __init__(
@@ -154,7 +158,6 @@ class FabricService:
         *,
         retry: "RetryPolicy | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        route_cache: "RouteCache | None" = None,
         protection: int = 0,
         churn: "ChurnPolicy | None" = None,
         tracer: "Tracer | None" = None,
@@ -164,12 +167,12 @@ class FabricService:
         queue_capacity: int = 1024,
         shed_policy: "ShedPolicy | str" = ShedPolicy.REJECT_NEWEST,
         max_batch: int = 64,
-        tick_interval: float = 1.0,
         capacity_model: str = "abstract",
         perf: "PerfModelConfig | None" = None,
     ):
-        check_positive(tick_interval, "tick_interval")
         validate_capacity_model(capacity_model)
+        if perf is not None and capacity_model != "buffered":
+            raise ValueError('perf= only applies to capacity_model="buffered"')
         base = ensure_rng(rng)
         healing_rng, self._rng = base.spawn(2)
         self._network = network
@@ -177,7 +180,6 @@ class FabricService:
             network,
             retry=retry,
             rng=healing_rng,
-            route_cache=route_cache,
             protection=protection,
             churn=churn,
             tracer=tracer,
@@ -188,7 +190,6 @@ class FabricService:
         self._queue = AdmissionQueue(queue_capacity, shed_policy)
         self._batcher = Batcher(max_batch=max_batch)
         self._sessions = SessionTable()
-        self._tick_interval = tick_interval
         self.tracer = tracer
         self._metrics = metrics
         # Live-health observation (see repro.obs.slo / repro.obs.flight):
@@ -286,11 +287,6 @@ class FabricService:
     def state(self) -> str:
         """``running``, ``draining``, or ``closed``."""
         return self._state
-
-    @property
-    def tick_interval(self) -> float:
-        """Virtual time advanced per tick."""
-        return self._tick_interval
 
     # -- fault wiring ------------------------------------------------------
 
@@ -453,7 +449,7 @@ class FabricService:
         """
         if self._state == "closed":
             raise RuntimeError("cannot tick a closed service")
-        self._loop.run(until=self.now + self._tick_interval)
+        self._loop.run(until=self.now + TICK)
         batch = self._batcher.next_batch(self._queue)
         sid = None
         if self.tracer is not None and batch:
@@ -587,9 +583,7 @@ class FabricService:
 
     def _backoff_restore(self, request: SessionRequest) -> None:
         self._inflight.add(request.request_id)
-        self._loop.schedule(
-            self._tick_interval, lambda lp, r=request: self._reoffer(r)
-        )
+        self._loop.schedule(TICK, lambda lp, r=request: self._reoffer(r))
 
     def _handle_resize(self, request: SessionRequest, batch_seq: int) -> ServiceResponse:
         session = self._sessions.get(request.session_id)

@@ -96,18 +96,9 @@ class TestConstructorConvention:
         "cls, expected",
         [
             (api.AdmissionController, ["tracer"]),
-            (
-                api.SelfHealingController,
-                ["retry", "rng", "route_cache", "tracer", "metrics"],
-            ),
-            (
-                api.FabricService,
-                ["retry", "rng", "route_cache", "tracer", "metrics"],
-            ),
-            (
-                api.ClusterService,
-                ["retry", "rng", "route_cache", "tracer", "metrics"],
-            ),
+            (api.SelfHealingController, ["retry", "rng", "tracer", "metrics"]),
+            (api.FabricService, ["retry", "rng", "tracer", "metrics"]),
+            (api.ClusterService, ["retry", "rng", "tracer", "metrics"]),
         ],
     )
     def test_keyword_only_collaborators(self, cls, expected):
@@ -135,37 +126,86 @@ class TestConstructorConvention:
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
 
 
+def _network():
+    return api.ConferenceNetwork.build("indirect-binary-cube", 16, dilation=4)
+
+
+def _churn_inputs():
+    net = api.build("indirect-binary-cube", 16)
+    return net, api.route_conference(net, api.Conference.of([0, 1, 2])), [0, 1, 2, 3]
+
+
+#: Owners of the keywords the 2.0 API dropped, built with everything else
+#: at its default.
+_BUILDERS = {
+    "healing": lambda **kw: api.SelfHealingController(_network(), **kw),
+    "fabric": lambda **kw: api.FabricService(_network(), **kw),
+    "cluster": lambda **kw: api.ClusterService(lambda _id: _network(), shards=1, **kw),
+    "serve_bench": lambda **kw: api.run_serve_bench(16, conferences=1, **kw),
+    "cluster_bench": lambda **kw: api.run_cluster_bench(conferences=1, **kw),
+}
+
+REMOVED_KEYWORDS = [
+    ("healing", "seed"),
+    ("healing", "stats"),
+    ("healing", "plan_store"),
+    ("healing", "route_cache"),
+    ("fabric", "route_cache"),
+    ("fabric", "tick_interval"),
+    ("cluster", "route_cache"),
+    ("cluster", "tick_interval"),
+    ("cluster", "shard_ids"),
+    ("cluster", "weights"),
+    ("serve_bench", "route_cache"),
+    ("serve_bench", "fault_horizon"),
+    ("serve_bench", "max_ticks"),
+    ("cluster_bench", "fault_horizon"),
+    ("cluster_bench", "max_ticks"),
+]
+
+
+class TestRemovedIn20:
+    """Everything the 2.0 API dropped now fails loudly (see docs/api.md)."""
+
+    @pytest.mark.parametrize(
+        "owner, keyword", REMOVED_KEYWORDS, ids=[f"{o}-{k}" for o, k in REMOVED_KEYWORDS]
+    )
+    def test_removed_keyword(self, owner, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            _BUILDERS[owner](**{keyword: None})
+
+    def test_apply_churn_policy_is_keyword_only(self):
+        net, route, members = _churn_inputs()
+        with pytest.raises(TypeError):
+            api.apply_churn(net, route, members, api.RoutingPolicy())
+        result = api.apply_churn(net, route, members, policy=api.RoutingPolicy())
+        assert result.mode == "full-reroute"
+
+    @pytest.mark.parametrize(
+        "name", ["BuddyAllocator", "place_aligned", "GroupConnection", "route_group"]
+    )
+    def test_legacy_top_level_names_are_gone(self, name):
+        with pytest.raises(AttributeError, match="no attribute"):
+            getattr(repro, name)
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (api.AdmissionController, "try_join_batch"),
+            (api.SelfHealingController, "try_join_batch"),
+            (api.FabricService, "tick_interval"),
+            (api.ClusterService, "tick_interval"),
+        ],
+    )
+    def test_removed_attribute_is_gone(self, owner, name):
+        assert not hasattr(owner, name)
+
+    def test_versions(self):
+        assert api.API_VERSION == "2.0"
+        assert repro.__version__ == "2.0.0"
+
+
 class TestDeprecations:
-    def test_legacy_names_warn_once_per_process(self):
-        code = (
-            "import warnings, repro\n"
-            "with warnings.catch_warnings(record=True) as log:\n"
-            "    warnings.simplefilter('always')\n"
-            "    repro.BuddyAllocator; repro.BuddyAllocator; repro.BuddyAllocator\n"
-            "dep = [w for w in log if issubclass(w.category, DeprecationWarning)]\n"
-            "assert len(dep) == 1, f'expected exactly one warning, got {len(dep)}'\n"
-            "assert 'repro.core.admission' in str(dep[0].message)\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code],
-            check=True,
-            env={"PYTHONPATH": str(REPO / "src")},
-        )
-
-    def test_all_legacy_names_resolve_and_point_home(self):
-        for name, (module_name, attr) in repro._LEGACY.items():
-            with warnings.catch_warnings(record=True) as log:
-                warnings.simplefilter("always")
-                # Bypass the cache so each name warns in this process
-                # regardless of earlier accesses.
-                value = repro.__getattr__(name)
-            import importlib
-
-            assert value is getattr(importlib.import_module(module_name), attr)
-            dep = [w for w in log if issubclass(w.category, DeprecationWarning)]
-            assert len(dep) == 1
-            assert module_name in str(dep[0].message)
-
     def test_stable_names_do_not_warn(self):
         code = (
             "import warnings\n"
@@ -181,49 +221,12 @@ class TestDeprecations:
             env={"PYTHONPATH": str(REPO / "src")},
         )
 
-    def test_apply_churn_positional_policy_warns_once(self):
-        code = (
-            "import warnings\n"
-            "from repro.core.churn import apply_churn\n"
-            "from repro.core.conference import Conference\n"
-            "from repro.core.routing import RoutingPolicy, route_conference\n"
-            "from repro.topology.builders import build\n"
-            "net = build('indirect-binary-cube', 16)\n"
-            "route = route_conference(net, Conference.of([0, 1, 2]))\n"
-            "with warnings.catch_warnings(record=True) as log:\n"
-            "    warnings.simplefilter('always')\n"
-            "    apply_churn(net, route, [0, 1, 2, 3], RoutingPolicy())\n"
-            "    apply_churn(net, route, [0, 1], RoutingPolicy())\n"
-            "dep = [w for w in log if issubclass(w.category, DeprecationWarning)]\n"
-            "assert len(dep) == 1, f'expected exactly one warning, got {len(dep)}'\n"
-            "assert 'policy=' in str(dep[0].message)\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code],
-            check=True,
-            env={"PYTHONPATH": str(REPO / "src")},
-        )
-
     def test_apply_churn_keyword_policy_does_not_warn(self):
-        from repro.core.churn import apply_churn
-        from repro.core.conference import Conference
-        from repro.core.routing import RoutingPolicy, route_conference
-        from repro.topology.builders import build
-
-        net = build("indirect-binary-cube", 16)
-        route = route_conference(net, Conference.of([0, 1, 2]))
+        net, route, members = _churn_inputs()
         with warnings.catch_warnings(record=True) as log:
             warnings.simplefilter("always")
-            apply_churn(net, route, [0, 1, 2, 3], policy=RoutingPolicy())
+            api.apply_churn(net, route, members, policy=api.RoutingPolicy())
         assert not [w for w in log if issubclass(w.category, DeprecationWarning)]
-
-    def test_healing_seed_kwarg_warns_but_works(self):
-        from repro.core.network import ConferenceNetwork
-
-        net = ConferenceNetwork.build("indirect-binary-cube", 16)
-        with pytest.warns(DeprecationWarning, match="pass rng="):
-            controller = api.SelfHealingController(net, seed=3)
-        assert controller.network is net
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):

@@ -7,6 +7,7 @@ from repro.cluster.directory import EntryState
 from repro.core.network import ConferenceNetwork
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.perfmodel.model import PerfModelConfig
 from repro.serve.protocol import Priority
 
 
@@ -40,6 +41,23 @@ def _open(cluster, members, **kw):
         cluster.tick()
     assert got, "open verdict never arrived"
     return csid, got[0]
+
+
+class TestConstruction:
+    def test_shards_start_named_in_order_at_unit_weight(self):
+        cluster = _cluster(shards=3)
+        assert list(cluster.shards) == ["shard-0", "shard-1", "shard-2"]
+        assert cluster.active_weights() == dict.fromkeys(cluster.shards, 1.0)
+
+    def test_a_cluster_needs_a_shard(self):
+        with pytest.raises(ValueError, match="at least one shard"):
+            _cluster(shards=0)
+
+    def test_perf_config_requires_the_buffered_model(self):
+        with pytest.raises(ValueError, match="buffered"):
+            _cluster(perf=PerfModelConfig())
+        cluster = _cluster(capacity_model="buffered", perf=PerfModelConfig())
+        assert all(s.service.delivery is not None for s in cluster.shards.values())
 
 
 class TestClientSurface:

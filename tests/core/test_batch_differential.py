@@ -269,16 +269,18 @@ class TestAdmissionBatchDifferential:
             except ValueError as exc:
                 expected.append(("error", type(exc).__name__, exc.args))
 
+        # The batched arm: one columnar routing pass up front, then the
+        # ledger books each precomputed route in offer order.
         batched = self.controller()
-        outcomes = batched.try_join_batch(offered)
+        routed = route_batch(batched.network.topology, offered, batched.network.policy)
         got = []
-        for outcome in outcomes:
-            if outcome.ok:
-                got.append(("admitted", repr(outcome.route)))
-            elif outcome.denial is not None:
-                got.append(("denied", outcome.denial.reason, outcome.denial.detail))
-            else:
-                got.append(("error", type(outcome.error).__name__, outcome.error.args))
+        for attempt in routed:
+            try:
+                got.append(("admitted", repr(batched.admit_route(attempt.unwrap()))))
+            except AdmissionDenied as denial:
+                got.append(("denied", denial.reason, denial.detail))
+            except ValueError as exc:
+                got.append(("error", type(exc).__name__, exc.args))
         assert got == expected
         assert batched.live_conferences == sequential.live_conferences
         for cid in batched.live_conferences:
@@ -294,19 +296,16 @@ class TestHealingBatchDifferential:
         log = []
         offered = random_batch(16, ensure_rng(6), size=10)
         if batched:
-            verdicts = [
-                (o.status, o.conference_id, o.reason)
-                for o in healing.try_join_batch(offered)
-            ]
-        else:
-            # Mirror the batch surface one submission at a time.
-            verdicts = []
-            for conf in offered:
-                try:
-                    healing.try_join(conf)
-                    verdicts.append(("admitted", conf.conference_id, None))
-                except AdmissionDenied as denial:
-                    verdicts.append(("lost", conf.conference_id, denial.reason))
+            # FabricService's admission pass: prime the whole batch in one
+            # columnar call, then admit request by request.
+            healing.prime_batch(offered, include_healthy=True)
+        verdicts = []
+        for conf in offered:
+            try:
+                healing.try_join(conf)
+                verdicts.append(("admitted", conf.conference_id, None))
+            except AdmissionDenied as denial:
+                verdicts.append(("lost", conf.conference_id, denial.reason))
         log.append(verdicts)
         for point in [(1, 0), (2, 5), (3, 11)]:
             healing.apply_fault(loop, point)

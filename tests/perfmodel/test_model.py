@@ -287,6 +287,31 @@ class TestSimulateDelivery:
             assert entry["latency"]["p50"] is not None
 
 
+class TestBufferDepthAxis:
+    """Buffer depth binds once worms contend for shared lanes.
+
+    On the cube adversarial set of the M1 bench every depth gives the
+    same table; this mixed-size set on N=16 does not.
+    """
+
+    @staticmethod
+    def report(depth):
+        net = build("indirect-binary-cube", 16)
+        groups = [[1, 14], [0, 3, 8, 15], [7, 9], [4, 6]]
+        routes = routes_for(net, [Conference.of(m, i) for i, m in enumerate(groups)])
+        config = PerfModelConfig(lanes=1, flits_per_packet=4, buffer_depth=depth)
+        return simulate_delivery(routes, config=config, cycles=400, offered_load=0.2)
+
+    @pytest.mark.parametrize(
+        "depth, delivered, buffer_full",
+        [(1, 177, 786), (2, 177, 294), (4, 176, 0), (8, 176, 0)],
+    )
+    def test_depth_changes_stalls_and_delivery(self, depth, delivered, buffer_full):
+        report = self.report(depth)
+        assert report.delivered_packets == delivered
+        assert report.stalls["buffer_full"] == buffer_full
+
+
 class TestPerfReportVerdict:
     def test_ok_requires_monotone_counts(self):
         report = PerfReport(

@@ -265,13 +265,10 @@ class TestControllerIntegration:
                 assert fast.route_of(cid) == slow.route_of(cid)
         assert fast.stats.plan_hits > 0
 
-    def test_external_store_binding_is_validated(self):
+    def test_store_is_bound_to_the_controller_network(self):
         network = ConferenceNetwork.build("extra-stage-cube", N_PORTS)
-        other = build("extra-stage-cube", 32)
-        foreign = BackupPlanStore(other, protection=1)
-        with pytest.raises(ValueError):
-            SelfHealingController(network, rng=0, plan_store=foreign)
-        own = BackupPlanStore(network.topology, policy=network.policy, protection=1)
-        healing = SelfHealingController(network, rng=0, plan_store=own)
-        assert healing.plan_store is own
+        healing = SelfHealingController(network, rng=0, protection=1)
+        assert healing.plan_store.network is network.topology
+        assert healing.plan_store.policy == network.policy
         assert healing.protection == 1
+        assert SelfHealingController(network, rng=0).plan_store is None

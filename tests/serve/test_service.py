@@ -41,13 +41,22 @@ class TestConstruction:
         import inspect
 
         params = inspect.signature(FabricService.__init__).parameters
-        for name in ("rng", "route_cache", "tracer", "metrics", "retry"):
+        for name in ("rng", "tracer", "metrics", "retry"):
             assert name in params
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
 
-    def test_tick_interval_validated(self):
-        with pytest.raises(ValueError):
-            service(tick_interval=0.0)
+    def test_tick_advances_virtual_time_by_one(self):
+        svc = service()
+        for expected in (1.0, 2.0, 3.0):
+            svc.tick()
+            assert svc.now == expected and isinstance(svc.now, float)
+
+    def test_perf_config_requires_the_buffered_model(self):
+        from repro.perfmodel.model import PerfModelConfig
+
+        with pytest.raises(ValueError, match="buffered"):
+            service(perf=PerfModelConfig())
+        assert service(capacity_model="buffered", perf=PerfModelConfig()).delivery is not None
 
 
 class TestLifecycle:
