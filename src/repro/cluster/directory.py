@@ -26,7 +26,7 @@ one live entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -66,6 +66,12 @@ class DirectoryEntry:
     generation: int = 0  # bumped on every completed cross-shard move
     moves: int = 0  # rebalance / drain migrations survived
     failovers: int = 0  # shard-failure re-homes survived
+    # Owning directory, set by SessionDirectory.create so that a plain
+    # ``entry.state = ...`` keeps the directory's tally and open index
+    # current; free-standing entries skip it.
+    directory: "SessionDirectory | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def live(self) -> bool:
@@ -86,12 +92,31 @@ class DirectoryEntry:
         }
 
 
+def _get_state(entry: DirectoryEntry) -> EntryState:
+    return entry._state
+
+
+def _set_state(entry: DirectoryEntry, state: EntryState) -> None:
+    if entry.directory is not None:
+        entry.directory._restate(entry, entry._state, state)
+    entry._state = state
+
+
+# ``state`` stays a dataclass field (constructor keyword, repr, eq); the
+# property installed over it routes every assignment through the owner.
+DirectoryEntry.state = property(_get_state, _set_state, doc="Cluster lifecycle state.")
+
+
 class SessionDirectory:
     """The registry of every session the cluster has ever accepted."""
 
     def __init__(self) -> None:
         self._entries: dict[int, DirectoryEntry] = {}
         self._next_id = 0
+        # Both maintained on every state assignment (see _restate), so the
+        # per-tick reads cost O(live entries), not O(entries ever created).
+        self._tally: dict[EntryState, int] = {state: 0 for state in EntryState}
+        self._open: dict[int, DirectoryEntry] = {}  # live entries, id order
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -111,9 +136,28 @@ class SessionDirectory:
             members=tuple(members),
             priority=priority,
         )
+        entry.directory = self
         self._entries[entry.cluster_session_id] = entry
+        self._open[entry.cluster_session_id] = entry
+        self._tally[entry.state] += 1
         self._next_id += 1
         return entry
+
+    def _restate(self, entry: DirectoryEntry, old: EntryState, new: EntryState) -> None:
+        """Move one entry between tallies and in or out of the open index."""
+        self._tally[old] -= 1
+        self._tally[new] += 1
+        was_live, is_live = old in LIVE_STATES, new in LIVE_STATES
+        cid = entry.cluster_session_id
+        if was_live and not is_live:
+            del self._open[cid]
+        elif is_live and not was_live:
+            # A revived entry (the controller never revives one): re-sort
+            # if it lands behind a higher id, so reads stay in id order.
+            behind = bool(self._open) and cid < next(reversed(self._open))
+            self._open[cid] = entry
+            if behind:
+                self._open = dict(sorted(self._open.items()))
 
     def get(self, cluster_session_id: int) -> "DirectoryEntry | None":
         """The entry with this cluster id, or ``None``."""
@@ -128,18 +172,15 @@ class SessionDirectory:
 
     def live(self) -> list[DirectoryEntry]:
         """Entries currently owning (or owed) capacity, in id order."""
-        return [e for e in self._entries.values() if e.live]
+        return list(self._open.values())
 
     def on_shard(self, shard_id: str) -> list[DirectoryEntry]:
         """Live entries currently homed on ``shard_id``, in id order."""
-        return [e for e in self._entries.values() if e.live and e.shard_id == shard_id]
+        return [e for e in self._open.values() if e.shard_id == shard_id]
 
     def counts(self) -> dict[str, int]:
         """Entry tally per cluster lifecycle state (all states present)."""
-        out = {state.value: 0 for state in EntryState}
-        for entry in self._entries.values():
-            out[entry.state.value] += 1
-        return out
+        return {state.value: self._tally[state] for state in EntryState}
 
     def record_move(
         self, cluster_session_id: int, shard_id: str, shard_session_id: int, *, failover: bool

@@ -221,7 +221,7 @@ class AdmissionController:
             raise AdmissionDenied(
                 "ports", f"conference id {conference.conference_id} already live"
             )
-        clash = self._ports_in_use.intersection(conference.members)
+        clash = self._port_clash(conference.members)
         if clash:
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
         return self.admit_route(self._network.route(conference))
@@ -238,18 +238,13 @@ class AdmissionController:
             raise AdmissionDenied(
                 "ports", f"conference id {conference.conference_id} already live"
             )
-        clash = self._ports_in_use.intersection(conference.members)
+        clash = self._port_clash(conference.members)
         if clash:
             self._trace_deny(conference.conference_id, "ports")
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        cap = self._network.dilation
-        for link in route.links:
-            if self._loads[link] + 1 > cap:
-                self._trace_deny(conference.conference_id, "capacity")
-                raise AdmissionDenied(
-                    "capacity", f"link {link} at load {self._loads[link]}/{cap}"
-                )
-        self._loads.update(route.links)
+        links = route.links
+        self._check_capacity(conference.conference_id, links)
+        self._loads.update(links)
         self._routes[conference.conference_id] = route
         self._ports_in_use.update(conference.members)
         if self.tracer is not None:
@@ -261,6 +256,38 @@ class AdmissionController:
     def _trace_deny(self, cid: int, reason: str) -> None:
         if self.tracer is not None:
             self.tracer.event("admission.deny", cid=cid, reason=reason)
+
+    def _check_capacity(self, cid: int, links: Iterable[Point]) -> None:
+        """Raise ``capacity`` unless every link has a spare channel."""
+        loads = self._loads
+        cap = self._network.dilation
+        for link in links:
+            if loads[link] + 1 > cap:
+                self._trace_deny(cid, "capacity")
+                raise AdmissionDenied("capacity", f"link {link} at load {loads[link]}/{cap}")
+
+    def _release(self, links: Iterable[Point]) -> None:
+        """Drop one channel from each link, deleting a link that empties.
+
+        Touches only the given links, so a leave costs O(route links)
+        rather than a rescan of the whole ledger; the ledger never holds
+        a zero (or negative) load.
+        """
+        loads = self._loads
+        for link in links:
+            load = loads[link] - 1
+            if load > 0:
+                loads[link] = load
+            else:
+                loads.pop(link, None)
+
+    def _port_clash(self, members: Iterable[int]) -> "set[int]":
+        """The requested ports already claimed by a live conference.
+
+        Intersects against the ledger's own port set, so a wrapper (the
+        self-healing controller) need not copy :attr:`ports_in_use`.
+        """
+        return self._ports_in_use.intersection(members)
 
     def replace_route(self, conference_id: int, new_route: Route) -> Route:
         """Atomically swing a live conference onto a new route.
@@ -277,16 +304,12 @@ class AdmissionController:
         if clash:
             self._trace_deny(conference_id, "ports")
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        cap = self._network.dilation
-        for link in new_route.links - old.links:
-            if self._loads[link] + 1 > cap:
-                self._trace_deny(conference_id, "capacity")
-                raise AdmissionDenied(
-                    "capacity", f"link {link} at load {self._loads[link]}/{cap}"
-                )
-        self._loads.subtract(old.links)
-        self._loads.update(new_route.links)
-        self._loads += Counter()  # drop zero/negative entries
+        old_links, new_links = old.links, new_route.links
+        added = new_links - old_links
+        self._check_capacity(conference_id, added)
+        released = old_links - new_links
+        self._loads.update(added)
+        self._release(released)
         self._routes[conference_id] = new_route
         self._ports_in_use.difference_update(old.conference.members)
         self._ports_in_use.update(new_ports)
@@ -294,8 +317,8 @@ class AdmissionController:
             self.tracer.event(
                 "admission.replace",
                 cid=conference_id,
-                added=len(new_route.links - old.links),
-                released=len(old.links - new_route.links),
+                added=len(added),
+                released=len(released),
             )
         return new_route
 
@@ -324,16 +347,9 @@ class AdmissionController:
         if clash:
             self._trace_deny(cid, "ports")
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        cap = self._network.dilation
-        for link in churn.links_added:
-            if self._loads[link] + 1 > cap:
-                self._trace_deny(cid, "capacity")
-                raise AdmissionDenied(
-                    "capacity", f"link {link} at load {self._loads[link]}/{cap}"
-                )
+        self._check_capacity(cid, churn.links_added)
         self._loads.update(churn.links_added)
-        self._loads.subtract(churn.links_removed)
-        self._loads += Counter()  # drop zero/negative entries
+        self._release(churn.links_removed)
         self._routes[cid] = churn.after
         self._ports_in_use.difference_update(
             old.conference.member_set - churn.after.conference.member_set
@@ -356,8 +372,7 @@ class AdmissionController:
             route = self._routes.pop(conference_id)
         except KeyError:
             raise KeyError(f"no live conference with id {conference_id}") from None
-        self._loads.subtract(route.links)
-        self._loads += Counter()  # drop zero/negative entries
+        self._release(route.links)
         self._ports_in_use.difference_update(route.conference.members)
         if self.tracer is not None:
             self.tracer.event("admission.leave", cid=conference_id)

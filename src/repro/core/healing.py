@@ -452,7 +452,7 @@ class SelfHealingController:
         return route
 
     def _admit(self, conference: Conference) -> Route:
-        clash = self._inner.ports_in_use & conference.member_set
+        clash = self._inner._port_clash(conference.members)
         if clash:
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
         faults = frozenset(self._faults)

@@ -759,6 +759,8 @@ class FabricService:
 
     def _reconcile_degraded(self) -> None:
         degraded = self._healing.degraded_conferences
+        if not degraded and not self._sessions.counts()[SessionState.DEGRADED.value]:
+            return
         for session in self._sessions.live():
             if session.state is SessionState.ACTIVE and session.conference_id in degraded:
                 session.transition(SessionState.DEGRADED, self.now)

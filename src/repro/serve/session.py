@@ -60,6 +60,9 @@ _TRANSITIONS: dict[SessionState, frozenset[SessionState]] = {
 #: States in which the session holds (or is owed) fabric resources.
 LIVE_STATES = frozenset({SessionState.ACTIVE, SessionState.DEGRADED, SessionState.DOWN})
 
+#: States a session never leaves.
+_TERMINAL_STATES = frozenset(state for state, targets in _TRANSITIONS.items() if not targets)
+
 
 @dataclass
 class Session:
@@ -139,6 +142,8 @@ class Session:
         if self.table is not None:
             self.table._tally[self.state] -= 1
             self.table._tally[target] += 1
+            if target in _TERMINAL_STATES:
+                del self.table._open[self.session_id]
         self.state = target
         if target is SessionState.CLOSED:
             self.closed_at = at
@@ -153,6 +158,10 @@ class SessionTable:
         # Maintained by Session.transition; the telemetry paths read
         # counts() every tick, so it must not rescan the whole table.
         self._tally: dict[SessionState, int] = {state: 0 for state in SessionState}
+        # Non-terminal sessions, also maintained by Session.transition.
+        # Ids are minted in increasing order and a session never leaves a
+        # terminal state, so insertion order is id order.
+        self._open: dict[int, Session] = {}
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -176,6 +185,7 @@ class SessionTable:
             table=self,
         )
         self._sessions[session.session_id] = session
+        self._open[session.session_id] = session
         self._tally[SessionState.QUEUED] += 1
         self._next_id += 1
         return session
@@ -192,8 +202,11 @@ class SessionTable:
             raise KeyError(f"no session with id {session_id}") from None
 
     def live(self) -> list[Session]:
-        """Sessions currently holding (or owed) fabric resources."""
-        return [s for s in self._sessions.values() if s.live]
+        """Sessions currently holding (or owed) fabric resources, in id order.
+
+        Costs O(open sessions), not O(sessions ever created).
+        """
+        return [s for s in self._open.values() if s.state in LIVE_STATES]
 
     def in_state(self, state: SessionState) -> list[Session]:
         """All sessions currently in ``state``, in id order."""

@@ -68,11 +68,15 @@ class Permutation:
             raise ValueError(f"point {x} out of range [0, {self._size})")
         return self._fn(x)
 
+    def _raw_table(self) -> np.ndarray:
+        """``p(x)`` for every point, unchecked: one scalar call per point."""
+        return np.fromiter((self._fn(x) for x in range(self._size)), dtype=np.int64, count=self._size)
+
     @cached_property
     def table(self) -> np.ndarray:
         """The permutation as an int64 lookup table (``table[x] == p(x)``)."""
-        tab = np.fromiter((self._fn(x) for x in range(self._size)), dtype=np.int64, count=self._size)
-        if sorted(tab.tolist()) != list(range(self._size)):
+        tab = self._raw_table()
+        if not np.array_equal(np.sort(tab), np.arange(self._size)):
             raise ValueError(f"{self._name} is not a bijection on [0, {self._size})")
         tab.setflags(write=False)
         return tab
@@ -103,6 +107,20 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self._name}, size={self._size})"
+
+
+class _ArithmeticPermutation(Permutation):
+    """A permutation whose callable is pure integer bit arithmetic.
+
+    Such a callable works unchanged on an int64 array, so the table is
+    one vectorized call over ``arange(size)`` instead of ``size`` scalar
+    calls; single lookups still go through the scalar path.
+    """
+
+    __slots__ = ()
+
+    def _raw_table(self) -> np.ndarray:
+        return np.asarray(self._fn(np.arange(self._size, dtype=np.int64)), dtype=np.int64)
 
 
 def identity(size: int) -> Permutation:
@@ -175,7 +193,7 @@ def bit_to_front(size: int, k: int) -> Permutation:
         lo = x & low_mask
         return (x & ~low_mask) | ((lo >> k) | ((lo << 1) & low_mask))
 
-    return Permutation(size, fwd, name=f"bit{k}-to-front")
+    return _ArithmeticPermutation(size, fwd, name=f"bit{k}-to-front")
 
 
 def blockwise(size: int, block_size: int, factory: Callable[[int], Permutation]) -> Permutation:

@@ -31,6 +31,14 @@ def _settle(cluster, ticks=50):
     raise AssertionError("cluster did not settle")
 
 
+def _assert_tally_is_a_full_scan(cluster):
+    """The directory's incremental tally equals a recount of its entries."""
+    recount = {state.value: 0 for state in EntryState}
+    for entry in cluster.directory:
+        recount[entry.state.value] += 1
+    assert cluster.directory.counts() == recount
+
+
 def _open(cluster, members, **kw):
     """Open and settle one conference; returns (csid, terminal response)."""
     got = []
@@ -181,6 +189,7 @@ class TestFailover:
         assert cluster.stats.failovers == hosted
         assert cluster.stats.lost_sessions == 0
         assert cluster.check_consistency() == []
+        _assert_tally_is_a_full_scan(cluster)
 
     def test_pending_open_survives_failover_with_callback(self):
         cluster = _cluster(shards=2)
@@ -235,6 +244,7 @@ class TestElasticScaling:
         assert cluster.stats.migrations == len(plan.moves)
         assert cluster.stats.lost_sessions == 0
         assert cluster.check_consistency() == []
+        _assert_tally_is_a_full_scan(cluster)
 
     def test_migration_budget_throttles_moves_per_tick(self):
         cluster = _cluster(shards=2, migration_budget=1)
@@ -301,6 +311,7 @@ class TestTelemetryAndShutdown:
         assert counts["lost"] == 0
         assert counts["closed"] + counts["rejected"] == 3
         assert cluster.stats.lost_sessions == 0
+        _assert_tally_is_a_full_scan(cluster)
 
     def test_same_seed_same_story(self):
         def run():

@@ -2,7 +2,8 @@
 
 Long random interleavings of operations against simple reference
 models: the buddy allocator against a set-based overlap checker, and
-the admission controller against recomputed-from-scratch link loads.
+the admission controller (joins, leaves, route swaps and single-port
+churn) against recomputed-from-scratch link loads.
 """
 
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.admission import AdmissionController, AdmissionDenied, BuddyAllocator
+from repro.core.churn import join_member, leave_member
 from repro.core.conference import Conference
 from repro.core.network import ConferenceNetwork
 
@@ -57,18 +59,23 @@ class BuddyMachine(RuleBasedStateMachine):
 
 class AdmissionMachine(RuleBasedStateMachine):
     """The admission controller's ledger always equals a from-scratch
-    recomputation, and capacity is never exceeded."""
+    recomputation over the routes it was handed, and capacity is never
+    exceeded."""
 
     def __init__(self):
         super().__init__()
         self.network = ConferenceNetwork.build("indirect-binary-cube", 16, dilation=2)
         self.ctl = AdmissionController(self.network)
         self.next_id = 0
-        self.live: dict[int, Conference] = {}
+        self.routes: dict = {}  # cid -> the route the ledger should hold
+
+    def _free_ports(self) -> list[int]:
+        used = {p for r in self.routes.values() for p in r.conference.members}
+        return sorted(set(range(16)) - used)
 
     @rule(data=st.data())
     def join(self, data):
-        free = sorted(set(range(16)) - {p for c in self.live.values() for p in c.members})
+        free = self._free_ports()
         if len(free) < 2:
             return
         size = data.draw(st.integers(2, min(4, len(free))))
@@ -78,26 +85,73 @@ class AdmissionMachine(RuleBasedStateMachine):
         conf = Conference.of(members, conference_id=self.next_id)
         self.next_id += 1
         try:
-            self.ctl.try_join(conf)
+            route = self.ctl.try_join(conf)
         except AdmissionDenied as denial:
             assert denial.reason == "capacity"  # ports were free by construction
             return
-        self.live[conf.conference_id] = conf
+        self.routes[conf.conference_id] = route
 
-    @precondition(lambda self: self.live)
+    @precondition(lambda self: self.routes)
     @rule(data=st.data())
     def leave(self, data):
-        cid = data.draw(st.sampled_from(sorted(self.live)))
+        cid = data.draw(st.sampled_from(sorted(self.routes)))
         self.ctl.leave(cid)
-        del self.live[cid]
+        del self.routes[cid]
+
+    @precondition(lambda self: self.routes)
+    @rule(data=st.data())
+    def replace_route(self, data):
+        """Swap one member for a free port and swing onto the fresh route."""
+        free = self._free_ports()
+        if not free:
+            return
+        cid = data.draw(st.sampled_from(sorted(self.routes)))
+        members = list(self.routes[cid].conference.members)
+        members.remove(data.draw(st.sampled_from(members)))
+        members.append(data.draw(st.sampled_from(free)))
+        new = self.network.route(Conference.of(members, conference_id=cid))
+        try:
+            self.ctl.replace_route(cid, new)
+        except AdmissionDenied as denial:
+            assert denial.reason == "capacity"
+            return
+        self.routes[cid] = new
+
+    @precondition(lambda self: self.routes)
+    @rule(data=st.data(), grow=st.booleans())
+    def churn(self, data, grow):
+        """A single-port join or leave applied as a ledger delta."""
+        cid = data.draw(st.sampled_from(sorted(self.routes)))
+        route = self.routes[cid]
+        if grow:
+            free = self._free_ports()
+            if not free:
+                return
+            result = join_member(self.network.topology, route, data.draw(st.sampled_from(free)))
+        else:
+            if len(route.conference.members) < 2:
+                return
+            port = data.draw(st.sampled_from(route.conference.members))
+            result = leave_member(self.network.topology, route, port)
+        try:
+            self.ctl.apply_churn(result)
+        except AdmissionDenied as denial:
+            assert denial.reason == "capacity"
+            return
+        self.routes[cid] = result.after
 
     @invariant()
     def ledger_matches_recomputation(self):
         expected = Counter()
-        for conf in self.live.values():
-            expected.update(self.network.route(conf).links)
-        for link, load in expected.items():
-            assert self.ctl.link_load(link) == load
+        for route in self.routes.values():
+            expected.update(route.links)
+        # Exactly the recomputed map: same keys, no zero or negative entry.
+        assert dict(self.ctl._loads) == dict(expected)
+        assert all(load > 0 for load in self.ctl._loads.values())
+        stages: dict = {}
+        for (level, _row), load in sorted(expected.items()):
+            stages.setdefault(level, []).append(load)
+        assert self.ctl.stage_loads() == stages
         assert self.ctl.peak_load() == max(expected.values(), default=0)
 
     @invariant()
@@ -106,7 +160,9 @@ class AdmissionMachine(RuleBasedStateMachine):
 
     @invariant()
     def live_sets_agree(self):
-        assert set(self.ctl.live_conferences) == set(self.live)
+        assert set(self.ctl.live_conferences) == set(self.routes)
+        for cid, route in self.routes.items():
+            assert self.ctl.route_of(cid) is route
 
 
 TestBuddyMachine = BuddyMachine.TestCase
