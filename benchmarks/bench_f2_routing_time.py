@@ -1,8 +1,9 @@
 """Experiment F2 — routing setup time vs network size, per strategy.
 
 The abstract's "simpler self-routing algorithm" claim, measured two
-ways: a sequential per-object ``route_conference`` loop and the
-columnar bitset kernel behind ``route_batch``, over the same seeded
+ways: the sequential per-object walk (``route_conference_sequential``,
+one conference at a time through per-member dict sweeps) and the
+bit-sliced kernel behind ``route_batch``, over the same seeded
 conference batches.  Every timed cell first asserts byte-identity of
 the two strategies' outputs (``repr`` for ``repr``) — the speedup is
 only worth reporting because the results are indistinguishable.
@@ -27,7 +28,7 @@ from _common import emit
 
 from repro.core.batch import BatchRouteOutcome, route_batch
 from repro.core.conference import Conference
-from repro.core.routing import route_conference
+from repro.core.routing import route_conference_sequential
 from repro.topology.builders import PAPER_TOPOLOGIES, build
 from repro.util.rng import ensure_rng
 
@@ -52,11 +53,17 @@ def sample_conferences(n_ports, count, seed=SEED):
 
 
 def route_sequential(net, confs):
-    """The pre-batch baseline: one ``route_conference`` call per object."""
+    """The pre-batch baseline: one sequential walk per conference.
+
+    Not ``route_conference``: that is the kernel as a batch of one, so
+    holding the kernel against it would compare the kernel with itself.
+    """
     outcomes = []
     for conf in confs:
         try:
-            outcomes.append(BatchRouteOutcome(conf, route_conference(net, conf), None))
+            outcomes.append(
+                BatchRouteOutcome(conf, route_conference_sequential(net, conf), None)
+            )
         except ValueError as exc:
             outcomes.append(BatchRouteOutcome(conf, None, exc))
     return outcomes
@@ -101,6 +108,7 @@ def build_rows():
             )
             total[strategy] += wall[strategy]
         # Identity first, speed second: a fast wrong kernel is worthless.
+        assert len(results["bitset"]) == len(results["sequential"]) == BATCH
         for got, want in zip(results["bitset"], results["sequential"]):
             assert got.ok == want.ok
             if got.ok:

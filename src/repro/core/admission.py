@@ -19,9 +19,11 @@ network's dilation.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from itertools import chain
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:
     from repro.core.churn import ChurnResult
@@ -157,11 +159,18 @@ class AdmissionController:
     admitted only when every link the new route needs has spare
     capacity.  This is what the blocking-probability experiment (F3)
     drives.
+
+    The ledger is one flat int64 array with a cell per point of the
+    network grid: link ``(t, r)`` is cell ``t * N + r`` (level-0 cells
+    are injections and stay zero).  A route books, checks and releases
+    its links as one fancy-indexed array operation.
     """
 
     def __init__(self, network: ConferenceNetwork, *, tracer=None):
         self._network = network
-        self._loads: Counter = Counter()
+        self._n_rows, self._n_stages = n_rows, n_stages = network.n_ports, network.n_stages
+        self._load = np.zeros((n_stages + 1) * n_rows, dtype=np.int64)
+        self._level_base = np.arange(1, n_stages + 1, dtype=np.int64) * n_rows
         self._routes: dict[int, Route] = {}
         self._ports_in_use: set[int] = set()
         # Observation only (duck-typed repro.obs.trace.Tracer): ledger
@@ -184,12 +193,15 @@ class AdmissionController:
         return frozenset(self._ports_in_use)
 
     def link_load(self, link: Point) -> int:
-        """Current channel load on one inter-stage link."""
-        return self._loads[link]
+        """Current channel load on one inter-stage link (0 off the grid)."""
+        level, row = link
+        if 0 < level <= self._n_stages and 0 <= row < self._n_rows:
+            return self._load.item(level * self._n_rows + row)
+        return 0
 
     def peak_load(self) -> int:
         """The worst current link load (0 when idle)."""
-        return max(self._loads.values(), default=0)
+        return int(self._load.max())
 
     def stage_loads(self) -> dict[int, list[int]]:
         """Nonzero channel loads per entering level, in row order.
@@ -200,11 +212,16 @@ class AdmissionController:
         multiplicity at that stage — the paper's headline quantity,
         live.
         """
-        out: dict[int, list[int]] = {}
-        for (level, _row), load in sorted(self._loads.items()):
-            if load > 0:
-                out.setdefault(level, []).append(load)
-        return out
+        cells = np.flatnonzero(self._load)
+        loads = self._load[cells].tolist()
+        bounds = np.searchsorted(
+            cells, np.arange(1, self._n_stages + 2) * self._n_rows
+        ).tolist()
+        return {
+            level: loads[lo:hi]
+            for level, lo, hi in zip(range(1, len(bounds)), bounds, bounds[1:])
+            if hi > lo
+        }
 
     def route_of(self, conference_id: int) -> Route:
         """The live route of one admitted conference."""
@@ -242,9 +259,9 @@ class AdmissionController:
         if clash:
             self._trace_deny(conference.conference_id, "ports")
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        links = route.links
-        self._check_capacity(conference.conference_id, links)
-        self._loads.update(links)
+        cells = self._route_cells(route)
+        self._check_capacity(conference.conference_id, cells, lambda: route.links)
+        self._load[cells] += 1
         self._routes[conference.conference_id] = route
         self._ports_in_use.update(conference.members)
         if self.tracer is not None:
@@ -253,33 +270,40 @@ class AdmissionController:
             )
         return route
 
+    def _route_cells(self, route: Route) -> np.ndarray:
+        """Ledger cells of a route's links, read straight off its levels."""
+        levels = route.levels[1:]
+        counts = list(map(len, levels))
+        rows = np.fromiter(chain.from_iterable(levels), dtype=np.int64, count=sum(counts))
+        return rows + self._level_base[: len(counts)].repeat(counts)
+
+    def _link_cells(self, links: "frozenset[Point]") -> np.ndarray:
+        """Ledger cells of an explicit link set (a churn or swap diff)."""
+        n_rows = self._n_rows
+        return np.array([level * n_rows + row for level, row in links], dtype=np.int64)
+
     def _trace_deny(self, cid: int, reason: str) -> None:
         if self.tracer is not None:
             self.tracer.event("admission.deny", cid=cid, reason=reason)
 
-    def _check_capacity(self, cid: int, links: Iterable[Point]) -> None:
-        """Raise ``capacity`` unless every link has a spare channel."""
-        loads = self._loads
-        cap = self._network.dilation
-        for link in links:
-            if loads[link] + 1 > cap:
-                self._trace_deny(cid, "capacity")
-                raise AdmissionDenied("capacity", f"link {link} at load {loads[link]}/{cap}")
+    def _check_capacity(
+        self, cid: int, cells: np.ndarray, links: "Callable[[], frozenset[Point]]"
+    ) -> None:
+        """Raise ``capacity`` unless every cell has a spare channel.
 
-    def _release(self, links: Iterable[Point]) -> None:
-        """Drop one channel from each link, deleting a link that empties.
-
-        Touches only the given links, so a leave costs O(route links)
-        rather than a rescan of the whole ledger; the ledger never holds
-        a zero (or negative) load.
+        The common admit is one vectorized ``max``.  Only a denial reads
+        ``links()`` — the link frozenset — so the reported link is the
+        first full one in its iteration order, as it always has been.
         """
-        loads = self._loads
-        for link in links:
-            load = loads[link] - 1
-            if load > 0:
-                loads[link] = load
-            else:
-                loads.pop(link, None)
+        cap = self._network.dilation
+        if not len(cells) or self._load[cells].max() < cap:
+            return
+        full = {
+            divmod(cell, self._n_rows) for cell in cells[self._load[cells] >= cap].tolist()
+        }
+        link = next(link for link in links() if link in full)
+        self._trace_deny(cid, "capacity")
+        raise AdmissionDenied("capacity", f"link {link} at load {self.link_load(link)}/{cap}")
 
     def _port_clash(self, members: Iterable[int]) -> "set[int]":
         """The requested ports already claimed by a live conference.
@@ -306,10 +330,11 @@ class AdmissionController:
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
         old_links, new_links = old.links, new_route.links
         added = new_links - old_links
-        self._check_capacity(conference_id, added)
+        added_cells = self._link_cells(added)
+        self._check_capacity(conference_id, added_cells, lambda: added)
         released = old_links - new_links
-        self._loads.update(added)
-        self._release(released)
+        self._load[added_cells] += 1
+        self._load[self._link_cells(released)] -= 1
         self._routes[conference_id] = new_route
         self._ports_in_use.difference_update(old.conference.members)
         self._ports_in_use.update(new_ports)
@@ -347,9 +372,10 @@ class AdmissionController:
         if clash:
             self._trace_deny(cid, "ports")
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        self._check_capacity(cid, churn.links_added)
-        self._loads.update(churn.links_added)
-        self._release(churn.links_removed)
+        added_cells = self._link_cells(churn.links_added)
+        self._check_capacity(cid, added_cells, lambda: churn.links_added)
+        self._load[added_cells] += 1
+        self._load[self._link_cells(churn.links_removed)] -= 1
         self._routes[cid] = churn.after
         self._ports_in_use.difference_update(
             old.conference.member_set - churn.after.conference.member_set
@@ -372,7 +398,7 @@ class AdmissionController:
             route = self._routes.pop(conference_id)
         except KeyError:
             raise KeyError(f"no live conference with id {conference_id}") from None
-        self._release(route.links)
+        self._load[self._route_cells(route)] -= 1
         self._ports_in_use.difference_update(route.conference.members)
         if self.tracer is not None:
             self.tracer.event("admission.leave", cid=conference_id)

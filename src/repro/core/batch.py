@@ -1,16 +1,31 @@
-"""Columnar batch routing — the bitset kernel behind ``route_batch``.
+"""Bit-sliced batch routing — the kernel behind ``route_batch``.
 
-:func:`~repro.core.routing.route_conference` walks per-member Python
-dicts one conference at a time.  This module evaluates a whole *batch*
-of conferences stage-by-stage with wide integer operations, the idiom of
-stage-wide MIN evaluation: the routing state is a stack of
-``(n_conferences, n_rows)`` numpy arrays — one per level — where entry
-``[c, r]`` is the member bitmask of conference ``c`` present on row
-``r``.  One gather + bitwise-OR per stage replaces the per-signal
-propagation loop, and tap selection / backward marking reduce to array
-comparisons.
+:func:`~repro.core.routing.route_conference_sequential` walks per-member
+Python dicts one conference at a time.  This module evaluates a whole
+*batch* of conferences stage by stage with wide integer operations, the
+idiom of stage-wide MIN evaluation.  Each stage of the network is one
+fixed row permutation per switch side, so it is applied to whole packed
+words at once:
 
-The contract is **byte-identity** with the sequential core, not mere
+* **Forward planes.**  Level ``t`` is a row-major ``(n_rows, W)`` uint64
+  plane.  Conference ``c`` owns the bit slot ``[shift, shift + m)`` of
+  one word (``m`` members, member ``i`` is bit ``shift + i``); slots are
+  packed first-fit in batch order and never straddle two words, so a
+  word carries several small conferences and ``W`` is about the batch's
+  member count over 64.  A stage gathers the rows of every switch side
+  in one ``take`` and ORs them; a dead point zeroes its whole row, for
+  every conference at once.  Conference ``c``'s mask at ``(t, r)`` is
+  ``(plane[r, word] >> shift) & full``.
+* **Backward planes.**  Level ``t`` is a ``(n_rows, ceil(B / 64))``
+  uint64 plane with one bit per conference: bit ``c`` is set where some
+  tap of conference ``c`` is reachable through surviving points.
+* **Replay.**  The used region is walked level by level from the member
+  rows: each level takes the successors of the previous level's used
+  points, keeps those whose conference bit is marked, and keeps the
+  first occurrence of each point, which is the sequential walk's
+  first-touch order.
+
+The contract is **byte-identity** with the sequential walk, not mere
 equality: the produced :class:`~repro.core.routing.Route` objects build
 their ``levels`` and ``taps`` dicts in the *same insertion order* the
 sequential algorithm uses, so ``repr``, JSON serialization, frozenset
@@ -19,21 +34,25 @@ order-sensitive decision (admission capacity messages, the worst-case
 search's ``max(loads.items())`` target pick) — are indistinguishable
 from the per-object path.  The differential grid in
 ``tests/core/test_batch_differential.py`` holds the kernel against
-:func:`~repro.core.routing.route_conference` (the per-object oracle the
-kernel replaced) across topologies, policies, fault sets and batch
-shapes.
+:func:`~repro.core.routing.route_conference_sequential` across every
+registered topology, both tap policies, fault sets and batch shapes.
+
+A batch is routed in chunks of at most ``_MAX_CELLS // n_rows``
+conferences.  Every slot lies inside one word, so ``W`` never exceeds
+the chunk's conference count, no level of a chunk's planes exceeds
+``_MAX_CELLS`` cells, and memory stays flat however large the batch.
 
 Two inputs fall back to the sequential path per conference, with
 identical outcomes: conferences of more than :data:`MAX_KERNEL_MEMBERS`
-members (their masks overflow the int64 columns) and any batch routed
-under ``policy.prune=True`` (the greedy ablation is inherently
-sequential).
+members (their slot would not fit one word) and any batch routed under
+``policy.prune=True`` (the greedy ablation is inherently sequential).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -59,12 +78,12 @@ __all__ = [
     "analyze_conflicts_columnar",
 ]
 
-#: Largest conference the int64 mask columns can represent (bit ``i`` of
-#: a column is member ``i``; ``1 << 62`` is the last in-range weight).
+#: Largest conference whose member slot fits one 64-bit word with its
+#: full mask ``2**m - 1`` still a non-negative int64 route mask.
 MAX_KERNEL_MEMBERS = 63
 
-#: Soft bound on ``n_conferences * n_rows`` cells held live per level;
-#: larger batches are routed in chunks so memory stays flat.
+#: Soft bound on ``n_conferences * n_rows`` cells per level; larger
+#: batches are routed in chunks so memory stays flat.
 _MAX_CELLS = 1 << 18
 
 @dataclass(frozen=True)
@@ -167,55 +186,94 @@ def _dead_rows_by_level(dead: frozenset, n_stages: int, n_rows: int) -> "list[np
     return out
 
 
+def _slots(sizes: "list[int]") -> "tuple[list[int], list[int]]":
+    """Pack each conference's member bits into one 64-bit word.
+
+    Conference ``c`` owns bits ``[shift, shift + m)`` of word ``word``;
+    slots are laid out first-fit in batch order and never straddle two
+    words (``m <= MAX_KERNEL_MEMBERS < 64``).
+    """
+    words, shifts = [], []
+    word = shift = 0
+    for m in sizes:
+        if shift + m > 64:
+            word, shift = word + 1, 0
+        words.append(word)
+        shifts.append(shift)
+        shift += m
+    return words, shifts
+
+
+def _gather_or(plane: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One stage of a row-major plane: ``out[r] = OR_s plane[table[r, s]]``.
+
+    All switch sides are gathered in a single ``take``.
+    """
+    sides = np.take(plane, table.T, axis=0)
+    np.bitwise_or(sides[0], sides[1], out=out)
+    for side in sides[2:]:
+        out |= side
+    return out
+
+
 def _kernel(
     net: MultistageNetwork,
     confs: list[Conference],
     policy: RoutingPolicy,
     dead: frozenset,
 ) -> list[BatchRouteOutcome]:
-    """The columnar forward/tap/backward sweep over one chunk."""
+    """The bit-sliced forward/tap/backward sweep over one chunk."""
     n_rows, n_stages, radix = net.n_ports, net.n_stages, net.radix
+    n_levels = n_stages + 1
     n_conf = len(confs)
     succ, pred = net.successor_table, net.predecessor_table
     dead_rows = _dead_rows_by_level(dead, n_stages, n_rows)
 
     member_lists = [c.members for c in confs]
-    sizes = np.fromiter((len(m) for m in member_lists), dtype=np.int64, count=n_conf)
+    size_list = [len(m) for m in member_lists]
+    word_list, shift_list = _slots(size_list)
+    n_words = word_list[-1] + 1
+    n_cwords = (n_conf + 63) >> 6
+    sizes = np.array(size_list, dtype=np.int64)
     total = int(sizes.sum())
-    members = np.fromiter(
-        (p for mem in member_lists for p in mem), dtype=np.int64, count=total
-    )
+    members = np.fromiter(chain.from_iterable(member_lists), dtype=np.int64, count=total)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     conf_of = np.repeat(np.arange(n_conf, dtype=np.int64), sizes)
-    # Bit weight of member i is its index within its conference.
-    idx_in_conf = np.arange(total, dtype=np.int64) - offsets[conf_of]
-    weights = np.left_shift(np.int64(1), idx_in_conf)
-    # Through uint64 so a 63-member conference's full mask (2**63 - 1)
-    # does not overflow the shift.
-    full = (np.left_shift(np.uint64(1), sizes.astype(np.uint64)) - 1).astype(np.int64)
+    # Per conference: its member word, slot shift and full-slot mask
+    # (through uint64 so a 63-member slot's mask 2**63 - 1 is exact),
+    # then its word and bit in the backward conference-bit planes.
+    word_c = np.array(word_list, dtype=np.int64)
+    shift_c = np.array(shift_list, dtype=np.uint64)
+    full_c = np.left_shift(np.uint64(1), sizes.astype(np.uint64)) - np.uint64(1)
+    cword_c = np.arange(n_conf, dtype=np.int64) >> 6
+    cbit_c = np.left_shift(np.uint64(1), (np.arange(n_conf) & 63).astype(np.uint64))
+    shift_m, full_m = shift_c[conf_of], full_c[conf_of]
+    # Member i of a conference is bit ``shift + i`` of its word.
+    idx_in_conf = (np.arange(total, dtype=np.int64) - offsets[conf_of]).astype(np.uint64)
+    bits = np.left_shift(np.uint64(1), shift_m + idx_in_conf)
 
-    # Forward pass: masks[t][c, r] = members of conference c whose signal
-    # can be present at point (t, r) through surviving paths.
-    cur = np.zeros((n_conf, n_rows), dtype=np.int64)
-    cur[conf_of, members] = weights
-    if dead_rows[0] is not None:
-        cur[:, dead_rows[0]] = 0
-    masks = [cur]
-    for s in range(n_stages):
-        nxt = cur[:, pred[s, :, 0]]
-        for side in range(1, radix):
-            nxt = nxt | cur[:, pred[s, :, side]]
-        if dead_rows[s + 1] is not None:
-            nxt[:, dead_rows[s + 1]] = 0
-        masks.append(nxt)
-        cur = nxt
+    # Forward pass: masks[t, r, w] packs, slot by slot, the members of
+    # each conference in word w whose signal can be present at point
+    # (t, r) through surviving paths.  A stage gathers the rows of every
+    # switch side and ORs them; a dead row is zeroed for every conference
+    # at once.  Seeding ORs because overlapping conferences may share a
+    # cell.
+    masks = np.zeros((n_levels, n_rows, n_words), dtype=np.uint64)
+    np.bitwise_or.at(masks[0], (members, word_c[conf_of]), bits)
+    for t in range(n_levels):
+        if t:
+            _gather_or(masks[t - 1], pred[t - 1], masks[t])
+        if dead_rows[t] is not None:
+            masks[t, dead_rows[t]] = 0
+    flat_masks = masks.reshape(n_levels, -1)
 
-    # Tap selection: ok[t, i] = level t carries the full combination on
-    # member i's own row.
-    ok = np.stack([m[conf_of, members] for m in masks]) == full[conf_of]
+    # Tap selection: vals[t, i] is the slot of member i's conference on
+    # member i's own row at level t; ok where it is the full combination.
+    vals = (flat_masks[:, members * n_words + word_c[conf_of]] >> shift_m) & full_m
+    ok = vals == full_m
     if policy.tap_policy is TapPolicy.FINAL:
         member_ok = ok[n_stages]
-        taps_of_member = np.full(len(members), n_stages, dtype=np.int64)
+        taps_of_member = np.full(total, n_stages, dtype=np.int64)
     else:
         member_ok = ok.any(axis=0)
         taps_of_member = ok.argmax(axis=0)
@@ -223,7 +281,7 @@ def _kernel(
     # First failing member per conference, in member order (the sequential
     # loop raises at exactly that member).
     first_bad = np.minimum.reduceat(
-        np.where(member_ok, len(members), np.arange(len(members))), offsets[:-1]
+        np.where(member_ok, total, np.arange(total)), offsets[:-1]
     )
 
     outcomes: "list[BatchRouteOutcome | None]" = [None] * n_conf
@@ -239,66 +297,81 @@ def _kernel(
             )
         outcomes[c] = BatchRouteOutcome(confs[c], error=err)
 
-    # Backward pass: marked[t][c, r] = some tap of c is reachable from
-    # (t, r) through surviving points.
+    # Backward pass: marked[t, r, c // 64] holds bit c % 64 when some tap
+    # of conference c is reachable from (t, r) through surviving points.
     live = member_ok & routable[conf_of]
-    marked = [np.zeros((n_conf, n_rows), dtype=bool) for _ in range(n_stages + 1)]
-    for t in np.unique(taps_of_member[live]):
-        sel = live & (taps_of_member == t)
-        marked[t][conf_of[sel], members[sel]] = True
+    live_confs = conf_of[live]
+    marked = np.zeros((n_levels, n_rows, n_cwords), dtype=np.uint64)
+    np.bitwise_or.at(
+        marked,
+        (taps_of_member[live], members[live], cword_c[live_confs]),
+        cbit_c[live_confs],
+    )
     for t in range(n_stages, 0, -1):
-        below = marked[t]
-        prev = below[:, succ[t - 1, :, 0]]
-        for side in range(1, radix):
-            prev = prev | below[:, succ[t - 1, :, side]]
+        prev = _gather_or(marked[t], succ[t - 1], np.empty_like(marked[t]))
         if dead_rows[t - 1] is not None:
-            prev[:, dead_rows[t - 1]] = 0
+            prev[dead_rows[t - 1]] = 0
         marked[t - 1] |= prev
+    flat_marked = marked.reshape(n_levels, -1)
 
     # Used region + sequential insertion order.  The sequential algorithm
     # builds each level's dict by iterating the previous level's dict in
     # *its* order and the switch sides in table order; replaying that
     # first-touch order here makes the dicts byte-identical, not merely
-    # equal (frozenset iteration of Route.links then matches too).
-    level_points: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    used0 = (masks[0] != 0) & marked[0]
-    keep = used0[conf_of, members]
+    # equal (frozenset iteration of Route.links then matches too).  Each
+    # level keeps the first occurrence of every (conference, row)
+    # candidate whose conference bit is marked: a marked point is never
+    # dead, so a marked successor of a used point always carries signal.
+    keep = (flat_marked[0, members * n_cwords + cword_c[conf_of]] & cbit_c[conf_of]) != 0
     confs_t, rows_t = conf_of[keep], members[keep]
-    level_points.append((confs_t, rows_t, masks[0][confs_t, rows_t]))
-    for t in range(n_stages):
-        used_next = (masks[t + 1] != 0) & marked[t + 1]
-        cand_rows = succ[t, rows_t, :].reshape(-1)
-        cand_confs = np.repeat(confs_t, radix)
+    level_confs, level_rows = [confs_t], [rows_t]
+    for t in range(1, n_levels):
+        cand_rows = np.take(succ[t - 1], rows_t, axis=0).reshape(-1)
+        cand_confs = confs_t.repeat(radix)
         keys = cand_confs * n_rows + cand_rows
-        uniq, first = np.unique(keys, return_index=True)
-        ok_next = used_next[uniq // n_rows, uniq % n_rows]
-        uniq, first = uniq[ok_next], first[ok_next]
-        order = np.argsort(first, kind="stable")
-        keys_next = uniq[order]
-        confs_t, rows_t = keys_next // n_rows, keys_next % n_rows
-        level_points.append((confs_t, rows_t, masks[t + 1][confs_t, rows_t]))
-
-    # Materialize Route objects (plain-int dicts, matching the sequential path field for field).
-    # Whole-level ``tolist`` conversions up front: per-conference numpy
-    # slicing would cost more than the kernel itself on small networks.
-    per_level = [
-        (
-            np.searchsorted(lvl_confs, np.arange(n_conf + 1)).tolist(),
-            lvl_rows.tolist(),
-            lvl_masks.tolist(),
+        perm = keys.argsort(kind="stable")
+        ranked = keys[perm]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        firsts = np.sort(perm[first])
+        confs_t, rows_t = cand_confs[firsts], cand_rows[firsts]
+        used = np.flatnonzero(
+            flat_marked[t, rows_t * n_cwords + cword_c[confs_t]] & cbit_c[confs_t]
         )
-        for lvl_confs, lvl_rows, lvl_masks in level_points
-    ]
+        confs_t, rows_t = confs_t[used], rows_t[used]
+        level_confs.append(confs_t)
+        level_rows.append(rows_t)
+
+    # Materialize Route objects (plain-int dicts, matching the sequential
+    # path field for field).  Every used point's carried mask is read in
+    # one gather, then the points are grouped by conference (stable, so
+    # level and first-touch order survive) and converted with one
+    # ``tolist``: per-conference numpy slicing would cost more than the
+    # sweeps themselves.
+    counts = [len(c) for c in level_confs]
+    point_confs = np.concatenate(level_confs)
+    point_rows = np.concatenate(level_rows)
+    point_levels = np.repeat(np.arange(n_levels, dtype=np.int64), counts)
+    point_masks = (
+        masks.reshape(-1)[
+            (point_levels * n_rows + point_rows) * n_words + word_c[point_confs]
+        ]
+        >> shift_c[point_confs]
+    ) & full_c[point_confs]
+    order = np.argsort(point_confs, kind="stable")
+    points = zip(point_rows[order].tolist(), point_masks[order].tolist())
+    sizes_of = np.bincount(
+        point_confs * n_levels + point_levels, minlength=n_conf * n_levels
+    ).tolist()
     tap_list = taps_of_member.tolist()
     offset_list = offsets.tolist()
     for c in range(n_conf):
         if outcomes[c] is not None:
-            continue
+            continue  # unroutable: no tap was marked, so it owns no points
+        base = c * n_levels
+        levels = tuple([dict(islice(points, n)) for n in sizes_of[base : base + n_levels]])
         conf = confs[c]
-        levels = []
-        for bounds, lvl_rows, lvl_masks in per_level:
-            lo, hi = bounds[c], bounds[c + 1]
-            levels.append(dict(zip(lvl_rows[lo:hi], lvl_masks[lo:hi])))
         taps = dict(zip(conf.members, tap_list[offset_list[c] : offset_list[c + 1]]))
         # Direct field assembly: Route's frozen-dataclass __init__ costs
         # five object.__setattr__ calls per instance, measurable at this
@@ -308,7 +381,7 @@ def _kernel(
             conference=conf,
             n_ports=n_rows,
             n_stages=n_stages,
-            levels=tuple(levels),
+            levels=levels,
             taps=taps,
         )
         outcomes[c] = BatchRouteOutcome(conf, route=route)

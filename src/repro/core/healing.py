@@ -922,9 +922,12 @@ class SelfHealingController:
             self._metrics.counter(name, _COUNTER_HELP.get(name, "")).inc(**labels)
 
     def _observe(self, now: float) -> None:
+        # The ledger's own route map: ``live_conferences`` would build a
+        # tuple of every live id only to take its length.
+        live = len(self._inner._routes)
         self._stats.observe(
             now,
-            live=len(self._inner.live_conferences),
+            live=live,
             degraded=len(self._degraded),
             down=len(self._down),
         )
@@ -934,7 +937,7 @@ class SelfHealingController:
         peak = reg.gauge(
             "repro_conferences_peak", "Peak concurrent conferences by state"
         )
-        peak.set_max(len(self._inner.live_conferences), state="live")
+        peak.set_max(live, state="live")
         peak.set_max(len(self._degraded), state="degraded")
         peak.set_max(len(self._down), state="down")
         if self._plans is not None:

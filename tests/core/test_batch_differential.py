@@ -1,14 +1,15 @@
 """Differential harness: the columnar kernel against sequential oracles.
 
 ``route_batch`` promises **byte-identity** with the per-object
-``route_conference`` walk it replaced, not mere equality: Route dicts
+``route_conference_sequential`` walk, not mere equality: Route dicts
 built in the same insertion order, frozensets iterating identically,
-errors raised with the same type and message.  Now that the kernel is
-the only engine, the oracle lives *here*: ``sequential_outcomes`` routes
-each conference one at a time through the public per-object API, and the
-grid compares the strongest observable form of each output — ``repr``
-bytes for routes, ``list()`` order for frozensets, ``args`` for errors,
-whole outcome/ledger structures for the admission and healing layers.
+errors raised with the same type and message.  ``sequential_outcomes``
+routes each conference one at a time through that walk, and the grid
+compares the strongest observable form of each output — ``repr`` bytes
+for routes, ``list()`` order for frozensets, ``args`` for errors, whole
+outcome/ledger structures for the admission and healing layers — over
+every registered topology, plus batches shaped to stress the kernel's
+packed bit-slot layout.
 
 The same applies to conflict accounting: ``analyze_conflicts`` is the
 columnar load matrix, and ``counter_walk_report`` below re-implements
@@ -24,6 +25,7 @@ from repro.core.admission import AdmissionController, AdmissionDenied
 from repro.core.batch import (
     MAX_KERNEL_MEMBERS,
     BatchRouteOutcome,
+    _slots,
     analyze_conflicts_columnar,
     route_batch,
 )
@@ -37,13 +39,13 @@ from repro.core.routing import (
     route_conference_sequential,
 )
 from repro.sim.engine import EventLoop
-from repro.topology.builders import build
+from repro.topology.builders import TOPOLOGY_BUILDERS, build, radix_delta
 from repro.util.rng import ensure_rng
 from repro.workloads.generators import uniform_partition
 
 pytestmark = pytest.mark.tier1
 
-TOPOLOGIES = ("omega", "baseline", "indirect-binary-cube", "extra-stage-cube")
+TOPOLOGIES = tuple(sorted(TOPOLOGY_BUILDERS))
 
 
 def random_batch(n_ports, rng, size, max_members=6):
@@ -156,7 +158,7 @@ class TestRouteBatchGrid:
             route_batch(net, batch), sequential_outcomes(net, batch)
         )
 
-    @pytest.mark.parametrize("topology", ["indirect-binary-cube", "extra-stage-cube"])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("seed", [1, 5])
     def test_grid_under_faults(self, topology, seed):
         net = build(topology, 16)
@@ -212,6 +214,83 @@ class TestRouteBatchGrid:
     def test_empty_batch(self):
         net = build("omega", 16)
         assert route_batch(net, []) == []
+
+
+class TestPackedLayout:
+    """Batches aimed at the bit-sliced layout: member slots packed into
+    shared 64-bit words, conference bits spread over several backward
+    words, cells shared by overlapping conferences, dead rows at the
+    first and last level."""
+
+    def test_slots_never_straddle_a_word(self):
+        sizes = [63, 2, 40, 30, 63, 1, 33, 31, 62, 2, 7]
+        words, shifts = _slots(sizes)
+        assert (words[0], shifts[0]) == (0, 0)
+        for m, shift in zip(sizes, shifts):
+            assert shift + m <= 64
+        # First-fit in batch order: each slot starts where the previous
+        # one ended, or opens the next word when it would not fit.
+        for i in range(1, len(sizes)):
+            end = shifts[i - 1] + sizes[i - 1]
+            if end + sizes[i] <= 64:
+                assert (words[i], shifts[i]) == (words[i - 1], end)
+            else:
+                assert (words[i], shifts[i]) == (words[i - 1] + 1, 0)
+
+    @pytest.mark.parametrize("tap", ["earliest", "final"])
+    def test_mixed_sizes_up_to_the_kernel_bound(self, tap):
+        net = build("omega", 128)
+        rng = ensure_rng(11)
+        sizes = [MAX_KERNEL_MEMBERS, 2, 40, 30, MAX_KERNEL_MEMBERS, 1, 33, 31, 62, 2, 7, 64]
+        batch = [
+            Conference.of((int(m) for m in rng.choice(128, size=k, replace=False)), cid)
+            for cid, k in enumerate(sizes)
+        ]
+        words, _ = _slots([len(c.members) for c in batch if len(c.members) <= 63])
+        assert words[-1] >= 5  # slots really spill across words
+        policy = RoutingPolicy(tap_policy=tap)
+        assert_outcomes_identical(
+            route_batch(net, batch, policy), sequential_outcomes(net, batch, policy)
+        )
+
+    @pytest.mark.parametrize("topology", ["indirect-binary-cube", "benes-cube"])
+    def test_more_than_64_conferences_in_one_chunk(self, topology):
+        net = build(topology, 64)
+        batch = random_batch(64, ensure_rng(21), size=150, max_members=12)
+        assert_outcomes_identical(route_batch(net, batch), sequential_outcomes(net, batch))
+
+    def test_duplicate_and_overlapping_conferences(self):
+        net = build("baseline", 32)
+        base = random_batch(32, ensure_rng(4), size=20, max_members=9)
+        twins = [Conference.of(c.members, c.conference_id) for c in base[:5]]
+        renamed = [Conference.of(c.members, 100 + i) for i, c in enumerate(base[5:10])]
+        shared = [Conference.of([0, 1, 2, 3], 200), Conference.of([0, 1, 2, 3, 4], 201)]
+        batch = base + twins + renamed + shared + shared
+        assert_outcomes_identical(route_batch(net, batch), sequential_outcomes(net, batch))
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("tap", ["earliest", "final"])
+    def test_faults_at_the_first_and_last_level(self, topology, tap):
+        net = build(topology, 16)
+        last = net.n_stages
+        faults = frozenset({(0, 3), (0, 9), (last, 5), (last, 12), (last, 3)})
+        batch = random_batch(16, ensure_rng(8), size=40)
+        batch.append(Conference.of([3, 4], 99))  # a dead injection
+        policy = RoutingPolicy(tap_policy=tap)
+        batched = route_batch(net, batch, policy, faults=faults)
+        assert_outcomes_identical(
+            batched, sequential_outcomes(net, batch, policy, faults=faults)
+        )
+        assert not batched[-1].ok
+
+    def test_radix_four_network(self):
+        net = radix_delta(64, 4)
+        batch = random_batch(64, ensure_rng(2), size=30, max_members=10)
+        faults = frozenset({(1, 7), (2, 40), (0, 5)})
+        assert_outcomes_identical(
+            route_batch(net, batch, faults=faults),
+            sequential_outcomes(net, batch, faults=faults),
+        )
 
 
 class TestConflictEquality:

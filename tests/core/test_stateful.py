@@ -145,9 +145,18 @@ class AdmissionMachine(RuleBasedStateMachine):
         expected = Counter()
         for route in self.routes.values():
             expected.update(route.links)
-        # Exactly the recomputed map: same keys, no zero or negative entry.
-        assert dict(self.ctl._loads) == dict(expected)
-        assert all(load > 0 for load in self.ctl._loads.values())
+        # Exactly the recomputed map: the nonzero cells of the dense
+        # ledger (cell t * N + r is link (t, r)) equal the recomputed
+        # Counter key for key, and no cell anywhere is negative.
+        n_rows = self.network.n_ports
+        cells = self.ctl._load
+        assert cells.shape == ((self.network.n_stages + 1) * n_rows,)
+        nonzero = {
+            divmod(int(cell), n_rows): int(cells[cell]) for cell in cells.nonzero()[0]
+        }
+        assert nonzero == dict(expected)
+        assert int(cells.min()) >= 0
+        assert all(self.ctl.link_load(link) == load for link, load in expected.items())
         stages: dict = {}
         for (level, _row), load in sorted(expected.items()):
             stages.setdefault(level, []).append(load)
