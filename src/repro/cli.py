@@ -36,8 +36,11 @@ without the flags.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from collections.abc import Sequence
+import time
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager, nullcontext
 
 from repro.analysis.cost import cost_table
 from repro.analysis.resilience import (
@@ -55,7 +58,14 @@ from repro.analysis.worstcase import (
     matching_stage_profile,
 )
 from repro.core.network import ConferenceNetwork
-from repro.obs import MetricsRegistry, Tracer, collecting
+from repro.obs import (
+    ExpositionServer,
+    FlightRecorder,
+    MetricsRegistry,
+    SLOEvaluator,
+    Tracer,
+    collecting,
+)
 from repro.perfmodel import PerfModelConfig
 from repro.report.ascii import render_network, render_routes, render_stage_profile
 from repro.report.serialize import result_to_dict, save_json
@@ -76,6 +86,31 @@ def _ports_list(text: str) -> list[int]:
 
 def _floats_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
+
+
+def _fraction(text: str) -> float:
+    """``--load``: a port fraction in [0, 1]; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1], got {text!r}")
+    return value
+
+
+def _listen_address(text: str) -> tuple[str, int]:
+    """``--listen [HOST]:PORT`` as ``(host, port)``; HOST defaults to 127.0.0.1.
+
+    PORT must be in 0-65535 (an empty PORT means 0, a free port); HOST is
+    a name or an IPv4 address, since the endpoint listens on IPv4.
+    """
+    match = re.fullmatch(r"([^\[\]:]*):([0-9]{0,5})", text)
+    if match is None or int(match[2] or 0) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected [HOST]:PORT with PORT in 0-65535, got {text!r}"
+        )
+    return match[1] or "127.0.0.1", int(match[2] or 0)
 
 
 def _version() -> str:
@@ -119,13 +154,6 @@ def _add_churn_flags(cmd: argparse.ArgumentParser) -> None:
         help="conflict-multiplicity drift (extra links vs a from-scratch "
         "route) above which an incremental change falls back to a full "
         "reroute (default: never)",
-    )
-
-
-def _churn_policy(args: argparse.Namespace) -> ChurnPolicy:
-    return ChurnPolicy(
-        incremental=args.churn == "incremental",
-        drift_limit=args.drift_limit,
     )
 
 
@@ -215,6 +243,14 @@ def _recovery_rows(report, *, plan_counts: bool) -> list[dict]:
     return rows
 
 
+def _report_footer(args: argparse.Namespace, report) -> None:
+    """A bench report's ``result:`` line, then its ``--json`` file."""
+    print(f"\nresult: {'ok' if report.ok else 'FAILED: ' + str(report.reason)}")
+    if args.json:
+        save_json(args.json, result_to_dict(report))
+        print(f"report written to {args.json}")
+
+
 def _delivery_rows(delivery: "dict | None") -> list[dict]:
     """Bench-table rows for a buffered-delivery block (none in abstract mode)."""
     if delivery is None:
@@ -286,41 +322,106 @@ def _add_perf_flags(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _perf_config(args: argparse.Namespace) -> "PerfModelConfig | None":
-    if args.capacity_model != "buffered":
-        return None
-    return PerfModelConfig(
-        lanes=args.lanes,
-        buffer_depth=args.buffer_depth,
-        flits_per_packet=args.flits,
-        tdm=args.tdm,
-        cycles_per_tick=args.cycles_per_tick,
-    )
+def _service_knobs(args: argparse.Namespace) -> dict:
+    """The library keywords of the service flag groups ``args`` carries.
+
+    healing -> ``retry``/``protection``; queue -> ``queue_capacity``/
+    ``shed_policy``/``max_batch``; churn -> ``churn``; perf ->
+    ``capacity_model``/``perf``; faults -> ``fault_process``; workload ->
+    the seeded churn workload.  A group (or flag) the subcommand did not
+    register contributes nothing, so the library default applies:
+    ``cluster`` keeps ``run_cluster_bench``'s ``max_batch=256``, and
+    ``slo`` (only ``--queue-capacity`` of the queue group) the serve
+    defaults for the rest.
+    """
+    given = vars(args)
+    knobs = {k: given[k] for k in ("queue_capacity", "shed_policy", "max_batch") if k in given}
+    if "retries" in given:
+        knobs.update(retry=_retry_policy(args), protection=args.protection)
+    if "churn" in given:
+        knobs["churn"] = ChurnPolicy(
+            incremental=args.churn == "incremental", drift_limit=args.drift_limit
+        )
+    if "capacity_model" in given:
+        knobs["capacity_model"] = args.capacity_model
+        knobs["perf"] = None if args.capacity_model != "buffered" else PerfModelConfig(
+            lanes=args.lanes,
+            buffer_depth=args.buffer_depth,
+            flits_per_packet=args.flits,
+            tdm=args.tdm,
+            cycles_per_tick=args.cycles_per_tick,
+        )
+    if "faults" in given:
+        knobs["fault_process"] = _fault_process(args)
+    if "conferences" in given:
+        knobs.update(
+            conferences=args.conferences,
+            seed=args.seed,
+            arrival_rate=args.arrival_rate,
+            mean_hold_ticks=args.mean_hold,
+            resize_prob=args.resize_prob,
+        )
+        if "mean_size" in given:
+            knobs["mean_size"] = args.mean_size
+    return knobs
 
 
-def _telemetry(args: argparse.Namespace) -> "tuple[Tracer | None, MetricsRegistry | None]":
+@contextmanager
+def _telemetry(args: argparse.Namespace, *, slo: bool = False) -> Iterator[dict]:
+    """One command's telemetry, from set-up to the final writes.
+
+    Yields the ``tracer``/``metrics``/``slo``/``flight`` keywords the flags
+    ask for (with ``slo=True`` the evaluator always exists).  Observation
+    only: each stays ``None`` unless requested, and the layers gate every
+    touch point on that, so results are byte-identical with and without
+    the flags.  After the command body the trace, metrics and SLO status
+    are written and the ``--listen`` endpoint lingers; the endpoint is
+    stopped even when the body raises.
+    """
+
+    def flag(name):
+        return getattr(args, name, None)
+
     # The flight recorder rides the tracer's tap, and the exposition
     # endpoint needs a registry to scrape — both imply the collector
     # even when no --trace-out/--metrics-out file was asked for.
-    wants_trace = getattr(args, "trace_out", None) or getattr(args, "flight_out", None)
-    wants_metrics = getattr(args, "metrics_out", None) or getattr(args, "listen", None)
-    tracer = Tracer() if wants_trace else None
-    registry = MetricsRegistry() if wants_metrics else None
-    return tracer, registry
-
-
-def _write_telemetry(
-    args: argparse.Namespace,
-    tracer: "Tracer | None",
-    registry: "MetricsRegistry | None",
-) -> None:
-    if tracer is not None and getattr(args, "trace_out", None):
-        n = tracer.write_jsonl(args.trace_out)
-        suffix = " (ring buffer truncated)" if tracer.truncated else ""
-        print(f"trace: {n} records -> {args.trace_out}{suffix}")
-    if registry is not None and getattr(args, "metrics_out", None):
-        registry.write(args.metrics_out)
-        print(f"metrics: {len(registry)} families -> {args.metrics_out}")
+    tracer = Tracer() if flag("trace_out") or flag("flight_out") else None
+    registry = MetricsRegistry() if flag("metrics_out") or flag("listen") else None
+    evaluator = flight = server = None
+    if slo or flag("slo_out") or flag("listen") or flag("flight_out"):
+        evaluator = SLOEvaluator()
+    if flag("flight_out"):
+        flight = FlightRecorder(out_dir=args.flight_out)
+        if tracer is not None:
+            flight.watch(tracer)
+        flight.attach_slo(evaluator)
+    if flag("listen"):
+        host, port = args.listen
+        server = ExpositionServer(metrics=registry, slo=evaluator, host=host, port=port).start()
+        print(f"exposition: {server.url} (/metrics /healthz /slo)")
+    try:
+        yield {"tracer": tracer, "metrics": registry, "slo": evaluator, "flight": flight}
+        if flag("trace_out"):
+            n = tracer.write_jsonl(args.trace_out)
+            suffix = " (ring buffer truncated)" if tracer.truncated else ""
+            print(f"trace: {n} records -> {args.trace_out}{suffix}")
+        if flag("metrics_out"):
+            registry.write(args.metrics_out)
+            print(f"metrics: {len(registry)} families -> {args.metrics_out}")
+        if flag("slo_out"):
+            evaluator.write(args.slo_out)
+            print(f"slo: state {evaluator.state} -> {args.slo_out}")
+        if flight is not None:
+            print(
+                f"flight: {flight.dumped} incident bundle(s) -> {args.flight_out} "
+                f"({flight.seen} records seen, {flight.suppressed} dumps debounced)"
+            )
+        if server is not None and args.listen_linger > 0:
+            print(f"exposition: lingering {args.listen_linger:g}s at {server.url}")
+            time.sleep(args.listen_linger)
+    finally:
+        if server is not None:
+            server.stop()
 
 
 def _add_live_obs_flags(cmd: argparse.ArgumentParser) -> None:
@@ -339,6 +440,7 @@ def _add_live_obs_flags(cmd: argparse.ArgumentParser) -> None:
     )
     cmd.add_argument(
         "--listen",
+        type=_listen_address,
         metavar="[HOST]:PORT",
         help="serve /metrics, /healthz and /slo over HTTP for the duration "
         "of the run (':0' picks a free port)",
@@ -353,65 +455,23 @@ def _add_live_obs_flags(cmd: argparse.ArgumentParser) -> None:
     )
 
 
-def _live_obs(args: argparse.Namespace, tracer: "Tracer | None"):
-    """Build the (slo, flight) pair the live-health flags ask for.
-
-    Observation only: both stay ``None`` unless requested, and the
-    service layers gate every touch point on that — results are
-    byte-identical with and without the flags.
-    """
-    slo = flight = None
-    if (
-        getattr(args, "slo_out", None)
-        or getattr(args, "listen", None)
-        or getattr(args, "flight_out", None)
-    ):
-        from repro.obs import SLOEvaluator
-
-        slo = SLOEvaluator()
-    if getattr(args, "flight_out", None):
-        from repro.obs import FlightRecorder
-
-        flight = FlightRecorder(out_dir=args.flight_out)
-        if tracer is not None:
-            flight.watch(tracer)
-        if slo is not None:
-            flight.attach_slo(slo)
-    return slo, flight
-
-
-def _exposition(args: argparse.Namespace, registry, slo):
-    """Start the scrape endpoint when ``--listen`` asks for one."""
-    spec = getattr(args, "listen", None)
-    if not spec:
-        return None
-    from repro.obs import ExpositionServer
-
-    host, _, port = str(spec).rpartition(":")
-    server = ExpositionServer(
-        metrics=registry, slo=slo, host=host or "127.0.0.1", port=int(port or 0)
-    ).start()
-    print(f"exposition: {server.url} (/metrics /healthz /slo)")
-    return server
-
-
-def _finish_live_obs(args: argparse.Namespace, slo, flight, server) -> None:
-    import time as _time
-
-    if slo is not None and getattr(args, "slo_out", None):
-        slo.write(args.slo_out)
-        print(f"slo: state {slo.state} -> {args.slo_out}")
-    if flight is not None:
-        print(
-            f"flight: {flight.dumped} incident bundle(s) -> {args.flight_out} "
-            f"({flight.seen} records seen, {flight.suppressed} dumps debounced)"
-        )
-    if server is not None:
-        linger = getattr(args, "listen_linger", 0.0) or 0.0
-        if linger > 0:
-            print(f"exposition: lingering {linger:g}s at {server.url}")
-            _time.sleep(linger)
-        server.stop()
+def _add_fabric_flags(
+    cmd: argparse.ArgumentParser,
+    *,
+    topology: str = "indirect-binary-cube",
+    ports: int = 16,
+    dilation: "int | None" = None,
+    shards: "int | None" = None,
+) -> None:
+    """``--topology``/``--ports``, plus ``--shards``/``--dilation`` when given defaults."""
+    cmd.add_argument("--topology", default=topology, choices=sorted(TOPOLOGY_BUILDERS))
+    if shards is None:
+        cmd.add_argument("--ports", type=int, default=ports)
+    else:
+        cmd.add_argument("--ports", type=int, default=ports, help="ports per shard fabric")
+        cmd.add_argument("--shards", type=int, default=shards)
+    if dilation is not None:
+        cmd.add_argument("--dilation", type=int, default=dilation)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,12 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     show = sub.add_parser("show", help="render a topology's wiring")
-    show.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    show.add_argument("--ports", type=int, default=16)
+    _add_fabric_flags(show)
 
     route = sub.add_parser("route", help="route conferences and show link occupancy")
-    route.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    route.add_argument("--ports", type=int, default=16)
+    _add_fabric_flags(route)
     route.add_argument(
         "--conference",
         action="append",
@@ -448,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--ports", type=_ports_list, default=[16, 64, 256], metavar="N1,N2,...")
 
     blocking = sub.add_parser("blocking", help="blocking probability vs link dilation")
-    blocking.add_argument("--topology", default="omega", choices=sorted(TOPOLOGY_BUILDERS))
-    blocking.add_argument("--ports", type=int, default=64)
+    _add_fabric_flags(blocking, topology="omega", ports=64)
     blocking.add_argument("--dilations", type=_ports_list, default=[1, 2, 4, 8], metavar="D1,D2,...")
     blocking.add_argument("--duration", type=float, default=1000.0)
     blocking.add_argument("--seed", type=int, default=0)
@@ -457,18 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = sub.add_parser(
         "schedule", help="TDM slot assignment for a random conference set"
     )
-    schedule.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    schedule.add_argument("--ports", type=int, default=32)
-    schedule.add_argument("--load", type=float, default=0.8)
+    _add_fabric_flags(schedule, ports=32)
+    schedule.add_argument("--load", type=_fraction, default=0.8)
     schedule.add_argument("--seed", type=int, default=0)
 
     faults = sub.add_parser(
         "faults", help="conference survivability under random link faults"
     )
-    faults.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    faults.add_argument("--ports", type=int, default=32)
+    _add_fabric_flags(faults, ports=32)
     faults.add_argument("--count", type=int, default=4, help="number of dead links")
-    faults.add_argument("--load", type=float, default=0.6)
+    faults.add_argument("--load", type=_fraction, default=0.6)
     faults.add_argument("--seed", type=int, default=0)
     faults.add_argument(
         "--relay",
@@ -487,12 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
         "availability",
         help="live fault injection: availability over time with self-healing",
     )
-    avail.add_argument("--topology", default="extra-stage-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    avail.add_argument("--ports", type=int, default=32)
+    _add_fabric_flags(avail, topology="extra-stage-cube", ports=32)
     avail.add_argument("--duration", type=float, default=1500.0)
     avail.add_argument("--mttf", type=float, default=1500.0, help="mean time to failure per link")
     avail.add_argument("--mttr", type=float, default=30.0, help="mean time to repair per link")
-    avail.add_argument("--load", type=float, default=0.6, help="steady population port load")
+    avail.add_argument("--load", type=_fraction, default=0.6, help="steady population port load")
     _add_healing_flags(avail, retries=10)
     avail.add_argument("--seed", type=int, default=0)
     avail.add_argument(
@@ -512,8 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("random-load", "worstcase"),
         help="random-load: F1-style dilation sweep; worstcase: randomized search",
     )
-    sweep.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    sweep.add_argument("--ports", type=int, default=64)
+    _add_fabric_flags(sweep, ports=64)
     sweep.add_argument("--trials", type=int, default=100)
     sweep.add_argument(
         "--workers",
@@ -550,9 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a live fault-injection scenario and export its trace/metrics",
     )
-    trace.add_argument("--topology", default="extra-stage-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    trace.add_argument("--ports", type=int, default=16)
-    trace.add_argument("--dilation", type=int, default=4)
+    _add_fabric_flags(trace, topology="extra-stage-cube", dilation=4)
     trace.add_argument("--duration", type=float, default=300.0)
     trace.add_argument("--mttf", type=float, default=200.0, help="mean time to failure per link")
     trace.add_argument("--mttr", type=float, default=10.0, help="mean time to repair per link")
@@ -572,10 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the online conference service (asyncio facade) over a demo workload",
     )
-    serve.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    serve.add_argument("--ports", type=int, default=32)
-    serve.add_argument("--dilation", type=int, default=4)
-    serve.add_argument("--load", type=float, default=0.5, help="port load of the demo workload")
+    _add_fabric_flags(serve, ports=32, dilation=4)
+    serve.add_argument("--load", type=_fraction, default=0.5, help="port load of the demo workload")
     serve.add_argument("--seed", type=int, default=0)
     _add_healing_flags(serve)
     _add_queue_flags(serve)
@@ -589,9 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-serve",
         help="seeded churn benchmark of the conference service",
     )
-    bench_serve.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    bench_serve.add_argument("--ports", type=int, default=64)
-    bench_serve.add_argument("--dilation", type=int, default=4)
+    _add_fabric_flags(bench_serve, ports=64, dilation=4)
     _add_workload_flags(bench_serve, conferences=500)
     _add_queue_flags(bench_serve)
     _add_healing_flags(bench_serve)
@@ -606,9 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster",
         help="sharded multi-fabric drill: failover and elastic scale-up",
     )
-    cluster.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    cluster.add_argument("--ports", type=int, default=16, help="ports per shard fabric")
-    cluster.add_argument("--shards", type=int, default=4)
+    _add_fabric_flags(cluster, shards=4)
     _add_workload_flags(cluster, conferences=120, mean_size=False)
     cluster.add_argument(
         "--kill-at", type=int, default=10, metavar="TICK",
@@ -633,9 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-cluster",
         help="seeded churn benchmark of the cluster (shard-count-invariant metrics)",
     )
-    bench_cluster.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    bench_cluster.add_argument("--ports", type=int, default=16, help="ports per shard fabric")
-    bench_cluster.add_argument("--shards", type=int, default=2)
+    _add_fabric_flags(bench_cluster, shards=2)
     bench_cluster.add_argument(
         "--dilation", type=int, default=None,
         help="links per stage hop (default: one per port, so capacity never denies)",
@@ -661,9 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a seeded churn drill and report live SLO health "
         "(burn rates, percentiles, incident bundles)",
     )
-    slo_cmd.add_argument("--topology", default="indirect-binary-cube", choices=sorted(TOPOLOGY_BUILDERS))
-    slo_cmd.add_argument("--ports", type=int, default=32)
-    slo_cmd.add_argument("--dilation", type=int, default=4)
+    _add_fabric_flags(slo_cmd, ports=32, dilation=4)
     _add_workload_flags(slo_cmd, conferences=200)
     slo_cmd.add_argument("--queue-capacity", type=int, default=256)
     _add_healing_flags(slo_cmd)
@@ -749,97 +790,95 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
     net = build(args.topology, args.ports)
     workload = uniform_partition(args.ports, load=args.load, seed=args.seed)
     dead = random_link_faults(
         net, args.count, seed=args.seed, include_injections=args.include_injections
     )
     variants = (True, False) if args.relay is None else (args.relay,)
-    tracer, registry = _telemetry(args)
-    rows = []
-    # Collection on means the timed() hook on route_conference records
-    # per-route latency histograms while the survivability scan runs.
-    with collecting(registry) if registry is not None else nullcontext():
-        for relay in variants:
-            rep = survivability(net, list(workload), dead, relay_enabled=relay)
-            if tracer is not None:
-                tracer.event(
-                    "experiment.survivability",
-                    topology=args.topology,
-                    relay="on" if relay else "off",
-                    conferences=rep.n_conferences,
-                    survived=rep.routed,
-                    dead_links=len(dead),
+    with _telemetry(args) as obs:
+        tracer, registry = obs["tracer"], obs["metrics"]
+        rows = []
+        # Collection on means the timed() hook on route_conference records
+        # per-route latency histograms while the survivability scan runs.
+        with collecting(registry) if registry is not None else nullcontext():
+            for relay in variants:
+                rep = survivability(net, list(workload), dead, relay_enabled=relay)
+                if tracer is not None:
+                    tracer.event(
+                        "experiment.survivability",
+                        topology=args.topology,
+                        relay="on" if relay else "off",
+                        conferences=rep.n_conferences,
+                        survived=rep.routed,
+                        dead_links=len(dead),
+                    )
+                rows.append(
+                    {
+                        "relay": "on" if relay else "off",
+                        "conferences": rep.n_conferences,
+                        "survive": rep.routed,
+                        "survival_rate": rep.survival_rate,
+                    }
                 )
-            rows.append(
-                {
-                    "relay": "on" if relay else "off",
-                    "conferences": rep.n_conferences,
-                    "survive": rep.routed,
-                    "survival_rate": rep.survival_rate,
-                }
-            )
-    print(f"dead links: {sorted(dead)}")
-    print(render_table(rows, title=f"survivability ({args.topology}, N={args.ports})"))
-    _write_telemetry(args, tracer, registry)
+        print(f"dead links: {sorted(dead)}")
+        print(render_table(rows, title=f"survivability ({args.topology}, N={args.ports})"))
     return 0
 
 
 def _cmd_availability(args: argparse.Namespace) -> int:
     process = _fault_process(args)
     retry = _retry_policy(args, base_delay=1.0, max_delay=2 * args.mttr)
-    tracer, registry = _telemetry(args)
-    rows = availability_over_time(
-        args.topology,
-        args.ports,
-        process=process,
-        duration=args.duration,
-        retry=retry,
-        seed=args.seed,
-        load=args.load,
-        protection=args.protection,
-        tracer=tracer,
-        metrics=registry,
-    )
-    columns = [
-        "relay", "protection", "conferences", "availability", "degraded_fraction",
-        "dropped", "restored", "lost_calls", "tap_move_events", "reroutes",
-        "link_failures", "link_mttr", "conference_mttr",
-        "plan_hits", "recovery_ticks_p50", "recovery_ticks_p95",
-    ]
-    print(render_table(
-        rows,
-        columns=columns,
-        title=f"availability over time ({args.topology}, N={args.ports}, "
-              f"MTTF={args.mttf}, MTTR={args.mttr})",
-    ))
-    if args.traffic:
-        rows = retry_ablation(
+    with _telemetry(args) as obs:
+        tracer, registry = obs["tracer"], obs["metrics"]
+        rows = availability_over_time(
             args.topology,
             args.ports,
             process=process,
-            retry=retry,
             duration=args.duration,
+            retry=retry,
             seed=args.seed,
+            load=args.load,
+            protection=args.protection,
+            tracer=tracer,
+            metrics=registry,
         )
         columns = [
-            "retry", "offered", "admitted", "availability", "lost_calls",
-            "blocked_capacity", "blocked_fault", "blocked_ports",
-            "blocked_retry-exhausted", "retries_succeeded",
+            "relay", "protection", "conferences", "availability", "degraded_fraction",
+            "dropped", "restored", "lost_calls", "tap_move_events", "reroutes",
+            "link_failures", "link_mttr", "conference_mttr",
+            "plan_hits", "recovery_ticks_p50", "recovery_ticks_p95",
         ]
-        for row in rows:
-            # A reason one arm never hit still deserves a 0, not a blank.
-            for col in columns[1:]:
-                row.setdefault(col, 0)
-        print()
         print(render_table(
             rows,
             columns=columns,
-            title="stochastic traffic: bounded backoff vs immediate loss",
+            title=f"availability over time ({args.topology}, N={args.ports}, "
+                  f"MTTF={args.mttf}, MTTR={args.mttr})",
         ))
-    _write_telemetry(args, tracer, registry)
+        if args.traffic:
+            rows = retry_ablation(
+                args.topology,
+                args.ports,
+                process=process,
+                retry=retry,
+                duration=args.duration,
+                seed=args.seed,
+            )
+            columns = [
+                "retry", "offered", "admitted", "availability", "lost_calls",
+                "blocked_capacity", "blocked_fault", "blocked_ports",
+                "blocked_retry-exhausted", "retries_succeeded",
+            ]
+            for row in rows:
+                # A reason one arm never hit still deserves a 0, not a blank.
+                for col in columns[1:]:
+                    row.setdefault(col, 0)
+            print()
+            print(render_table(
+                rows,
+                columns=columns,
+                title="stochastic traffic: bounded backoff vs immediate loss",
+            ))
     return 0
 
 
@@ -849,212 +888,183 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.parallel.experiments import random_load_arm, search_trials, reduce_search_records
 
     engine = f"workers={args.workers}" if args.workers else "serial engine"
-    tracer, registry = _telemetry(args)
-    payload: dict = {
-        "experiment": args.experiment,
-        "topology": args.topology,
-        "n_ports": args.ports,
-        "trials": args.trials,
-        "seed": args.seed,
-        "workers": args.workers,
-        "chunk_size": args.chunk_size,
-    }
-    if args.experiment == "random-load":
-        rows = []
-        arms = {}
-        loads = args.loads if args.workload != "interleaved" else [None]
-        for load in loads:
-            kwargs = {} if load is None else {"load": load}
-            arm = random_load_arm(
+    with _telemetry(args) as obs:
+        tracer, registry = obs["tracer"], obs["metrics"]
+        payload: dict = {
+            "experiment": args.experiment,
+            "topology": args.topology,
+            "n_ports": args.ports,
+            "trials": args.trials,
+            "seed": args.seed,
+            "workers": args.workers,
+            "chunk_size": args.chunk_size,
+        }
+        if args.experiment == "random-load":
+            rows = []
+            arms = {}
+            loads = args.loads if args.workload != "interleaved" else [None]
+            for load in loads:
+                kwargs = {} if load is None else {"load": load}
+                arm = random_load_arm(
+                    args.topology,
+                    args.ports,
+                    workload=args.workload,
+                    trials=args.trials,
+                    seed=args.seed,
+                    workers=args.workers,
+                    chunk_size=args.chunk_size,
+                    metrics=registry,
+                    **kwargs,
+                )
+                arms[str(load)] = arm
+                if tracer is not None:
+                    tracer.event(
+                        "sweep.arm",
+                        experiment="random-load",
+                        workload=args.workload,
+                        load=load,
+                        trials=args.trials,
+                        **arm["summary"],
+                    )
+                rows.append({"workload": args.workload, "load": load, **arm["summary"]})
+            print(render_table(
+                rows,
+                title=f"sweep: required dilation ({args.topology}, N={args.ports}, "
+                f"{args.trials} trials/arm, {engine})",
+            ))
+            payload["arms"] = arms
+        else:
+            records = search_trials(
                 args.topology,
                 args.ports,
-                workload=args.workload,
                 trials=args.trials,
+                pool_size=args.pool_size,
                 seed=args.seed,
                 workers=args.workers,
                 chunk_size=args.chunk_size,
                 metrics=registry,
-                **kwargs,
             )
-            arms[str(load)] = arm
+            result = reduce_search_records(records, args.ports)
             if tracer is not None:
                 tracer.event(
                     "sweep.arm",
-                    experiment="random-load",
-                    workload=args.workload,
-                    load=load,
+                    experiment="worstcase",
                     trials=args.trials,
-                    **arm["summary"],
+                    multiplicity=result.multiplicity,
+                    link=result.link,
                 )
-            rows.append({"workload": args.workload, "load": load, **arm["summary"]})
-        print(render_table(
-            rows,
-            title=f"sweep: required dilation ({args.topology}, N={args.ports}, "
-            f"{args.trials} trials/arm, {engine})",
-        ))
-        payload["arms"] = arms
-    else:
-        records = search_trials(
-            args.topology,
-            args.ports,
-            trials=args.trials,
-            pool_size=args.pool_size,
-            seed=args.seed,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            metrics=registry,
-        )
-        result = reduce_search_records(records, args.ports)
-        if tracer is not None:
-            tracer.event(
-                "sweep.arm",
-                experiment="worstcase",
-                trials=args.trials,
-                multiplicity=result.multiplicity,
-                link=result.link,
+            witness = [list(c.members) for c in result.witness] if result.witness else []
+            print(
+                f"worst multiplicity found: {result.multiplicity} on link {result.link} "
+                f"({args.trials} trials, {engine})"
             )
-        witness = [list(c.members) for c in result.witness] if result.witness else []
-        print(
-            f"worst multiplicity found: {result.multiplicity} on link {result.link} "
-            f"({args.trials} trials, {engine})"
-        )
-        print(f"witness: {witness}")
-        payload["records"] = records
-        payload["best"] = {
-            "multiplicity": result.multiplicity,
-            "link": list(result.link) if result.link else None,
-            "witness": witness,
-        }
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"records written to {args.json}")
-    _write_telemetry(args, tracer, registry)
+            print(f"witness: {witness}")
+            payload["records"] = records
+            payload["best"] = {
+                "multiplicity": result.multiplicity,
+                "link": list(result.link) if result.link else None,
+                "witness": witness,
+            }
+        if args.json:
+            with open(args.json, "w") as fh:
+                _json.dump(payload, fh, indent=2, sort_keys=True)
+            print(f"records written to {args.json}")
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.sim.scenarios import run_availability
 
-    process = _fault_process(args)
-    retry = _retry_policy(args)
     tracer = Tracer(capacity=args.capacity)
-    registry = MetricsRegistry() if args.metrics_out else None
-    run = run_availability(
-        args.topology,
-        args.ports,
-        dilation=args.dilation,
-        process=process,
-        retry=retry,
-        duration=args.duration,
-        seed=args.seed,
-        tracer=tracer,
-        metrics=registry,
-    )
-    tracer.flush_open_spans(t=args.duration)
-    counts = tracer.counts()
-    rows = [{"record": name, "count": counts[name]} for name in sorted(counts)]
-    print(render_table(
-        rows,
-        title=f"trace of one availability run ({args.topology}, N={args.ports}, "
-        f"T={args.duration})",
-    ))
-    summary = run.summary()
-    print(
-        f"\n{tracer.emitted} records emitted"
-        + (f" ({len(tracer)} retained, ring truncated)" if tracer.truncated else "")
-        + f"; availability={summary.get('availability', 1.0):.4f}"
-    )
-    if args.out:
-        n = tracer.write_jsonl(args.out)
-        print(f"trace: {n} records -> {args.out}")
-    if args.metrics_out:
-        registry.write(args.metrics_out)
-        print(f"metrics: {len(registry)} families -> {args.metrics_out}")
+    with _telemetry(args) as obs:
+        run = run_availability(
+            args.topology,
+            args.ports,
+            dilation=args.dilation,
+            process=_fault_process(args),
+            retry=_retry_policy(args),
+            duration=args.duration,
+            seed=args.seed,
+            tracer=tracer,
+            metrics=obs["metrics"],
+        )
+        tracer.flush_open_spans(t=args.duration)
+        counts = tracer.counts()
+        rows = [{"record": name, "count": counts[name]} for name in sorted(counts)]
+        print(render_table(
+            rows,
+            title=f"trace of one availability run ({args.topology}, N={args.ports}, "
+            f"T={args.duration})",
+        ))
+        summary = run.summary()
+        print(
+            f"\n{tracer.emitted} records emitted"
+            + (f" ({len(tracer)} retained, ring truncated)" if tracer.truncated else "")
+            + f"; availability={summary.get('availability', 1.0):.4f}"
+        )
+        if args.out:
+            n = tracer.write_jsonl(args.out)
+            print(f"trace: {n} records -> {args.out}")
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.serve.bench import _recovery
     from repro.serve.service import FabricService
 
     net = ConferenceNetwork.build(args.topology, args.ports, dilation=args.dilation)
-    tracer, registry = _telemetry(args)
-    slo, flight = _live_obs(args, tracer)
-    server = _exposition(args, registry, slo)
-    service = FabricService(
-        net,
-        retry=_retry_policy(args),
-        rng=args.seed,
-        protection=args.protection,
-        tracer=tracer,
-        metrics=registry,
-        slo=slo,
-        flight=flight,
-        queue_capacity=args.queue_capacity,
-        shed_policy=args.shed_policy,
-        max_batch=args.max_batch,
-        churn=_churn_policy(args),
-        capacity_model=args.capacity_model,
-        perf=_perf_config(args),
-    )
-    workload = uniform_partition(args.ports, load=args.load, seed=args.seed)
+    with _telemetry(args) as obs:
+        service = FabricService(net, rng=args.seed, **obs, **_service_knobs(args))
+        workload = uniform_partition(args.ports, load=args.load, seed=args.seed)
 
-    async def demo() -> list:
-        runner = asyncio.create_task(service.run())
-        opened = await asyncio.gather(
-            *(service.open_conference(c.members) for c in workload)
-        )
-        closed = await asyncio.gather(
-            *(service.close(r.session_id) for r in opened if r.ok)
-        )
-        runner.cancel()
-        try:
-            await runner
-        except asyncio.CancelledError:
-            pass
-        return [*opened, *closed]
+        async def demo() -> list:
+            runner = asyncio.create_task(service.run())
+            opened = await asyncio.gather(
+                *(service.open_conference(c.members) for c in workload)
+            )
+            closed = await asyncio.gather(
+                *(service.close(r.session_id) for r in opened if r.ok)
+            )
+            runner.cancel()
+            try:
+                await runner
+            except asyncio.CancelledError:
+                pass
+            return [*opened, *closed]
 
-    responses = asyncio.run(demo())
-    counts = service.shutdown()
-    rows = [
-        {
-            "op": r.kind,
-            "session": r.session_id,
-            "status": r.status,
-            "latency": r.latency,
-            "reason": r.reason or "",
-        }
-        for r in responses
-    ]
-    print(render_table(
-        rows,
-        columns=["op", "session", "status", "latency", "reason"],
-        title=f"conference service demo ({args.topology}, N={args.ports}, "
-        f"{len(workload)} conferences)",
-    ))
-    settled = service.stats.as_dict()
-    print(
-        f"\n{settled['admitted']} admitted, {settled['closed']} closed, "
-        f"{settled['rejected']} rejected over {settled['ticks']} ticks; "
-        f"final sessions: {counts}"
-    )
-    if args.json:
-        healing_stats = service.healing.stats
-        save_json(args.json, {
-            "protection": service.protection,
-            "recovery": {
-                **healing_stats.summarize_recovery(healing_stats.recovery_samples),
-                "plan_hits": healing_stats.plan_hits,
-                "plan_misses": healing_stats.plan_misses,
-                "plan_stale": healing_stats.plan_stale,
-            },
-            "responses": [result_to_dict(r) for r in responses],
-        })
-        print(f"responses written to {args.json}")
-    _write_telemetry(args, tracer, registry)
-    _finish_live_obs(args, slo, flight, server)
+        responses = asyncio.run(demo())
+        counts = service.shutdown()
+        rows = [
+            {
+                "op": r.kind,
+                "session": r.session_id,
+                "status": r.status,
+                "latency": r.latency,
+                "reason": r.reason or "",
+            }
+            for r in responses
+        ]
+        print(render_table(
+            rows,
+            columns=["op", "session", "status", "latency", "reason"],
+            title=f"conference service demo ({args.topology}, N={args.ports}, "
+            f"{len(workload)} conferences)",
+        ))
+        settled = service.stats.as_dict()
+        print(
+            f"\n{settled['admitted']} admitted, {settled['closed']} closed, "
+            f"{settled['rejected']} rejected over {settled['ticks']} ticks; "
+            f"final sessions: {counts}"
+        )
+        if args.json:
+            save_json(args.json, {
+                "protection": service.protection,
+                "recovery": _recovery([service.healing.stats]),
+                "responses": [result_to_dict(r) for r in responses],
+            })
+            print(f"responses written to {args.json}")
     return 0 if all(counts[s] == 0 for s in ("queued", "active", "degraded", "down")) else 1
 
 
@@ -1062,264 +1072,168 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     from repro.serve.bench import run_serve_bench
 
     net = ConferenceNetwork.build(args.topology, args.ports, dilation=args.dilation)
-    tracer, registry = _telemetry(args)
-    slo, flight = _live_obs(args, tracer)
-    server = _exposition(args, registry, slo)
-    report = run_serve_bench(
-        net,
-        conferences=args.conferences,
-        seed=args.seed,
-        arrival_rate=args.arrival_rate,
-        mean_size=args.mean_size,
-        mean_hold_ticks=args.mean_hold,
-        resize_prob=args.resize_prob,
-        queue_capacity=args.queue_capacity,
-        shed_policy=args.shed_policy,
-        max_batch=args.max_batch,
-        churn=_churn_policy(args),
-        retry=_retry_policy(args),
-        fault_process=_fault_process(args),
-        protection=args.protection,
-        tracer=tracer,
-        metrics=registry,
-        slo=slo,
-        flight=flight,
-        capacity_model=args.capacity_model,
-        perf=_perf_config(args),
-    )
-    svc = report.service
-    rows = [
-        {"metric": "conferences offered", "value": report.conferences},
-        {"metric": "ticks (incl. drain)", "value": report.ticks},
-        {"metric": "throughput (admits/tick)", "value": round(report.throughput, 3)},
-        {"metric": "admitted", "value": svc["admitted"]},
-        {"metric": "membership changes applied", "value": svc["applied"]},
-        {"metric": "rejected", "value": svc["rejected"]},
-        {"metric": "shed", "value": svc["shed"]},
-        {"metric": "fault requeues survived", "value": svc["requeues"]},
-        {"metric": "sessions lost", "value": report.lost_sessions},
-        {"metric": "peak queue depth", "value": report.peak_queue_depth},
-        {"metric": "mean admission latency (ticks)", "value": round(svc["mean_admission_latency"], 3)},
-        {"metric": "fault transitions", "value": report.fault_transitions},
-        *_recovery_rows(report, plan_counts=True),
-        *_delivery_rows(report.delivery),
-    ]
-    print(render_table(
-        rows,
-        title=f"serve bench ({args.topology}, N={args.ports}, seed={args.seed}, "
-        f"policy={report.shed_policy})",
-    ))
-    print(f"\nresult: {'ok' if report.ok else 'FAILED: ' + str(report.reason)}")
-    if args.json:
-        save_json(args.json, result_to_dict(report))
-        print(f"report written to {args.json}")
-    _write_telemetry(args, tracer, registry)
-    _finish_live_obs(args, slo, flight, server)
+    with _telemetry(args) as obs:
+        report = run_serve_bench(net, **obs, **_service_knobs(args))
+        svc = report.service
+        rows = [
+            {"metric": "conferences offered", "value": report.conferences},
+            {"metric": "ticks (incl. drain)", "value": report.ticks},
+            {"metric": "throughput (admits/tick)", "value": round(report.throughput, 3)},
+            {"metric": "admitted", "value": svc["admitted"]},
+            {"metric": "membership changes applied", "value": svc["applied"]},
+            {"metric": "rejected", "value": svc["rejected"]},
+            {"metric": "shed", "value": svc["shed"]},
+            {"metric": "fault requeues survived", "value": svc["requeues"]},
+            {"metric": "sessions lost", "value": report.lost_sessions},
+            {"metric": "peak queue depth", "value": report.peak_queue_depth},
+            {"metric": "mean admission latency (ticks)", "value": round(svc["mean_admission_latency"], 3)},
+            {"metric": "fault transitions", "value": report.fault_transitions},
+            *_recovery_rows(report, plan_counts=True),
+            *_delivery_rows(report.delivery),
+        ]
+        print(render_table(
+            rows,
+            title=f"serve bench ({args.topology}, N={args.ports}, seed={args.seed}, "
+            f"policy={report.shed_policy})",
+        ))
+        _report_footer(args, report)
     return 0 if report.ok else 1
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster.bench import run_cluster_bench
 
-    tracer, registry = _telemetry(args)
-    slo, flight = _live_obs(args, tracer)
-    server = _exposition(args, registry, slo)
-    report = run_cluster_bench(
-        topology=args.topology,
-        ports=args.ports,
-        shards=args.shards,
-        conferences=args.conferences,
-        seed=args.seed,
-        arrival_rate=args.arrival_rate,
-        mean_hold_ticks=args.mean_hold,
-        resize_prob=args.resize_prob,
-        churn=_churn_policy(args),
-        retry=_retry_policy(args),
-        migration_budget=args.migration_budget,
-        fault_process=_fault_process(args),
-        kill_shard_at=args.kill_at if args.kill_at >= 0 else None,
-        add_shard_at=args.add_at if args.add_at >= 0 else None,
-        protection=args.protection,
-        tracer=tracer,
-        metrics=registry,
-        slo=slo,
-        flight=flight,
-        capacity_model=args.capacity_model,
-        perf=_perf_config(args),
-    )
-    shard_rows = [
-        {
-            "shard": sid,
-            "state": info["state"],
-            "admitted": info["service"]["admitted"],
-            "closed": info["service"]["closed"],
-            "requeues": info["service"]["requeues"],
-        }
-        for sid, info in sorted(report.per_shard.items())
-    ]
-    print(render_table(
-        shard_rows,
-        columns=["shard", "state", "admitted", "closed", "requeues"],
-        title=f"cluster drill ({args.topology}, N={args.ports} per shard, "
-        f"{args.shards} shards, seed={args.seed})",
-    ))
-    cl = report.cluster
-    drill = []
-    if report.killed_shard is not None:
-        drill.append(f"killed {report.killed_shard} at tick {report.kill_tick}")
-    if report.added_shard is not None:
-        drill.append(
-            f"added {report.added_shard} "
-            f"(rebalanced {report.rebalance_fraction:.0%} of live sessions)"
+    with _telemetry(args) as obs:
+        report = run_cluster_bench(
+            topology=args.topology,
+            ports=args.ports,
+            shards=args.shards,
+            migration_budget=args.migration_budget,
+            kill_shard_at=args.kill_at if args.kill_at >= 0 else None,
+            add_shard_at=args.add_at if args.add_at >= 0 else None,
+            **obs,
+            **_service_knobs(args),
         )
-    print(
-        f"\n{cl['admitted']} admitted, {cl['closed']} closed over {report.ticks} ticks; "
-        f"{cl['failovers']} failover moves, {cl['migrations']} rebalance moves, "
-        f"{report.lost_sessions} sessions lost"
-        + (f"; drill: {', '.join(drill)}" if drill else "")
-    )
-    print(
-        f"protection F={report.protection}: "
-        f"{report.recovery.get('plan_hits', 0)} plan hits, "
-        f"{report.recovery.get('plan_misses', 0)} misses, "
-        f"{report.recovery.get('plan_stale', 0)} stale; recovery ticks "
-        f"p50={report.recovery.get('recovery_ticks_p50', 0.0)} "
-        f"p95={report.recovery.get('recovery_ticks_p95', 0.0)} "
-        f"max={report.recovery.get('recovery_ticks_max', 0.0)}"
-    )
-    if report.consistency:
+        shard_rows = [
+            {
+                "shard": sid,
+                "state": info["state"],
+                "admitted": info["service"]["admitted"],
+                "closed": info["service"]["closed"],
+                "requeues": info["service"]["requeues"],
+            }
+            for sid, info in sorted(report.per_shard.items())
+        ]
+        print(render_table(
+            shard_rows,
+            columns=["shard", "state", "admitted", "closed", "requeues"],
+            title=f"cluster drill ({args.topology}, N={args.ports} per shard, "
+            f"{args.shards} shards, seed={args.seed})",
+        ))
+        cl = report.cluster
+        drill = []
+        if report.killed_shard is not None:
+            drill.append(f"killed {report.killed_shard} at tick {report.kill_tick}")
+        if report.added_shard is not None:
+            drill.append(
+                f"added {report.added_shard} "
+                f"(rebalanced {report.rebalance_fraction:.0%} of live sessions)"
+            )
+        print(
+            f"\n{cl['admitted']} admitted, {cl['closed']} closed over {report.ticks} ticks; "
+            f"{cl['failovers']} failover moves, {cl['migrations']} rebalance moves, "
+            f"{report.lost_sessions} sessions lost"
+            + (f"; drill: {', '.join(drill)}" if drill else "")
+        )
+        print(
+            f"protection F={report.protection}: "
+            f"{report.recovery.get('plan_hits', 0)} plan hits, "
+            f"{report.recovery.get('plan_misses', 0)} misses, "
+            f"{report.recovery.get('plan_stale', 0)} stale; recovery ticks "
+            f"p50={report.recovery.get('recovery_ticks_p50', 0.0)} "
+            f"p95={report.recovery.get('recovery_ticks_p95', 0.0)} "
+            f"max={report.recovery.get('recovery_ticks_max', 0.0)}"
+        )
         for problem in report.consistency:
             print(f"INCONSISTENT: {problem}")
-    print(f"\nresult: {'ok' if report.ok else 'FAILED: ' + str(report.reason)}")
-    if args.json:
-        save_json(args.json, result_to_dict(report))
-        print(f"report written to {args.json}")
-    _write_telemetry(args, tracer, registry)
-    _finish_live_obs(args, slo, flight, server)
+        _report_footer(args, report)
     return 0 if report.ok else 1
 
 
 def _cmd_bench_cluster(args: argparse.Namespace) -> int:
     from repro.cluster.bench import run_cluster_bench
 
-    tracer, registry = _telemetry(args)
-    slo, flight = _live_obs(args, tracer)
-    server = _exposition(args, registry, slo)
-    report = run_cluster_bench(
-        topology=args.topology,
-        ports=args.ports,
-        shards=args.shards,
-        dilation=args.dilation,
-        conferences=args.conferences,
-        seed=args.seed,
-        arrival_rate=args.arrival_rate,
-        mean_size=args.mean_size,
-        mean_hold_ticks=args.mean_hold,
-        resize_prob=args.resize_prob,
-        queue_capacity=args.queue_capacity,
-        shed_policy=args.shed_policy,
-        max_batch=args.max_batch,
-        churn=_churn_policy(args),
-        retry=_retry_policy(args),
-        migration_budget=args.migration_budget,
-        protection=args.protection,
-        tracer=tracer,
-        metrics=registry,
-        slo=slo,
-        flight=flight,
-        capacity_model=args.capacity_model,
-        perf=_perf_config(args),
-    )
-    cl = report.cluster
-    rows = [
-        {"metric": "conferences offered", "value": report.conferences},
-        {"metric": "shards", "value": report.shards},
-        {"metric": "ticks (incl. drain)", "value": report.ticks},
-        {"metric": "throughput (admits/tick)", "value": round(report.throughput, 3)},
-        {"metric": "admitted", "value": cl["admitted"]},
-        {"metric": "membership changes applied", "value": cl["applied"]},
-        {"metric": "closed", "value": cl["closed"]},
-        {"metric": "rejected", "value": cl["rejected"]},
-        {"metric": "sessions lost", "value": report.lost_sessions},
-        {"metric": "peak queue depth", "value": report.peak_queue_depth},
-        {"metric": "mean admission latency (ticks)", "value": round(cl["mean_admission_latency"], 3)},
-        *_recovery_rows(report, plan_counts=False),
-        *_delivery_rows(report.delivery),
-    ]
-    print(render_table(
-        rows,
-        title=f"cluster bench ({args.topology}, N={args.ports} per shard, "
-        f"{args.shards} shards, seed={args.seed})",
-    ))
-    print(f"\nresult: {'ok' if report.ok else 'FAILED: ' + str(report.reason)}")
-    if args.json:
-        save_json(args.json, result_to_dict(report))
-        print(f"report written to {args.json}")
-    if args.invariant_json:
-        save_json(args.invariant_json, report.invariant())
-        print(f"invariant metrics written to {args.invariant_json}")
-    _write_telemetry(args, tracer, registry)
-    _finish_live_obs(args, slo, flight, server)
+    with _telemetry(args) as obs:
+        report = run_cluster_bench(
+            topology=args.topology,
+            ports=args.ports,
+            shards=args.shards,
+            dilation=args.dilation,
+            migration_budget=args.migration_budget,
+            **obs,
+            **_service_knobs(args),
+        )
+        cl = report.cluster
+        rows = [
+            {"metric": "conferences offered", "value": report.conferences},
+            {"metric": "shards", "value": report.shards},
+            {"metric": "ticks (incl. drain)", "value": report.ticks},
+            {"metric": "throughput (admits/tick)", "value": round(report.throughput, 3)},
+            {"metric": "admitted", "value": cl["admitted"]},
+            {"metric": "membership changes applied", "value": cl["applied"]},
+            {"metric": "closed", "value": cl["closed"]},
+            {"metric": "rejected", "value": cl["rejected"]},
+            {"metric": "sessions lost", "value": report.lost_sessions},
+            {"metric": "peak queue depth", "value": report.peak_queue_depth},
+            {"metric": "mean admission latency (ticks)", "value": round(cl["mean_admission_latency"], 3)},
+            *_recovery_rows(report, plan_counts=False),
+            *_delivery_rows(report.delivery),
+        ]
+        print(render_table(
+            rows,
+            title=f"cluster bench ({args.topology}, N={args.ports} per shard, "
+            f"{args.shards} shards, seed={args.seed})",
+        ))
+        _report_footer(args, report)
+        if args.invariant_json:
+            save_json(args.invariant_json, report.invariant())
+            print(f"invariant metrics written to {args.invariant_json}")
     return 0 if report.ok else 1
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.obs import SLOEvaluator
     from repro.report.slo_report import build_slo_report, slo_rows
     from repro.serve.bench import run_serve_bench
 
     net = ConferenceNetwork.build(args.topology, args.ports, dilation=args.dilation)
-    tracer, registry = _telemetry(args)
     # This command *is* the SLO engine, so the evaluator always exists;
     # the shared flags can still add a flight recorder and an endpoint.
-    slo, flight = _live_obs(args, tracer)
-    if slo is None:
-        slo = SLOEvaluator()
-        if flight is not None:
-            flight.attach_slo(slo)
-    server = _exposition(args, registry, slo)
-    report = run_serve_bench(
-        net,
-        conferences=args.conferences,
-        seed=args.seed,
-        arrival_rate=args.arrival_rate,
-        mean_size=args.mean_size,
-        mean_hold_ticks=args.mean_hold,
-        resize_prob=args.resize_prob,
-        queue_capacity=args.queue_capacity,
-        retry=_retry_policy(args),
-        fault_process=_fault_process(args),
-        protection=args.protection,
-        tracer=tracer,
-        metrics=registry,
-        slo=slo,
-        flight=flight,
-    )
-    print(render_table(
-        slo_rows(slo),
-        columns=["slo", "state", "objective", "burn", "breaches", "p50", "p95", "p99"],
-        title=f"SLO health ({args.topology}, N={args.ports}, seed={args.seed}, "
-        f"{report.ticks} ticks)",
-    ))
-    print(
-        f"\noverall state: {slo.state}; throughput "
-        f"{report.throughput:.3f} admits/tick, "
-        f"{report.fault_transitions} fault transitions, "
-        f"{report.lost_sessions} sessions lost"
-    )
-    if args.json:
-        save_json(args.json, build_slo_report(slo, context={
-            "topology": args.topology,
-            "ports": args.ports,
-            "seed": args.seed,
-            "conferences": report.conferences,
-            "ticks": report.ticks,
-            "throughput": report.throughput,
-            "fault_transitions": report.fault_transitions,
-        }))
-        print(f"slo report written to {args.json}")
-    _write_telemetry(args, tracer, registry)
-    _finish_live_obs(args, slo, flight, server)
+    with _telemetry(args, slo=True) as obs:
+        report = run_serve_bench(net, **obs, **_service_knobs(args))
+        slo = obs["slo"]
+        print(render_table(
+            slo_rows(slo),
+            columns=["slo", "state", "objective", "burn", "breaches", "p50", "p95", "p99"],
+            title=f"SLO health ({args.topology}, N={args.ports}, seed={args.seed}, "
+            f"{report.ticks} ticks)",
+        ))
+        print(
+            f"\noverall state: {slo.state}; throughput "
+            f"{report.throughput:.3f} admits/tick, "
+            f"{report.fault_transitions} fault transitions, "
+            f"{report.lost_sessions} sessions lost"
+        )
+        if args.json:
+            save_json(args.json, build_slo_report(slo, context={
+                "topology": args.topology,
+                "ports": args.ports,
+                "seed": args.seed,
+                "conferences": report.conferences,
+                "ticks": report.ticks,
+                "throughput": report.throughput,
+                "fault_transitions": report.fault_transitions,
+            }))
+            print(f"slo report written to {args.json}")
     return 0 if slo.state != "page" else 1
 
 

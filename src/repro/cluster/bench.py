@@ -37,10 +37,9 @@ from repro.cluster.controller import ClusterService, ShardState
 from repro.cluster.directory import EntryState
 from repro.core.network import ConferenceNetwork
 from repro.serve.backpressure import ShedPolicy
-from repro.serve.bench import _fault_horizon, _PortPool, _tick_budget
+from repro.serve.bench import _fault_horizon, _PortPool, _recovery, _tick_budget
 from repro.serve.protocol import ServiceResponse
 from repro.sim.faults import generate_fault_timeline
-from repro.sim.metrics import AvailabilityStats
 from repro.util.rng import ensure_rng
 from repro.util.validation import check_positive
 
@@ -408,17 +407,6 @@ def run_cluster_bench(
     peak = max(
         (s.service.queue.stats.peak_depth for s in cluster.shards.values()), default=0
     )
-    # Fold every shard's healing stats (failed shards included — their
-    # pre-kill failovers count) into one cluster-wide recovery table.
-    samples: list[float] = []
-    recovery: dict[str, Any] = {"plan_hits": 0, "plan_misses": 0, "plan_stale": 0}
-    for shard_id in sorted(cluster.shards):
-        healing_stats = cluster.shards[shard_id].service.healing.stats
-        samples.extend(healing_stats.recovery_samples)
-        recovery["plan_hits"] += healing_stats.plan_hits
-        recovery["plan_misses"] += healing_stats.plan_misses
-        recovery["plan_stale"] += healing_stats.plan_stale
-    recovery = {**AvailabilityStats.summarize_recovery(samples), **recovery}
     return ClusterBenchReport(
         topology=topology,
         n_ports=ports,
@@ -441,7 +429,10 @@ def run_cluster_bench(
         peak_queue_depth=peak,
         lost_sessions=cluster.stats.lost_sessions,
         protection=cluster.protection,
-        recovery=recovery,
+        recovery=_recovery([
+            cluster.shards[shard_id].service.healing.stats
+            for shard_id in sorted(cluster.shards)
+        ]),
         consistency=consistency,
         session_counts=counts,
         cluster=cluster.stats.as_dict(),

@@ -29,10 +29,13 @@ from repro.serve.protocol import ServiceResponse
 from repro.serve.service import FabricService
 from repro.serve.session import SessionState
 from repro.sim.faults import FaultProcessConfig, generate_fault_timeline
+from repro.sim.metrics import AvailabilityStats
 from repro.util.rng import ensure_rng
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from collections.abc import Sequence
+
     from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.slo import SLOEvaluator
@@ -127,6 +130,23 @@ def _fault_horizon(conferences: int, arrival_rate: float, mean_hold_ticks: float
 def _tick_budget(conferences: int) -> int:
     """Ticks a bench may run before it is declared stuck."""
     return max(200, conferences * 100)
+
+
+def _recovery(stats: "Sequence[AvailabilityStats]") -> dict[str, Any]:
+    """A report's ``recovery`` block, folded over healing stats.
+
+    The recovery-tick summary of every sample, then the summed plan
+    counts.  A sharded run passes every shard's stats (failed shards
+    included: their pre-kill failovers count).
+    """
+    return {
+        **AvailabilityStats.summarize_recovery(
+            [sample for s in stats for sample in s.recovery_samples]
+        ),
+        "plan_hits": sum(s.plan_hits for s in stats),
+        "plan_misses": sum(s.plan_misses for s in stats),
+        "plan_stale": sum(s.plan_stale for s in stats),
+    }
 
 
 class _PortPool:
@@ -344,15 +364,6 @@ def run_serve_bench(
 
     before = service.stats.ticks
     counts = service.shutdown()
-    healing_stats = service.healing.stats
-    recovery: dict[str, Any] = dict(
-        healing_stats.summarize_recovery(healing_stats.recovery_samples)
-    )
-    recovery.update(
-        plan_hits=healing_stats.plan_hits,
-        plan_misses=healing_stats.plan_misses,
-        plan_stale=healing_stats.plan_stale,
-    )
     return ServeBenchReport(
         n_ports=n,
         seed=seed,
@@ -367,7 +378,7 @@ def run_serve_bench(
         shed_policy=service.queue.policy.value,
         lost_sessions=counts.get(SessionState.LOST.value, 0),
         protection=service.protection,
-        recovery=recovery,
+        recovery=_recovery([service.healing.stats]),
         session_counts=counts,
         service=service.stats.as_dict(),
         queue=service.queue.stats.as_dict(),
