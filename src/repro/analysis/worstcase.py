@@ -277,58 +277,57 @@ def randomized_search(
     n = net.n_ports
     ilog2(n)
     cache = RouteCache(net, policy)
-    best = SearchResult(0, None, None, 0, False)
-
+    best = SearchResult(0, None, None, trials, False)
     for _ in range(trials):
-        ports = rng.permutation(n)
-        pairs = [
-            (int(ports[2 * i]), int(ports[2 * i + 1]))
-            for i in range(min(pool_size, n // 2))
-        ]
-        # One columnar pass resolves the seed matching; the lookups
-        # below then hit.  Decisions are untouched (primed routes are
-        # byte-identical), only the routing work is batched.
-        cache.prime(pairs)
-        loads: Counter = Counter()
-        links_of: dict[tuple[int, int], frozenset[Point]] = {}
-        for pair in pairs:
-            links = cache.route(Conference.of(pair)).links
-            links_of[pair] = links
-            loads.update(links)
-        if not loads:
-            continue
-        target, _ = max(loads.items(), key=lambda kv: kv[1])
-        # Keep only pairs crossing the target link, then top up greedily.
-        keep = [p for p in pairs if target in links_of[p]]
-        used = {x for p in keep for x in p}
-        free = [p for p in range(n) if p not in used]
-        rng.shuffle(free)
-        for i in range(len(free)):
-            if free[i] in used:
-                continue  # every inner pair would be skipped anyway
-            primed_until = i + 1  # greedy-scan candidates primed so far
-            for j in range(i + 1, len(free)):
-                a, b = free[i], free[j]
-                if a in used or b in used:
-                    continue
-                if j >= primed_until:
-                    # Prime the next block of candidate pairs lazily: a
-                    # hit poisons the rest of this scan (``a`` becomes
-                    # used), so batching far ahead would route pairs the
-                    # sequential walk never asks for.
-                    block = []
-                    k = j
-                    while k < len(free) and len(block) < 64:
-                        if free[k] not in used:
-                            block.append((min(a, free[k]), max(a, free[k])))
-                        k += 1
-                    primed_until = k
-                    cache.prime(block)
-                pair = (min(a, b), max(a, b))
-                if target in cache.route(Conference.of(pair)).links:
-                    keep.append(pair)
-                    used.update(pair)
-        if len(keep) > best.multiplicity:
-            witness = ConferenceSet.of(n, keep)
-            best = SearchResult(len(keep), witness, target, trials, False)
-    return SearchResult(best.multiplicity, best.witness, best.link, trials, False)
+        found = _hill_climb(rng, n, pool_size, cache)
+        if found is not None and len(found[1]) > best.multiplicity:
+            target, keep = found
+            best = SearchResult(len(keep), ConferenceSet.of(n, keep), target, trials, False)
+    return best
+
+
+def _hill_climb(rng: np.random.Generator, n: int, pool_size: int, cache) -> "tuple | None":
+    """One search trial, shared by the serial loop and the sharded trials:
+    ``(target link, kept pairs)``, or ``None`` when the seed matching
+    uses no link.  Routes through the ``RouteCache`` ``cache``."""
+    ports = rng.permutation(n)
+    pairs = [(int(ports[2 * i]), int(ports[2 * i + 1])) for i in range(min(pool_size, n // 2))]
+    # One columnar pass resolves the seed matching; the lookups below hit.
+    cache.prime(pairs)
+    loads: Counter = Counter()
+    links_of: dict[tuple[int, int], frozenset[Point]] = {}
+    for pair in pairs:
+        links = cache.route(Conference.of(pair)).links
+        links_of[pair] = links
+        loads.update(links)
+    if not loads:
+        return None
+    target, _ = max(loads.items(), key=lambda kv: kv[1])
+    # Keep only pairs crossing the target link, then top up greedily.
+    keep = [p for p in pairs if target in links_of[p]]
+    used = {x for p in keep for x in p}
+    free = [p for p in range(n) if p not in used]
+    rng.shuffle(free)
+    for i in range(len(free)):
+        if free[i] in used:
+            continue  # every inner pair would be skipped anyway
+        primed_until = i + 1  # greedy-scan candidates primed so far
+        for j in range(i + 1, len(free)):
+            a, b = free[i], free[j]
+            if a in used or b in used:
+                continue
+            if j >= primed_until:
+                # Prime the next block lazily: a hit poisons the rest of
+                # this scan, so batching far ahead routes unasked pairs.
+                block, k = [], j
+                while k < len(free) and len(block) < 64:
+                    if free[k] not in used:
+                        block.append((min(a, free[k]), max(a, free[k])))
+                    k += 1
+                primed_until = k
+                cache.prime(block)
+            pair = (min(a, b), max(a, b))
+            if target in cache.route(Conference.of(pair)).links:
+                keep.append(pair)
+                used.update(pair)
+    return target, keep

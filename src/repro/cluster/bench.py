@@ -37,11 +37,9 @@ from repro.cluster.controller import ClusterService, ShardState
 from repro.cluster.directory import EntryState
 from repro.core.network import ConferenceNetwork
 from repro.serve.backpressure import ShedPolicy
-from repro.serve.bench import _fault_horizon, _PortPool, _recovery, _tick_budget
+from repro.serve.bench import _recovery, _Workload
 from repro.serve.protocol import ServiceResponse
 from repro.sim.faults import generate_fault_timeline
-from repro.util.rng import ensure_rng
-from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.churn import ChurnPolicy
@@ -220,186 +218,92 @@ def run_cluster_bench(
     counters into one distribution.  Protection never enters the
     invariant fields — decisions are bit-identical with or without it.
     """
-    check_positive(arrival_rate, "arrival_rate")
-    check_positive(mean_hold_ticks, "mean_hold_ticks")
-    if conferences < 1:
-        raise ValueError(f"conferences must be >= 1, got {conferences}")
+    work = _Workload(
+        seed, ports, conferences=conferences, arrival_rate=arrival_rate, mean_size=mean_size,
+        max_size=max_size, mean_hold_ticks=mean_hold_ticks, resize_prob=resize_prob,
+    )
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     dil = ports if dilation is None else dilation
-    base = ensure_rng(seed)
-    # Stream order is part of the file format of this benchmark (it
-    # deliberately mirrors the serve bench): reorder it and every
-    # same-seed comparison with older runs breaks.
-    arrivals_rng, size_rng, member_rng, hold_rng, resize_rng, fault_rng, service_rng = (
-        base.spawn(7)
-    )
 
     def factory(shard_id: str) -> ConferenceNetwork:
         return ConferenceNetwork.build(topology, ports, dilation=dil)
 
     cluster = ClusterService(
-        factory,
-        shards=shards,
-        retry=retry,
-        rng=service_rng,
-        protection=protection,
-        tracer=tracer,
-        metrics=metrics,
-        slo=slo,
-        flight=flight,
-        queue_capacity=queue_capacity,
-        shed_policy=shed_policy,
-        max_batch=max_batch,
-        migration_budget=migration_budget,
-        churn=churn,
-        capacity_model=capacity_model,
-        perf=perf,
+        factory, shards=shards, retry=retry, rng=work.service_rng, protection=protection,
+        tracer=tracer, metrics=metrics, slo=slo, flight=flight, queue_capacity=queue_capacity,
+        shed_policy=shed_policy, max_batch=max_batch, migration_budget=migration_budget,
+        churn=churn, capacity_model=capacity_model, perf=perf,
     )
     injectors = []
     if fault_process is not None:
-        horizon = _fault_horizon(conferences, arrival_rate, mean_hold_ticks)
         for shard_id in sorted(cluster.shards):
             shard = cluster.shards[shard_id]
-            (shard_fault_rng,) = fault_rng.spawn(1)
+            (shard_fault_rng,) = work.fault_rng.spawn(1)
             timeline = generate_fault_timeline(
                 shard.service.network.topology,
                 fault_process,
-                horizon,
+                work.fault_horizon,
                 seed=shard_fault_rng,
             )
             injectors.append(cluster.attach_faults(shard_id, timeline))
 
     directory = cluster.directory
-    pool = _PortPool(ports)
-    closes_due: dict[int, list[int]] = {}
-    outstanding = [0]  # submitted requests awaiting a terminal response
-    starved = [0]
-    resizes = [0]
-    killed_shard: "list[str | None]" = [None]
-    added_shard: "list[str | None]" = [None]
-    rebalance_fraction: "list[float | None]" = [None]
+    work.drive(
+        cluster,
+        active_ids=lambda: sorted(
+            e.cluster_session_id for e in directory if e.state is EntryState.ACTIVE
+        ),
+        members_of=lambda csid: directory.require(csid).members,
+    )
 
-    def finish(fn):
-        def callback(response: ServiceResponse) -> None:
-            outstanding[0] -= 1
-            fn(response)
-
-        return callback
-
-    def on_opened(hold: int):
+    def on_open():
         # The hold is drawn at *submit* time: shard fan-out reorders
-        # completion callbacks by shard, so drawing here would map the
-        # hold stream onto different sessions per shard count.
-        def callback(response: ServiceResponse) -> None:
-            csid = response.session_id
-            if response.ok:
-                closes_due.setdefault(tick[0] + max(hold, 1), []).append(csid)
-            else:
-                pool.release(directory.require(csid).members)
-
-        return callback
+        # completion callbacks by shard, so drawing at the verdict would
+        # map the hold stream onto different sessions per shard count.
+        hold = work.draw_hold()
+        return work.on_opened(lambda: hold)
 
     def on_closed(response: ServiceResponse) -> None:
         entry = directory.require(response.session_id)
         if response.ok:
-            pool.release(entry.members)
+            work.release(entry.members)
         elif entry.live:
             # A close bounced off a failing/migrating shard; the session
             # still owns its ports, so try again shortly.
-            closes_due.setdefault(tick[0] + 1, []).append(entry.cluster_session_id)
+            work.closes_due.setdefault(work.tick + 1, []).append(entry.cluster_session_id)
 
-    def on_join(ports_taken):
-        def callback(response: ServiceResponse) -> None:
-            if not response.ok:
-                pool.release(ports_taken)
-
-        return callback
-
-    def on_leave(ports_freed):
-        def callback(response: ServiceResponse) -> None:
-            if response.ok:
-                pool.release(ports_freed)
-
-        return callback
-
-    def open_one() -> bool:
-        want = 2 + int(size_rng.poisson(max(mean_size - 2.0, 0.0)))
-        if max_size is not None:
-            want = min(want, max_size)
-        if len(pool) < max(want, 2):
-            starved[0] += 1
-            return False
-        members = pool.grab(member_rng, max(want, 2))
-        hold = int(hold_rng.geometric(min(1.0, 1.0 / mean_hold_ticks)))
-        outstanding[0] += 1
-        cluster.submit_open(members, on_complete=finish(on_opened(hold)))
-        return True
-
-    def churn_resize() -> None:
-        active = sorted(
-            e.cluster_session_id for e in directory if e.state is EntryState.ACTIVE
-        )
-        if not active:
-            return
-        csid = active[int(resize_rng.integers(len(active)))]
-        entry = directory.require(csid)
-        grow = bool(resize_rng.integers(2))
-        if grow and len(pool):
-            taken = pool.grab(member_rng, 1)
-            outstanding[0] += 1
-            cluster.submit_join(csid, taken, on_complete=finish(on_join(taken)))
-            resizes[0] += 1
-        elif not grow and len(entry.members) > 2:
-            port = entry.members[int(resize_rng.integers(len(entry.members)))]
-            outstanding[0] += 1
-            cluster.submit_leave(csid, (port,), on_complete=finish(on_leave((port,))))
-            resizes[0] += 1
-
-    def kill_busiest_shard() -> None:
+    def kill_busiest_shard() -> "str | None":
         actives = sorted(
             sid for sid, s in cluster.shards.items() if s.state is ShardState.ACTIVE
         )
         if len(actives) < 2:
-            return  # refuse to orphan the whole population
+            return None  # refuse to orphan the whole population
         victim = max(actives, key=lambda sid: (len(directory.on_shard(sid)), -actives.index(sid)))
-        killed_shard[0] = victim
         cluster.fail_shard(victim)
+        return victim
 
-    tick = [0]
-    opened = 0
-    budget = _tick_budget(conferences)
-    while (
-        opened < conferences
-        or outstanding[0]
-        or closes_due
-        or any(e.live for e in directory)
-    ):
-        if tick[0] >= budget:
+    killed_shard: "str | None" = None
+    added_shard: "str | None" = None
+    rebalance_fraction: "float | None" = None
+    while work.busy() or any(e.live for e in directory):
+        if work.tick >= work.budget:
             raise RuntimeError(
-                f"cluster bench did not settle within {budget} ticks "
-                f"({opened}/{conferences} opened, {outstanding[0]} outstanding)"
+                f"cluster bench did not settle within {work.budget} ticks "
+                f"({work.opened}/{conferences} opened, {work.outstanding} outstanding)"
             )
-        if kill_shard_at is not None and tick[0] == kill_shard_at:
-            kill_busiest_shard()
-        if add_shard_at is not None and tick[0] == add_shard_at:
-            new_id, plan = cluster.scale_up()
-            added_shard[0] = new_id
-            rebalance_fraction[0] = plan.fraction
-        if opened < conferences:
-            for _ in range(int(arrivals_rng.poisson(arrival_rate))):
-                if opened >= conferences:
-                    break
-                if open_one():
-                    opened += 1
-        for csid in sorted(closes_due.pop(tick[0], [])):
+        if kill_shard_at is not None and work.tick == kill_shard_at:
+            killed_shard = kill_busiest_shard()
+        if add_shard_at is not None and work.tick == add_shard_at:
+            added_shard, plan = cluster.scale_up()
+            rebalance_fraction = plan.fraction
+        work.arrive(on_open)
+        for csid in sorted(work.closes_due.pop(work.tick, [])):
             if directory.require(csid).live:
-                outstanding[0] += 1
-                cluster.submit_close(csid, on_complete=finish(on_closed))
-        if resize_prob and float(resize_rng.random()) < resize_prob:
-            churn_resize()
+                cluster.submit_close(csid, on_complete=work.track(on_closed))
+        work.maybe_resize()
         cluster.tick()
-        tick[0] += 1
+        work.tick += 1
 
     consistency = cluster.check_consistency()
     before = cluster.stats.ticks
@@ -412,16 +316,16 @@ def run_cluster_bench(
         n_ports=ports,
         shards=shards,
         seed=seed,
-        conferences=opened,
+        conferences=work.opened,
         ticks=cluster.stats.ticks,
         drain_ticks=cluster.stats.ticks - before,
-        starved_arrivals=starved[0],
-        resizes=resizes[0],
+        starved_arrivals=work.starved,
+        resizes=work.resizes,
         fault_transitions=sum(len(inj.history) for inj in injectors),
-        killed_shard=killed_shard[0],
-        kill_tick=kill_shard_at if killed_shard[0] is not None else None,
-        added_shard=added_shard[0],
-        rebalance_fraction=rebalance_fraction[0],
+        killed_shard=killed_shard,
+        kill_tick=kill_shard_at if killed_shard is not None else None,
+        added_shard=added_shard,
+        rebalance_fraction=rebalance_fraction,
         queue_capacity=queue_capacity,
         shed_policy=str(
             shed_policy.value if isinstance(shed_policy, ShedPolicy) else shed_policy

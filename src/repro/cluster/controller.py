@@ -48,7 +48,7 @@ from repro.core.churn import ChurnPolicy
 from repro.perfmodel.capacity import DeliveryModel
 from repro.serve.backpressure import ShedPolicy
 from repro.serve.protocol import Priority, RequestKind, ServiceResponse
-from repro.serve.service import TICK, FabricService
+from repro.serve.service import TICK, FabricService, _SLOFeed
 from repro.util.rng import ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -225,6 +225,7 @@ class ClusterService:
         # are recorded here, at the layer clients actually experience.
         self._slo = slo
         self._flight = flight
+        self._slo_feed = _SLOFeed(slo, flight, metrics) if slo is not None else None
         self.stats = ClusterStats()
         self._shards: dict[str, ShardInfo] = {}
         self._directory = SessionDirectory()
@@ -241,10 +242,6 @@ class ClusterService:
         self._moving: dict[int, tuple[Move, str]] = {}
         # Open ``cluster.open`` trace spans awaiting their verdict.
         self._open_trace: dict[int, int] = {}
-        # SLO bookkeeping: per-shard recovery samples already observed,
-        # and the stat watermarks the per-tick shed-rate deltas read from.
-        self._slo_recovery_seen: dict[str, int] = {}
-        self._slo_prev = {"offered": 0, "dropped": 0}
         for _ in range(shards):
             self.add_shard()
 
@@ -1047,49 +1044,29 @@ class ClusterService:
     def _slo_tick(self) -> None:
         """Feed this tick's cluster-wide health signals into the SLO engine.
 
-        Mirrors :meth:`FabricService._slo_tick` one layer up: session
-        availability and recovery times are summed across the live
-        shards; the shed rate reads the *client-visible* verdict deltas
-        (rejected + errors), so internal migration traffic never counts
-        against the budget.  Pure observation — nothing feeds back.
+        Session availability is summed across the live shards and every
+        shard's recovery samples count; the shed rate reads the
+        *client-visible* verdicts (rejected + errors), so internal
+        migration traffic never counts against the budget.
         """
-        slo, now = self._slo, self.now
-        if "availability" in slo:
-            live = down = 0
-            for shard_id in sorted(self._shards):
-                shard = self._shards[shard_id]
-                if shard.state not in LIVE_SHARD_STATES:
-                    continue
+        live = down = 0
+        for shard_id in sorted(self._shards):
+            shard = self._shards[shard_id]
+            if shard.state in LIVE_SHARD_STATES:
                 counts = shard.service.sessions.counts()
-                live += counts.get("active", 0) + counts.get("degraded", 0)
-                down += counts.get("down", 0)
-            if live or down:
-                slo.record("availability", good=live, bad=down, now=now)
-        if "recovery" in slo:
-            for shard_id in sorted(self._shards):
-                samples = self._shards[shard_id].service.healing.stats.recovery_samples
-                seen = self._slo_recovery_seen.get(shard_id, 0)
-                for ticks in samples[seen:]:
-                    slo.observe("recovery", ticks, now=now)
-                self._slo_recovery_seen[shard_id] = len(samples)
-        if "shed_rate" in slo:
-            offered = self.stats.offered
-            dropped = self.stats.rejected + self.stats.errors
-            d_offered = offered - self._slo_prev["offered"]
-            d_dropped = dropped - self._slo_prev["dropped"]
-            if d_offered:
-                slo.record(
-                    "shed_rate",
-                    good=max(0, d_offered - d_dropped),
-                    bad=d_dropped,
-                    now=now,
-                )
-            self._slo_prev.update(offered=offered, dropped=dropped)
-        status = slo.evaluate(now)
-        if self._flight is not None:
-            if self._metrics is not None:
-                self._flight.sample_metrics(self._metrics, now)
-            self._flight.note_slo(now, status)
+                live += counts["active"] + counts["degraded"]
+                down += counts["down"]
+        self._slo_feed.tick(
+            self.now,
+            live=live,
+            down=down,
+            recovery=[
+                (shard_id, self._shards[shard_id].service.healing.stats.recovery_samples)
+                for shard_id in sorted(self._shards)
+            ],
+            offered=self.stats.offered,
+            dropped=self.stats.rejected + self.stats.errors,
+        )
 
     # -- drain / shutdown --------------------------------------------------
 

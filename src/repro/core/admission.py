@@ -323,29 +323,32 @@ class AdmissionController:
         untouched and the old route stays live.
         """
         old = self.route_of(conference_id)
-        new_ports = set(new_route.conference.members)
-        clash = (self._ports_in_use - old.conference.member_set) & new_ports
-        if clash:
-            self._trace_deny(conference_id, "ports")
-            raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
         old_links, new_links = old.links, new_route.links
-        added = new_links - old_links
-        added_cells = self._link_cells(added)
-        self._check_capacity(conference_id, added_cells, lambda: added)
-        released = old_links - new_links
-        self._load[added_cells] += 1
-        self._load[self._link_cells(released)] -= 1
-        self._routes[conference_id] = new_route
-        self._ports_in_use.difference_update(old.conference.members)
-        self._ports_in_use.update(new_ports)
+        added, released = new_links - old_links, old_links - new_links
+        self._swing(conference_id, old, new_route, added, released)
         if self.tracer is not None:
             self.tracer.event(
-                "admission.replace",
-                cid=conference_id,
-                added=len(added),
-                released=len(released),
+                "admission.replace", cid=conference_id, added=len(added), released=len(released)
             )
         return new_route
+
+    def _swing(
+        self, cid: int, old: Route, new: Route, added: frozenset, released: frozenset
+    ) -> None:
+        """Move a live conference from ``old`` to ``new`` by a link diff: the
+        ports ``new`` adds must be free and the ``added`` links have spare
+        channels (else :class:`AdmissionDenied`, ledger untouched)."""
+        clash = self._port_clash(new.conference.members) - old.conference.member_set
+        if clash:
+            self._trace_deny(cid, "ports")
+            raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
+        added_cells = self._link_cells(added)
+        self._check_capacity(cid, added_cells, lambda: added)
+        self._load[added_cells] += 1
+        self._load[self._link_cells(released)] -= 1
+        self._routes[cid] = new
+        self._ports_in_use.difference_update(old.conference.members)
+        self._ports_in_use.update(new.conference.members)
 
     def apply_churn(self, churn: "ChurnResult") -> Route:
         """Apply a membership change as a delta against the ledger.
@@ -367,20 +370,7 @@ class AdmissionController:
                 f"stale churn result for conference {cid}: "
                 "not computed against the live route"
             )
-        joined = churn.after.conference.member_set - old.conference.member_set
-        clash = (self._ports_in_use - old.conference.member_set) & joined
-        if clash:
-            self._trace_deny(cid, "ports")
-            raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        added_cells = self._link_cells(churn.links_added)
-        self._check_capacity(cid, added_cells, lambda: churn.links_added)
-        self._load[added_cells] += 1
-        self._load[self._link_cells(churn.links_removed)] -= 1
-        self._routes[cid] = churn.after
-        self._ports_in_use.difference_update(
-            old.conference.member_set - churn.after.conference.member_set
-        )
-        self._ports_in_use.update(joined)
+        self._swing(cid, old, churn.after, churn.links_added, churn.links_removed)
         if self.tracer is not None:
             self.tracer.event(
                 "admission.churn",

@@ -50,7 +50,7 @@ members (their slot would not fit one word) and any batch routed under
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -63,6 +63,7 @@ from repro.core.routing import (
     RoutingPolicy,
     TapPolicy,
     UnroutableError,
+    _pack_route,
     route_conference_sequential,
 )
 from repro.obs.metrics import timed
@@ -154,6 +155,36 @@ def route_batch(
         for i, outcome in zip(part, _kernel(net, [confs[i] for i in part], policy, dead)):
             outcomes[i] = outcome
     return outcomes  # type: ignore[return-value]
+
+
+def _prime_routes(
+    net: MultistageNetwork,
+    conferences: Iterable[Conference],
+    policy: RoutingPolicy,
+    faults: frozenset,
+    store: "Callable[[tuple, tuple | UnroutableError], None]",
+    skip: "Collection[tuple]" = (),
+) -> int:
+    """Route ahead of a sequential walk in one :func:`route_batch` call.
+
+    Each distinct ``(members, faults)`` key not in ``skip`` is routed and
+    its packed body handed to ``store``; out-of-range members are skipped
+    (the sequential path raises the same ``ValueError``).  Returns the
+    number of bodies stored.
+    """
+    todo: dict[tuple, Conference] = {}
+    for conf in conferences:
+        key = (conf.members, faults)
+        if key not in todo and key not in skip:
+            todo[key] = conf
+    if not todo:
+        return 0
+    stored = 0
+    for key, outcome in zip(todo, route_batch(net, list(todo.values()), policy, faults or None)):
+        if outcome.ok or isinstance(outcome.error, UnroutableError):
+            store(key, _pack_route(outcome.route if outcome.ok else outcome.error))
+            stored += 1
+    return stored
 
 
 def _route_one(

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.admission import AdmissionController, AdmissionDenied
-from repro.core.batch import route_batch
+from repro.core.batch import _prime_routes
 from repro.core.churn import (
     ChurnPolicy,
     ChurnResult,
@@ -56,7 +56,7 @@ from repro.core.churn import (
 )
 from repro.core.conference import Conference, ConferenceSet
 from repro.core.network import ConferenceNetwork
-from repro.core.routing import Route, UnroutableError
+from repro.core.routing import Route, UnroutableError, _unpack_route
 from repro.obs.metrics import DEFAULT_OCCUPANCY_BUCKETS
 from repro.protect.plans import BackupPlanStore
 
@@ -336,16 +336,7 @@ class SelfHealingController:
         if self._primed:
             entry = self._primed.pop((conference.members, frozenset(faults)), None)
             if entry is not None:
-                if isinstance(entry, UnroutableError):
-                    raise UnroutableError(*entry.args)
-                levels, taps = entry
-                return Route(
-                    conference=conference,
-                    n_ports=self._network.topology.n_ports,
-                    n_stages=self._network.topology.n_stages,
-                    levels=levels,
-                    taps=taps,
-                )
+                return _unpack_route(entry, conference, self._network.topology)
         return self._network.route(conference, faults=faults or None)
 
     def prime_batch(
@@ -377,24 +368,10 @@ class SelfHealingController:
             fault_sets.append(frozenset())
         self._primed.clear()  # entries are single-shot; drop leftovers
         for fs in fault_sets:
-            todo: dict[tuple, Conference] = {}
-            for conf in confs:
-                key = (conf.members, fs)
-                if key not in todo:
-                    todo[key] = conf
-            outcomes = route_batch(
-                self._network.topology,
-                list(todo.values()),
-                self._network.policy,
-                faults=fs or None,
+            _prime_routes(
+                self._network.topology, confs, self._network.policy, fs,
+                self._primed.__setitem__,
             )
-            for key, outcome in zip(todo, outcomes):
-                if outcome.ok:
-                    self._primed[key] = (outcome.route.levels, dict(outcome.route.taps))
-                elif isinstance(outcome.error, UnroutableError):
-                    self._primed[key] = UnroutableError(*outcome.error.args)
-                # Out-of-range members: not primeable — the sequential
-                # path raises the same ValueError itself.
 
     def link_load(self, link: Point) -> int:
         """Current channel load on one inter-stage link."""

@@ -170,6 +170,33 @@ class Route:
         return frozenset(mem[i] for i in range(len(mem)) if (mask >> i) & 1)
 
 
+def _pack_route(outcome: "Route | UnroutableError") -> "tuple | UnroutableError":
+    """The stored body of a routing outcome: ``(levels, taps)``, or a copy of
+    its :class:`UnroutableError`.  Caches and plan stores keep bodies by
+    membership; :func:`_unpack_route` re-wraps one around a conference."""
+    if isinstance(outcome, UnroutableError):
+        return UnroutableError(*outcome.args)
+    return (outcome.levels, dict(outcome.taps))
+
+
+def _unpack_route(
+    entry: "tuple | UnroutableError", conference: Conference, net: MultistageNetwork
+) -> Route:
+    """Rebuild a stored body around ``conference``; a stored error re-raises."""
+    if isinstance(entry, UnroutableError):
+        raise UnroutableError(*entry.args)
+    levels, taps = entry
+    return Route(conference, net.n_ports, net.n_stages, levels, taps)
+
+
+def _body_crosses(entry: "tuple | UnroutableError", links: frozenset) -> bool:
+    """Does a stored body's route use any of ``links``?  (Errors use none.)"""
+    if isinstance(entry, UnroutableError):
+        return False
+    levels = entry[0]
+    return any((t, row) in links for t in range(1, len(levels)) for row in levels[t])
+
+
 def _forward_masks(
     net: MultistageNetwork,
     conference: Conference,

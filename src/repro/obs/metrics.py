@@ -394,7 +394,7 @@ def maybe_registry() -> "MetricsRegistry | None":
 
         reg = maybe_registry()
         if reg is not None:
-            reg.counter("repro_search_trials_total").inc()
+            reg.counter("repro_trials_total").inc(kind="search")
     """
     return _process_registry if _collection_on else None
 

@@ -1,17 +1,18 @@
 """Memoized routing: the LRU route cache and per-worker network registry.
 
 Routing is a pure function of ``(topology, policy, conference members,
-fault set)``, so repeated placements — retried admissions, healing
-walks, the randomized search re-routing the same port pairs thousands
-of times — can reuse earlier work verbatim.  :class:`RouteCache`
-memoizes exactly that function.  Two design points matter:
+fault set)``, so repeated placements — the randomized search
+re-routing the same port pairs thousands of times, sweep trials
+re-placing recurring conferences — can reuse earlier work verbatim.
+:class:`RouteCache` memoizes exactly that function for the parallel
+experiment engine (the serving stack keeps no route cache).  Two design
+points matter:
 
 * **Fault state is part of the key.**  A route computed on the healthy
   network is *never* served once a link has died: the lookup key
   includes the fault set in force, so pre-fault entries are bypassed by
   construction (and the cache can follow a live
   :class:`~repro.sim.faults.FaultInjector` to track the current set).
-  This guards the self-healing controller against stale-route reuse.
 * **Routes are cached by membership, not identity.**  The geometry of a
   route depends only on the member ports; the conference id is a label.
   Entries store ``(levels, taps)`` and the cache re-wraps them around
@@ -33,7 +34,15 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from repro.core.conference import Conference
-from repro.core.routing import Route, RoutingPolicy, UnroutableError, route_conference
+from repro.core.routing import (
+    Route,
+    RoutingPolicy,
+    UnroutableError,
+    _body_crosses,
+    _pack_route,
+    _unpack_route,
+    route_conference,
+)
 from repro.topology.builders import build
 from repro.topology.network import MultistageNetwork, Point
 
@@ -203,16 +212,7 @@ class RouteCache:
                 self.tracer.event(
                     "cache.hit", cid=conference.conference_id, faults=len(key_faults)
                 )
-            if isinstance(entry, UnroutableError):
-                raise UnroutableError(*entry.args)
-            levels, taps = entry
-            return Route(
-                conference=conference,
-                n_ports=self._network.n_ports,
-                n_stages=self._network.n_stages,
-                levels=levels,
-                taps=taps,
-            )
+            return _unpack_route(entry, conference, self._network)
         self.stats.misses += 1
         if self.tracer is not None:
             self.tracer.event(
@@ -223,10 +223,10 @@ class RouteCache:
                 self._network, conference, self._policy, faults=key_faults or None
             )
         except UnroutableError as exc:
-            self._store(key, UnroutableError(*exc.args))
+            self._store(key, _pack_route(exc))
             self.stats.unroutable += 1
             raise
-        self._store(key, (route.levels, dict(route.taps)))
+        self._store(key, _pack_route(route))
         return route
 
     def prime(
@@ -245,36 +245,17 @@ class RouteCache:
         the batch overflows ``maxsize``.  Returns the number of entries
         inserted.
         """
-        from repro.core.batch import route_batch
+        from repro.core.batch import _prime_routes
 
         key_faults = self._faults if faults is None else (frozenset(faults) or _NO_FAULTS)
-        todo: "OrderedDict[tuple, Conference]" = OrderedDict()
-        for conference in conferences:
-            if not isinstance(conference, Conference):
-                conference = Conference.of(conference)
-            key = (conference.members, key_faults)
-            if key not in self._entries and key not in todo:
-                todo[key] = conference
-        if not todo:
-            return 0
-        outcomes = route_batch(
+        return _prime_routes(
             self._network,
-            list(todo.values()),
+            (c if isinstance(c, Conference) else Conference.of(c) for c in conferences),
             self._policy,
-            faults=key_faults or None,
+            key_faults,
+            self._store,
+            skip=self._entries,
         )
-        stored = 0
-        for key, outcome in zip(todo, outcomes):
-            if outcome.ok:
-                self._store(key, (outcome.route.levels, dict(outcome.route.taps)))
-            elif isinstance(outcome.error, UnroutableError):
-                self._store(key, UnroutableError(*outcome.error.args))
-            else:
-                # Out-of-range members: not cacheable — the sequential
-                # lookup raises the same ValueError itself.
-                continue
-            stored += 1
-        return stored
 
     def _store(self, key: tuple, entry: "tuple | UnroutableError") -> None:
         self._entries[key] = entry
@@ -297,17 +278,7 @@ class RouteCache:
         touched = frozenset(links)
         if not touched:
             return 0
-        doomed = []
-        for key, entry in self._entries.items():
-            if isinstance(entry, UnroutableError):
-                continue
-            levels, _taps = entry
-            if any(
-                (t, row) in touched
-                for t in range(1, len(levels))
-                for row in levels[t]
-            ):
-                doomed.append(key)
+        doomed = [key for key, entry in self._entries.items() if _body_crosses(entry, touched)]
         for key in doomed:
             del self._entries[key]
         self.stats.evictions += len(doomed)

@@ -24,12 +24,11 @@ record-for-record.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.conference import Conference, ConferenceSet
+from repro.core.conference import ConferenceSet
 from repro.core.conflict import analyze_conflicts
 from repro.core.network import ConferenceNetwork
 from repro.obs.metrics import DEFAULT_OCCUPANCY_BUCKETS, maybe_registry
@@ -165,57 +164,20 @@ def random_load_arm(
 def search_trial(index: int, seed, params: dict) -> dict:
     """One hill-climbing trial of the randomized worst-case search.
 
-    Mirrors one loop body of
-    :func:`repro.analysis.worstcase.randomized_search`, but draws from a
-    per-trial stream and routes through the worker's shared cache (pair
-    routes recur heavily across trials, so the cache hits).
+    The same trial :func:`repro.analysis.worstcase.randomized_search`
+    loops over, drawn from a per-trial stream and routed through the
+    worker's shared cache (pair routes recur heavily across trials, so
+    the cache hits).
     """
+    from repro.analysis.worstcase import _hill_climb
+
     n = params["n_ports"]
     cache = shared_route_cache(params["topology"], n, params.get("policy"))
-    rng = np.random.default_rng(seed)
-    ports = rng.permutation(n)
-    pairs = [
-        (int(ports[2 * i]), int(ports[2 * i + 1]))
-        for i in range(min(params.get("pool_size", 64), n // 2))
-    ]
-    # One columnar pass resolves the seed matching (see
-    # ``randomized_search``); decisions and records are unchanged.
-    cache.prime(pairs)
-    loads: Counter = Counter()
-    links_of: dict[tuple[int, int], frozenset] = {}
-    for pair in pairs:
-        links = cache.route(Conference.of(pair)).links
-        links_of[pair] = links
-        loads.update(links)
-    if not loads:
+    found = _hill_climb(np.random.default_rng(seed), n, params.get("pool_size", 64), cache)
+    if found is None:
         _record_trial("search", 0)
         return {"trial": index, "multiplicity": 0, "link": None, "groups": []}
-    target, _ = max(loads.items(), key=lambda kv: kv[1])
-    keep = [p for p in pairs if target in links_of[p]]
-    used = {x for p in keep for x in p}
-    free = [p for p in range(n) if p not in used]
-    rng.shuffle(free)
-    for i in range(len(free)):
-        if free[i] in used:
-            continue  # every inner pair would be skipped anyway
-        primed_until = i + 1
-        for j in range(i + 1, len(free)):
-            a, b = free[i], free[j]
-            if a in used or b in used:
-                continue
-            if j >= primed_until:
-                block = []
-                k = j
-                while k < len(free) and len(block) < 64:
-                    if free[k] not in used:
-                        block.append((min(a, free[k]), max(a, free[k])))
-                    k += 1
-                primed_until = k
-                cache.prime(block)
-            pair = (min(a, b), max(a, b))
-            if target in cache.route(Conference.of(pair)).links:
-                keep.append(pair)
-                used.update(pair)
+    target, keep = found
     _record_trial("search", len(keep))
     return {
         "trial": index,

@@ -40,7 +40,14 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from repro.core.conference import Conference
-from repro.core.routing import Route, RoutingPolicy, UnroutableError
+from repro.core.routing import (
+    Route,
+    RoutingPolicy,
+    UnroutableError,
+    _body_crosses,
+    _pack_route,
+    _unpack_route,
+)
 from repro.topology.network import MultistageNetwork, Point
 
 __all__ = ["BackupPlan", "PlanStats", "BackupPlanStore"]
@@ -264,10 +271,9 @@ class BackupPlanStore:
         plans: dict[Point, BackupPlan] = {}
         for point in links[: self._protection]:
             try:
-                alt = router(conference, base | {point})
-                entry: "tuple | UnroutableError" = (alt.levels, dict(alt.taps))
+                entry = _pack_route(router(conference, base | {point}))
             except UnroutableError as exc:
-                entry = UnroutableError(*exc.args)
+                entry = _pack_route(exc)
                 self.stats.unroutable += 1
             plans[point] = BackupPlan(
                 members=conference.members, point=point, base_faults=base, entry=entry
@@ -310,14 +316,7 @@ class BackupPlanStore:
         self._trace("plan.hit", cid, point)
         if plan.unroutable:
             return "hit", UnroutableError(*plan.entry.args)
-        levels, taps = plan.entry
-        return "hit", Route(
-            conference=conference,
-            n_ports=self._network.n_ports,
-            n_stages=self._network.n_stages,
-            levels=levels,
-            taps=taps,
-        )
+        return "hit", _unpack_route(plan.entry, conference, self._network)
 
     def invalidate(self, conference_id: int) -> int:
         """Drop every plan of one conference (leave/close/drop).
@@ -349,7 +348,7 @@ class BackupPlanStore:
             doomed = [
                 point
                 for point, plan in plans.items()
-                if point in touched or self._plan_crosses(plan, touched)
+                if point in touched or _body_crosses(plan.entry, touched)
             ]
             if not doomed:
                 continue
@@ -360,18 +359,6 @@ class BackupPlanStore:
             if not plans:
                 del self._plans[cid]
         return affected
-
-    @staticmethod
-    def _plan_crosses(plan: BackupPlan, touched: frozenset) -> bool:
-        """Does a positive plan's backup route use any touched link?"""
-        if plan.unroutable:
-            return False
-        levels, _taps = plan.entry
-        return any(
-            (t, row) in touched
-            for t in range(1, len(levels))
-            for row in levels[t]
-        )
 
     def clear(self) -> None:
         """Drop every plan (stats are kept)."""

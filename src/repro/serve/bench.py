@@ -19,7 +19,7 @@ the admission/shed/latency tallies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.churn import ChurnPolicy
 from repro.core.healing import RetryPolicy
@@ -122,16 +122,6 @@ class ServeBenchReport:
         }
 
 
-def _fault_horizon(conferences: int, arrival_rate: float, mean_hold_ticks: float) -> float:
-    """Fault-timeline length: generously past the expected run length."""
-    return 4.0 * conferences / arrival_rate + 8.0 * mean_hold_ticks
-
-
-def _tick_budget(conferences: int) -> int:
-    """Ticks a bench may run before it is declared stuck."""
-    return max(200, conferences * 100)
-
-
 def _recovery(stats: "Sequence[AvailabilityStats]") -> dict[str, Any]:
     """A report's ``recovery`` block, folded over healing stats.
 
@@ -149,33 +139,132 @@ def _recovery(stats: "Sequence[AvailabilityStats]") -> dict[str, Any]:
     }
 
 
-class _PortPool:
-    """Free-port bookkeeping with deterministic sampling order.
+class _Workload:
+    """The seeded session workload both bench drivers run.
 
-    The pool spans one fabric's port range.  The cluster bench uses it as
+    Spawns the seven RNG streams (their order is part of the bench's file
+    format: reorder it and every same-seed comparison with older runs
+    breaks) and, once :meth:`drive` binds a target with the ``submit_*``
+    surface, offers Poisson arrivals and resizes over one free-port pool.
+    The pool spans one fabric's port range; the cluster bench uses it as
     its *logical* endpoint space, so concurrent conferences are
-    port-disjoint no matter which shard hosts them.
+    port-disjoint on any shard.  Each driver keeps its own loop and
+    decides when a session's hold is drawn.
     """
 
-    def __init__(self, n_ports: int):
-        self._free = list(range(n_ports))  # kept sorted
+    def __init__(self, seed: int, n_ports: int, *, conferences: int, arrival_rate: float,
+                 mean_size: float, max_size: "int | None", mean_hold_ticks: float,
+                 resize_prob: float):
+        check_positive(arrival_rate, "arrival_rate")
+        check_positive(mean_hold_ticks, "mean_hold_ticks")
+        if conferences < 1:
+            raise ValueError(f"conferences must be >= 1, got {conferences}")
+        (self._arrival_rng, self._size_rng, self._member_rng, self._hold_rng,
+         self._resize_rng, self.fault_rng, self.service_rng) = ensure_rng(seed).spawn(7)
+        self.conferences, self._arrival_rate = conferences, arrival_rate
+        self._mean_size, self._max_size = mean_size, max_size
+        self._mean_hold_ticks, self._resize_prob = mean_hold_ticks, resize_prob
+        self._free = list(range(n_ports))  # kept sorted, for determinism
+        self.closes_due: dict[int, list[int]] = {}  # tick -> sessions to close
+        self.tick = self.opened = self.starved = self.resizes = 0
+        self.outstanding = 0  # submitted requests awaiting a terminal response
+        # Fault timelines run generously past the expected run length.
+        self.fault_horizon = 4.0 * conferences / arrival_rate + 8.0 * mean_hold_ticks
+        self.budget = max(200, conferences * 100)  # ticks before a run is stuck
 
-    def __len__(self) -> int:
-        return len(self._free)
+    def drive(self, target, active_ids, members_of) -> None:
+        """Bind the target; ``active_ids()`` lists the sessions a resize may
+        pick and ``members_of(id)`` reads one's members."""
+        self._target, self._active_ids, self._members_of = target, active_ids, members_of
 
-    def grab(self, rng, count: int) -> "tuple[int, ...]":
-        """Remove and return ``count`` uniformly-chosen free ports."""
-        picked = rng.choice(len(self._free), size=count, replace=False)
+    def busy(self) -> bool:
+        """Opens left to offer, verdicts owed, or closes scheduled."""
+        return bool(self.opened < self.conferences or self.outstanding or self.closes_due)
+
+    def _grab(self, count: int) -> "tuple[int, ...]":
+        picked = self._member_rng.choice(len(self._free), size=count, replace=False)
         ports = tuple(sorted(self._free[i] for i in picked))
         for p in ports:
             self._free.remove(p)
         return ports
 
     def release(self, ports) -> None:
-        """Return ports to the pool (kept sorted for determinism)."""
-        for p in ports:
-            self._free.append(p)
+        """Return ports to the pool."""
+        self._free.extend(ports)
         self._free.sort()
+
+    def track(self, callback: "Callable[[ServiceResponse], None]"):
+        """Count one submitted request until its verdict reaches ``callback``."""
+        self.outstanding += 1
+
+        def finish(response: ServiceResponse) -> None:
+            self.outstanding -= 1
+            callback(response)
+
+        return finish
+
+    def draw_hold(self) -> int:
+        """One session's holding time in ticks (geometric)."""
+        return int(self._hold_rng.geometric(min(1.0, 1.0 / self._mean_hold_ticks)))
+
+    def on_opened(self, hold: "Callable[[], int]"):
+        """An open's callback: close ``hold()`` ticks on, or return its ports."""
+
+        def callback(response: ServiceResponse) -> None:
+            if response.ok:
+                due = self.tick + max(hold(), 1)
+                self.closes_due.setdefault(due, []).append(response.session_id)
+            else:
+                self.release(self._members_of(response.session_id))
+
+        return callback
+
+    def _release_if(self, ok: bool, ports):
+        def callback(response: ServiceResponse) -> None:
+            if response.ok is ok:
+                self.release(ports)
+
+        return callback
+
+    def arrive(self, on_open: "Callable[[], Callable[[ServiceResponse], None]]") -> None:
+        """This tick's arrivals; ``on_open()`` makes each open's callback."""
+        if self.opened >= self.conferences:
+            return
+        for _ in range(int(self._arrival_rng.poisson(self._arrival_rate))):
+            if self.opened >= self.conferences:
+                break
+            want = 2 + int(self._size_rng.poisson(max(self._mean_size - 2.0, 0.0)))
+            if self._max_size is not None:
+                want = min(want, self._max_size)
+            if len(self._free) < max(want, 2):
+                self.starved += 1
+                continue
+            members = self._grab(max(want, 2))
+            self._target.submit_open(members, on_complete=self.track(on_open()))
+            self.opened += 1
+
+    def maybe_resize(self) -> None:
+        """With ``resize_prob``, grow or shrink one active session by a port."""
+        if not (self._resize_prob and float(self._resize_rng.random()) < self._resize_prob):
+            return
+        active = self._active_ids()
+        if not active:
+            return
+        sid = active[int(self._resize_rng.integers(len(active)))]
+        members = self._members_of(sid)
+        grow = bool(self._resize_rng.integers(2))
+        if grow and self._free:
+            ports = self._grab(1)
+            self._target.submit_join(
+                sid, ports, on_complete=self.track(self._release_if(False, ports))
+            )
+            self.resizes += 1
+        elif not grow and len(members) > 2:
+            leaving = (members[int(self._resize_rng.integers(len(members)))],)
+            self._target.submit_leave(
+                sid, leaving, on_complete=self.track(self._release_if(True, leaving))
+            )
+            self.resizes += 1
 
 
 def run_serve_bench(
@@ -220,158 +309,66 @@ def run_serve_bench(
     if isinstance(network, int):
         # A conference-capable default fabric (``dilation`` is ignored
         # when the caller hands over a built network).
-        network = ConferenceNetwork.build(
-            "indirect-binary-cube", network, dilation=dilation
-        )
-    check_positive(arrival_rate, "arrival_rate")
-    check_positive(mean_hold_ticks, "mean_hold_ticks")
-    if conferences < 1:
-        raise ValueError(f"conferences must be >= 1, got {conferences}")
-    base = ensure_rng(seed)
-    # Stream order is part of the file format of this benchmark: reorder
-    # it and every same-seed comparison with older runs breaks.
-    arrivals_rng, size_rng, member_rng, hold_rng, resize_rng, fault_rng, service_rng = (
-        base.spawn(7)
+        network = ConferenceNetwork.build("indirect-binary-cube", network, dilation=dilation)
+    n = network.topology.n_ports
+    work = _Workload(
+        seed, n, conferences=conferences, arrival_rate=arrival_rate, mean_size=mean_size,
+        max_size=max_size, mean_hold_ticks=mean_hold_ticks, resize_prob=resize_prob,
     )
     service = FabricService(
-        network,
-        retry=retry,
-        rng=service_rng,
-        protection=protection,
-        tracer=tracer,
-        metrics=metrics,
-        slo=slo,
-        flight=flight,
-        queue_capacity=queue_capacity,
-        shed_policy=shed_policy,
-        max_batch=max_batch,
-        churn=churn,
-        capacity_model=capacity_model,
-        perf=perf,
+        network, retry=retry, rng=work.service_rng, protection=protection, tracer=tracer,
+        metrics=metrics, slo=slo, flight=flight, queue_capacity=queue_capacity,
+        shed_policy=shed_policy, max_batch=max_batch, churn=churn,
+        capacity_model=capacity_model, perf=perf,
     )
     injector = None
     if fault_process is not None:
         timeline = generate_fault_timeline(
-            network.topology,
-            fault_process,
-            _fault_horizon(conferences, arrival_rate, mean_hold_ticks),
-            seed=fault_rng,
+            network.topology, fault_process, work.fault_horizon, seed=work.fault_rng
         )
         injector = service.attach_faults(timeline)
+    sessions = service.sessions
+    work.drive(
+        service,
+        active_ids=lambda: sorted(
+            s.session_id
+            for s in sessions
+            if s.state in (SessionState.ACTIVE, SessionState.DEGRADED)
+        ),
+        members_of=lambda sid: sessions.require(sid).members,
+    )
 
-    n = network.topology.n_ports
-    pool = _PortPool(n)
-    closes_due: dict[int, list[int]] = {}
-    outstanding = [0]  # submitted requests awaiting a terminal response
-    starved = [0]
-    resizes = [0]
-
-    def finish(fn):
-        def callback(response: ServiceResponse) -> None:
-            outstanding[0] -= 1
-            fn(response)
-
-        return callback
-
-    def on_opened(response: ServiceResponse) -> None:
-        sid = response.session_id
-        if response.ok:
-            hold = int(hold_rng.geometric(min(1.0, 1.0 / mean_hold_ticks)))
-            closes_due.setdefault(tick[0] + max(hold, 1), []).append(sid)
-        else:
-            pool.release(service.sessions.require(sid).members)
+    def on_open():
+        return work.on_opened(work.draw_hold)  # the hold is drawn on admission
 
     def on_closed(response: ServiceResponse) -> None:
         if response.ok:
-            pool.release(service.sessions.require(response.session_id).members)
+            work.release(sessions.require(response.session_id).members)
 
-    def on_join(ports):
-        def callback(response: ServiceResponse) -> None:
-            if not response.ok:
-                pool.release(ports)
-
-        return callback
-
-    def on_leave(ports):
-        def callback(response: ServiceResponse) -> None:
-            if response.ok:
-                pool.release(ports)
-
-        return callback
-
-    def open_one() -> bool:
-        want = 2 + int(size_rng.poisson(max(mean_size - 2.0, 0.0)))
-        if max_size is not None:
-            want = min(want, max_size)
-        if len(pool) < max(want, 2):
-            starved[0] += 1
-            return False
-        members = pool.grab(member_rng, max(want, 2))
-        outstanding[0] += 1
-        service.submit_open(members, on_complete=finish(on_opened))
-        return True
-
-    def churn_resize() -> None:
-        active = sorted(
-            s.session_id
-            for s in service.sessions
-            if s.state in (SessionState.ACTIVE, SessionState.DEGRADED)
-        )
-        if not active:
-            return
-        sid = active[int(resize_rng.integers(len(active)))]
-        session = service.sessions.require(sid)
-        grow = bool(resize_rng.integers(2))
-        if grow and len(pool):
-            ports = pool.grab(member_rng, 1)
-            outstanding[0] += 1
-            service.submit_join(sid, ports, on_complete=finish(on_join(ports)))
-            resizes[0] += 1
-        elif not grow and len(session.members) > 2:
-            port = session.members[int(resize_rng.integers(len(session.members)))]
-            outstanding[0] += 1
-            service.submit_leave(sid, (port,), on_complete=finish(on_leave((port,))))
-            resizes[0] += 1
-
-    tick = [0]
-    opened = 0
-    budget = _tick_budget(conferences)
-    while (
-        opened < conferences
-        or outstanding[0]
-        or closes_due
-        or any(s.live for s in service.sessions)
-    ):
-        if tick[0] >= budget:
+    while work.busy() or any(s.live for s in sessions):
+        if work.tick >= work.budget:
             raise RuntimeError(
-                f"bench did not settle within {budget} ticks "
-                f"({opened}/{conferences} opened, {outstanding[0]} outstanding)"
+                f"bench did not settle within {work.budget} ticks "
+                f"({work.opened}/{conferences} opened, {work.outstanding} outstanding)"
             )
-        if opened < conferences:
-            for _ in range(int(arrivals_rng.poisson(arrival_rate))):
-                if opened >= conferences:
-                    break
-                if open_one():
-                    opened += 1
-        for sid in closes_due.pop(tick[0], []):
-            if service.sessions.require(sid).live:
-                outstanding[0] += 1
-                service.submit_close(sid, on_complete=finish(on_closed))
-        if resize_prob and float(resize_rng.random()) < resize_prob:
-            churn_resize()
+        work.arrive(on_open)
+        for sid in work.closes_due.pop(work.tick, []):
+            if sessions.require(sid).live:
+                service.submit_close(sid, on_complete=work.track(on_closed))
+        work.maybe_resize()
         service.tick()
-        tick[0] += 1
+        work.tick += 1
 
     before = service.stats.ticks
     counts = service.shutdown()
     return ServeBenchReport(
         n_ports=n,
         seed=seed,
-        conferences=opened,
+        conferences=work.opened,
         ticks=service.stats.ticks,
         drain_ticks=service.stats.ticks - before,
-        starved_arrivals=starved[0],
-        resizes=resizes[0],
+        starved_arrivals=work.starved,
+        resizes=work.resizes,
         fault_transitions=len(injector.history) if injector is not None else 0,
         peak_queue_depth=service.queue.stats.peak_depth,
         queue_capacity=queue_capacity,

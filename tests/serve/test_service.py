@@ -224,6 +224,35 @@ class TestBackpressure:
         svc.tick()
         assert got[-1].status == "admitted"
 
+    def test_shedding_an_open_closed_while_queued_keeps_it_closed(self):
+        # The close (control lane) runs first; the open it cancelled is
+        # still queued when a smaller arrival sheds it.
+        svc = service(queue_capacity=1, shed_policy=ShedPolicy.SHED_LARGEST, max_batch=1)
+        got = []
+        big = svc.submit_open([0, 1, 2], on_complete=collect(got))
+        svc.submit_close(big, on_complete=collect(got))
+        svc.tick()
+        svc.submit_open([8, 9], on_complete=collect(got))
+        assert [r.status for r in got] == ["closed", "shed"]
+        assert svc.sessions.require(big).state is SessionState.CLOSED
+
+    def test_bouncing_a_retry_closed_in_backoff_keeps_it_closed(self):
+        network = ConferenceNetwork.build("indirect-binary-cube", N_PORTS, dilation=1)
+        retry = RetryPolicy(max_retries=3, base_delay=2.0, jitter=0.0)
+        svc = service(network=network, queue_capacity=1, retry=retry)
+        got = []
+        svc.submit_open([0, 15], on_complete=collect(got))
+        svc.tick()
+        blocked = svc.submit_open([1, 14], on_complete=collect(got))
+        svc.tick()  # denied on capacity: backs off
+        svc.submit_close(blocked, on_complete=collect(got))
+        svc.tick()  # the close runs while the open waits out its backoff
+        svc.submit_open([4, 5], on_complete=collect(got))  # fills the queue
+        svc.tick()  # the retry comes due and bounces off the full queue
+        bounced = [r for r in got if r.session_id == blocked and r.kind == "open"]
+        assert [(r.status, r.reason) for r in bounced] == [("rejected", "backpressure")]
+        assert svc.sessions.require(blocked).state is SessionState.CLOSED
+
     def test_priority_lane_evicts_bulk_for_interactive(self):
         svc = service(queue_capacity=1, shed_policy=ShedPolicy.PRIORITY)
         got = []
