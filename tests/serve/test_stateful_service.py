@@ -11,7 +11,11 @@ After every step the service must keep its accounting straight:
 * the session-state tally sums to the table size;
 * the data-plane queue never exceeds its capacity;
 * the healing ledger's link loads equal the occupancy recomputed from
-  the live routes.
+  the live routes;
+* every stored backup plan belongs to a live conference, carries that
+  conference's current members and protects one of its route's links;
+* every plan cut under the current fault set holds exactly what
+  ``route_conference`` returns with the protected point dead too.
 
 At teardown every session is closed, ``drain()`` must settle, and
 every submitted request's callback must have fired exactly once.
@@ -38,6 +42,7 @@ from repro import (
     ShedPolicy,
 )
 from repro.core.batch import stage_occupancy
+from repro.core.routing import UnroutableError, _pack_route, route_conference
 
 N_PORTS = 16
 N_STAGES = 4
@@ -186,6 +191,42 @@ class FabricServiceMachine(RuleBasedStateMachine):
         for level in range(1, N_STAGES + 1):
             for row in range(N_PORTS):
                 assert healing.link_load((level, row)) == occupancy[level, row]
+
+    @invariant()
+    def plans_follow_live_routes(self):
+        healing = self.service.healing
+        store = healing.plan_store
+        live = healing.live_conferences
+        assert len(store) == sum(len(store.plans_of(cid)) for cid in live)
+        for cid in live:
+            route = healing.route_of(cid)
+            for point, plan in store.plans_of(cid).items():
+                assert plan.point == point
+                assert plan.members == route.conference.members
+                assert point in route.links
+
+    @invariant()
+    def current_plans_equal_the_reactive_route(self):
+        healing = self.service.healing
+        network = healing.network
+        faults = healing.current_faults
+        for cid in healing.live_conferences:
+            conference = healing.route_of(cid).conference
+            for point, plan in healing.plan_store.plans_of(cid).items():
+                if plan.base_faults != faults:
+                    continue
+                try:
+                    expected = _pack_route(
+                        route_conference(
+                            network.topology, conference, network.policy, faults | {point}
+                        )
+                    )
+                except UnroutableError as exc:
+                    assert plan.unroutable
+                    assert plan.entry.args == exc.args
+                else:
+                    assert not plan.unroutable
+                    assert repr(plan.entry) == repr(expected)
 
     def teardown(self):
         # Clients hang up first: a restore waits for capacity as long as
