@@ -277,6 +277,14 @@ class AdmissionController:
         rows = np.fromiter(chain.from_iterable(levels), dtype=np.int64, count=sum(counts))
         return rows + self._level_base[: len(counts)].repeat(counts)
 
+    def _busiest_links(self, route: Route, k: int) -> list[Point]:
+        """Up to ``k`` of ``route``'s links, most-loaded first, ties in point
+        order: one gather over the ledger for the route's cells (a cell's
+        order is its point's order)."""
+        cells = self._route_cells(route)
+        top = cells[np.lexsort((cells, -self._load[cells]))[:k]]
+        return [divmod(cell, self._n_rows) for cell in top.tolist()]
+
     def _link_cells(self, links: "frozenset[Point]") -> np.ndarray:
         """Ledger cells of an explicit link set (a churn or swap diff)."""
         n_rows = self._n_rows

@@ -37,6 +37,16 @@ from the per-object path.  The differential grid in
 :func:`~repro.core.routing.route_conference_sequential` across every
 registered topology, both tap policies, fault sets and batch shapes.
 
+**Fault overlay.**  Besides the shared fault set, the kernel takes an
+optional per-conference list of extra dead points.  Once a forward
+level is filled, an overlay point ``(t, r)`` of conference ``c`` clears
+only ``c``'s slot in ``masks[t, r]``; in the backward sweep it clears
+only ``c``'s bit of the gathered plane at ``(t, r)`` before the OR.
+Conference ``c`` is then routed exactly as under ``faults | overlay[c]``
+(``tests/core/test_batch_overlay.py``), so backup planning routes every
+``(conference, protected link)`` pair of a re-protect in one call.  A
+batch with no overlay does no extra array work.
+
 A batch is routed in chunks of at most ``_MAX_CELLS // n_rows``
 conferences.  Every slot lies inside one word, so ``W`` never exceeds
 the chunk's conference count, no level of a chunk's planes exceeds
@@ -45,7 +55,8 @@ the chunk's conference count, no level of a chunk's planes exceeds
 Two inputs fall back to the sequential path per conference, with
 identical outcomes: conferences of more than :data:`MAX_KERNEL_MEMBERS`
 members (their slot would not fit one word) and any batch routed under
-``policy.prune=True`` (the greedy ablation is inherently sequential).
+``policy.prune=True`` (the greedy ablation is inherently sequential);
+a fallback conference's overlay is merged into its dead set.
 """
 
 from __future__ import annotations
@@ -129,11 +140,34 @@ def route_batch(
     for out-of-range members) are captured per conference instead of
     aborting the batch.
     """
-    policy = policy or RoutingPolicy()
-    dead = frozenset(faults) if faults else frozenset()
-    confs = list(conferences)
+    return _route_batch(
+        net,
+        list(conferences),
+        policy or RoutingPolicy(),
+        frozenset(faults) if faults else frozenset(),
+    )
+
+
+def _route_batch(
+    net: MultistageNetwork,
+    confs: "list[Conference]",
+    policy: RoutingPolicy,
+    dead: frozenset,
+    overlay: "Sequence[Collection[Point]] | None" = None,
+) -> list[BatchRouteOutcome]:
+    """:func:`route_batch` with an optional per-conference fault overlay.
+
+    ``overlay[i]`` holds extra dead points for ``confs[i]`` alone, on top
+    of the shared ``dead`` set: conference ``i``'s outcome is exactly
+    ``route_batch(net, [confs[i]], policy, dead | overlay[i])``.  That is
+    how a backup plan for every ``(conference, protected point)`` pair
+    of a re-protect is routed in one call.
+    """
     if policy.prune:
-        return [_route_one(net, conf, policy, dead) for conf in confs]
+        return [
+            _route_one(net, conf, policy, _with_overlay(dead, overlay, i))
+            for i, conf in enumerate(confs)
+        ]
     outcomes: "list[BatchRouteOutcome | None]" = [None] * len(confs)
     kernel_idx: list[int] = []
     for i, conf in enumerate(confs):
@@ -146,15 +180,25 @@ def route_batch(
                 ),
             )
         elif len(conf.members) > MAX_KERNEL_MEMBERS:
-            outcomes[i] = _route_one(net, conf, policy, dead)
+            outcomes[i] = _route_one(net, conf, policy, _with_overlay(dead, overlay, i))
         else:
             kernel_idx.append(i)
     chunk = max(1, _MAX_CELLS // net.n_ports)
     for start in range(0, len(kernel_idx), chunk):
         part = kernel_idx[start : start + chunk]
-        for i, outcome in zip(part, _kernel(net, [confs[i] for i in part], policy, dead)):
+        part_overlay = None if overlay is None else [overlay[i] for i in part]
+        for i, outcome in zip(
+            part, _kernel(net, [confs[i] for i in part], policy, dead, part_overlay)
+        ):
             outcomes[i] = outcome
     return outcomes  # type: ignore[return-value]
+
+
+def _with_overlay(
+    dead: frozenset, overlay: "Sequence[Collection[Point]] | None", i: int
+) -> frozenset:
+    """Conference ``i``'s whole dead set, for the sequential fallback."""
+    return dead if overlay is None or not overlay[i] else dead | frozenset(overlay[i])
 
 
 def _prime_routes(
@@ -247,18 +291,42 @@ def _gather_or(plane: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
+def _overlay_by_level(
+    overlay: "Sequence[Collection[Point]]", n_stages: int, n_rows: int
+) -> "dict[int, tuple[np.ndarray, np.ndarray]]":
+    """Group on-grid overlay points by level: ``t -> (conferences, rows)``."""
+    by_level: dict[int, tuple[list[int], list[int]]] = {}
+    for c, points in enumerate(overlay):
+        for level, row in points:
+            if 0 <= level <= n_stages and 0 <= row < n_rows:
+                confs, rows = by_level.setdefault(level, ([], []))
+                confs.append(c)
+                rows.append(row)
+    return {
+        level: (np.asarray(confs, dtype=np.int64), np.asarray(rows, dtype=np.int64))
+        for level, (confs, rows) in by_level.items()
+    }
+
+
 def _kernel(
     net: MultistageNetwork,
     confs: list[Conference],
     policy: RoutingPolicy,
     dead: frozenset,
+    overlay: "Sequence[Collection[Point]] | None" = None,
 ) -> list[BatchRouteOutcome]:
-    """The bit-sliced forward/tap/backward sweep over one chunk."""
+    """The bit-sliced forward/tap/backward sweep over one chunk.
+
+    ``overlay[c]`` (optional) lists extra dead points of conference
+    ``c`` alone: they clear only ``c``'s slot of the forward planes and
+    ``c``'s bit of the backward planes.
+    """
     n_rows, n_stages, radix = net.n_ports, net.n_stages, net.radix
     n_levels = n_stages + 1
     n_conf = len(confs)
     succ, pred = net.successor_table, net.predecessor_table
     dead_rows = _dead_rows_by_level(dead, n_stages, n_rows)
+    overlay_at = _overlay_by_level(overlay, n_stages, n_rows) if overlay else {}
 
     member_lists = [c.members for c in confs]
     size_list = [len(m) for m in member_lists]
@@ -287,8 +355,9 @@ def _kernel(
     # each conference in word w whose signal can be present at point
     # (t, r) through surviving paths.  A stage gathers the rows of every
     # switch side and ORs them; a dead row is zeroed for every conference
-    # at once.  Seeding ORs because overlapping conferences may share a
-    # cell.
+    # at once; an overlay point clears only its own conference's slot
+    # (``at``, since two conferences of one word may share a dead cell).
+    # Seeding ORs because overlapping conferences may share a cell.
     masks = np.zeros((n_levels, n_rows, n_words), dtype=np.uint64)
     np.bitwise_or.at(masks[0], (members, word_c[conf_of]), bits)
     for t in range(n_levels):
@@ -296,6 +365,13 @@ def _kernel(
             _gather_or(masks[t - 1], pred[t - 1], masks[t])
         if dead_rows[t] is not None:
             masks[t, dead_rows[t]] = 0
+        if t in overlay_at:
+            ov_confs, ov_rows = overlay_at[t]
+            np.bitwise_and.at(
+                masks[t],
+                (ov_rows, word_c[ov_confs]),
+                ~np.left_shift(full_c[ov_confs], shift_c[ov_confs]),
+            )
     flat_masks = masks.reshape(n_levels, -1)
 
     # Tap selection: vals[t, i] is the slot of member i's conference on
@@ -342,6 +418,9 @@ def _kernel(
         prev = _gather_or(marked[t], succ[t - 1], np.empty_like(marked[t]))
         if dead_rows[t - 1] is not None:
             prev[dead_rows[t - 1]] = 0
+        if t - 1 in overlay_at:
+            ov_confs, ov_rows = overlay_at[t - 1]
+            np.bitwise_and.at(prev, (ov_rows, cword_c[ov_confs]), ~cbit_c[ov_confs])
         marked[t - 1] |= prev
     flat_marked = marked.reshape(n_levels, -1)
 

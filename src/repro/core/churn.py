@@ -36,12 +36,27 @@ routes is touched — see :attr:`ChurnResult.links_touched`).  Full
 reroute remains available as :func:`apply_churn` and is the explicit
 fallback when an incremental step would exceed ``max_taps_moved`` or
 ``drift_limit``.
+
+Engine
+------
+
+Both directions route the new member set with the bit-sliced kernel
+first (:func:`~repro.core.routing.route_conference`, or a route primed
+for the serving tick).  A pin only binds when it lies *deeper* than the
+member's natural tap: the natural tap is the earliest level whose row
+carries the full combination, so a shallower pin is never full and an
+equal one changes nothing.  When no continuing member's old tap lies
+deeper than its kernel tap, the kernel route *is* the incremental
+result, with drift 0 — always so for :func:`prune_route` (no pins) and
+under ``TapPolicy.FINAL`` (every tap is final).  Only when a pin may
+bind — a route cut under a fault that has since been repaired — does
+the pinned per-point walk run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.core.conference import Conference
 from repro.core.routing import (
@@ -261,12 +276,7 @@ def _pinned_route(
         levels=tuple(levels),
         taps=taps,
     )
-    bad = {port for port, t in taps.items() if route.mask_at(t, port) != full}
-    if bad:
-        raise AssertionError(
-            f"churn invariant violated: taps {sorted(bad)} missing members "
-            f"(topology {net.name})"
-        )
+    _check_taps(net, route)
     drift = 0
     if taps != natural:
         # Natural-route link count without building the route: within the
@@ -283,18 +293,55 @@ def _pinned_route(
     return route, drift
 
 
-def _checked(
+def _check_taps(net: MultistageNetwork, route: Route) -> None:
+    """Every tap must hear the full combination (cheap; catches wiring bugs)."""
+    full = route.conference.full_mask
+    bad = {port for port, t in route.taps.items() if route.mask_at(t, port) != full}
+    if bad:
+        raise AssertionError(
+            f"churn invariant violated: taps {sorted(bad)} missing members "
+            f"(topology {net.name})"
+        )
+
+
+def _churn_step(
     net: MultistageNetwork,
     route: Route,
     members: "tuple[int, ...]",
+    pins: "dict[int, int]",
     policy: RoutingPolicy,
     faults: "frozenset | None",
-    result: ChurnResult,
+    router: "Callable[[Conference], Route]",
     max_taps_moved: "int | None",
     drift_limit: "int | None",
     fallback: str,
 ) -> ChurnResult:
-    """Enforce churn limits, demoting to the fallback when violated."""
+    """One incremental membership change, kernel first.
+
+    ``router`` returns the natural route of a conference under
+    ``faults`` (raising :class:`~repro.core.routing.UnroutableError`);
+    it is also the full-reroute result, so no path routes twice.  The
+    pinned walk runs only when some pin lies deeper than its member's
+    natural tap — the only way a pin can bind.
+    """
+    if members[-1] >= net.n_ports:
+        raise ValueError(
+            f"conference member {members[-1]} out of range for "
+            f"{net.n_ports}-port network"
+        )
+    conference = Conference.of(members, conference_id=route.conference.conference_id)
+    natural = router(conference)
+    if policy.prune:
+        # The greedy-pruning ablation has no incremental form: pruned
+        # regions are not pin-stable, so churn on them is a reroute.
+        return _diff(route, natural, mode="full-reroute", fallback_reason="prune-policy")
+    if any(pins.get(port, -1) > tap for port, tap in natural.taps.items()):
+        dead = frozenset(faults) if faults else frozenset()
+        after, drift = _pinned_route(net, conference, pins, policy, dead)
+    else:
+        _check_taps(net, natural)
+        after, drift = natural, 0
+    result = _diff(route, after, mode="incremental", drift_links=drift)
     trigger = None
     if max_taps_moved is not None and len(result.taps_moved) > max_taps_moved:
         trigger = f"taps-moved:{len(result.taps_moved)}>{max_taps_moved}"
@@ -306,21 +353,7 @@ def _checked(
         raise ChurnLimitExceeded(trigger)
     if fallback != "reroute":
         raise ValueError(f"unknown churn fallback {fallback!r}")
-    return _full_reroute(net, route, members, policy, faults, reason=trigger)
-
-
-def _full_reroute(
-    net: MultistageNetwork,
-    route: Route,
-    new_members: "tuple[int, ...] | list[int]",
-    policy: "RoutingPolicy | None",
-    faults: "frozenset | None",
-    reason: "str | None" = None,
-) -> ChurnResult:
-    """Reroute the whole conference from scratch and diff against the old."""
-    new_conf = Conference.of(new_members, conference_id=route.conference.conference_id)
-    after = route_conference(net, new_conf, policy, faults)
-    return _diff(route, after, mode="full-reroute", fallback_reason=reason)
+    return _diff(route, natural, mode="full-reroute", fallback_reason=trigger)
 
 
 def apply_churn(
@@ -338,7 +371,8 @@ def apply_churn(
     ``mode="full-reroute"`` (the whole tree is reinstalled — prefer
     :func:`extend_route`/:func:`prune_route` for delta-only changes).
     """
-    return _full_reroute(net, route, new_members, policy, faults)
+    new_conf = Conference.of(new_members, conference_id=route.conference.conference_id)
+    return _diff(route, route_conference(net, new_conf, policy, faults), mode="full-reroute")
 
 
 def extend_route(
@@ -370,21 +404,9 @@ def extend_route(
         if p in conference.member_set:
             raise ValueError(f"port {p} is already a member")
     members = tuple(sorted(conference.members + ports))
-    if members[-1] >= net.n_ports:
-        raise ValueError(
-            f"conference member {members[-1]} out of range for "
-            f"{net.n_ports}-port network"
-        )
-    if policy.prune:
-        # The greedy-pruning ablation has no incremental form: pruned
-        # regions are not pin-stable, so churn on them is a reroute.
-        return _full_reroute(net, route, members, policy, faults, reason="prune-policy")
-    dead = frozenset(faults) if faults else frozenset()
-    new_conf = Conference.of(members, conference_id=conference.conference_id)
-    after, drift = _pinned_route(net, new_conf, dict(route.taps), policy, dead)
-    result = _diff(route, after, mode="incremental", drift_links=drift)
-    return _checked(
-        net, route, members, policy, faults, result,
+    return _churn_step(
+        net, route, members, dict(route.taps), policy, faults,
+        lambda conf: route_conference(net, conf, policy, faults),
         max_taps_moved, drift_limit, fallback,
     )
 
@@ -419,15 +441,10 @@ def prune_route(
     remaining = tuple(m for m in conference.members if m not in set(ports))
     if not remaining:
         raise ValueError("cannot remove the last member; tear the conference down instead")
-    if policy.prune:
-        return _full_reroute(net, route, remaining, policy, faults, reason="prune-policy")
-    dead = frozenset(faults) if faults else frozenset()
-    new_conf = Conference.of(remaining, conference_id=conference.conference_id)
     # No pins: survivors re-tap naturally, so drift never survives a leave.
-    after, drift = _pinned_route(net, new_conf, {}, policy, dead)
-    result = _diff(route, after, mode="incremental", drift_links=drift)
-    return _checked(
-        net, route, remaining, policy, faults, result,
+    return _churn_step(
+        net, route, remaining, {}, policy, faults,
+        lambda conf: route_conference(net, conf, policy, faults),
         max_taps_moved, drift_limit, fallback,
     )
 

@@ -366,9 +366,11 @@ def route_conference(
     columnar sweep, byte-identical to the sequential walk — the golden
     corpus and differential suite hold the two equal per repr byte).
     :func:`route_conference_sequential` is the original per-object
-    implementation, kept as the differential-test oracle and as the
-    fallback for the cases the kernel does not cover (pruning, > 63
-    members).
+    implementation.  The scalar walk has four remaining callers: the
+    differential-test oracle (and F2's baseline), the kernel's fallback
+    for ``prune=True`` and for conferences of more than 63 members, and
+    churn's pinned walk, which runs only when a continuing member's old
+    tap lies deeper than its kernel tap (see :mod:`repro.core.churn`).
     """
     from repro.core.batch import route_batch  # circular at module load
 
@@ -386,9 +388,11 @@ def route_conference_sequential(
     Same contract, same results, same error args — one conference at a
     time through per-member Python dict sweeps.  The columnar kernel in
     :mod:`repro.core.batch` is the production path; this walk is the
-    oracle the differential tests compare it against, and the engine
-    for the kernel's fallback cases (``prune=True``, conferences past
-    the 63-member bitmask bound).
+    oracle the differential tests (and F2's baseline) compare it
+    against, and the engine for the kernel's fallback cases
+    (``prune=True``, conferences past the 63-member bitmask bound).
+    Its helpers also drive churn's pinned walk, the one serving-path
+    use left, reached only when a pin can bind.
     """
     policy = policy or RoutingPolicy()
     dead = frozenset(faults) if faults else frozenset()

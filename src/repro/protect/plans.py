@@ -57,6 +57,15 @@ _NO_FAULTS: frozenset[Point] = frozenset()
 #: ``router(conference, faults)`` -> Route, raising UnroutableError.
 PlanRouter = Callable[[Conference, frozenset], Route]
 
+#: ``router(conferences, points, base)`` -> for each pair, the route of
+#: the conference under ``base | {point}`` or its UnroutableError.
+PlanBatchRouter = Callable[
+    [list[Conference], list[Point], frozenset], "list[Route | UnroutableError]"
+]
+
+#: ``ranked(route, k)`` -> up to ``k`` of the route's links, most-loaded first.
+LinkRanking = Callable[[Route, int], list[Point]]
+
 
 @dataclass
 class PlanStats:
@@ -175,7 +184,9 @@ class BackupPlanStore:
     The store never routes by itself: :meth:`protect` calls the
     ``router`` the owning controller hands it, which is the same pure
     function the reactive path uses — that sameness is what makes fast
-    failover bit-identical.
+    failover bit-identical.  The self-healing controller hands the same
+    planning body a batch router built on the kernel's fault overlay,
+    so one call plans every backup of a re-protect.
     """
 
     def __init__(
@@ -260,28 +271,64 @@ class BackupPlanStore:
         broken by point order, for determinism); without it the ranking
         degenerates to point order.  Returns the number of plans stored.
         """
-        cid = conference.conference_id
-        self._plans.pop(cid, None)
+        def ranked(route: Route, k: int) -> list[Point]:
+            links = sorted(route.links)
+            if load_of is not None:
+                links.sort(key=lambda p: (-load_of(p), p))
+            return links[:k]
+
+        def route_each(conferences, points, base):
+            outcomes: "list[Route | UnroutableError]" = []
+            for conf, point in zip(conferences, points):
+                try:
+                    outcomes.append(router(conf, base | {point}))
+                except UnroutableError as exc:
+                    outcomes.append(exc)
+            return outcomes
+
+        return self._protect_many([(conference, route)], faults, ranked, route_each)
+
+    def _protect_many(
+        self,
+        pairs: "list[tuple[Conference, Route]]",
+        faults: frozenset,
+        ranked: LinkRanking,
+        router: PlanBatchRouter,
+    ) -> int:
+        """(Re)plan several conferences with one ``router`` call.
+
+        The planning body behind :meth:`protect`: each conference's
+        previous plans are dropped, ``ranked`` picks its F protected
+        links, and every ``(conference, point)`` pair is routed in one
+        batch.  Plans are stored in pair order, then link rank, exactly
+        as one :meth:`protect` call per pair would store them.  Returns
+        the number of plans stored.
+        """
+        for conference, _ in pairs:
+            self._plans.pop(conference.conference_id, None)
         if self._protection == 0:
             return 0
         base = frozenset(faults) if faults else _NO_FAULTS
-        links = sorted(route.links)
-        if load_of is not None:
-            links.sort(key=lambda p: (-load_of(p), p))
-        plans: dict[Point, BackupPlan] = {}
-        for point in links[: self._protection]:
-            try:
-                entry = _pack_route(router(conference, base | {point}))
-            except UnroutableError as exc:
-                entry = _pack_route(exc)
+        conferences: list[Conference] = []
+        points: list[Point] = []
+        for conference, route in pairs:
+            for point in ranked(route, self._protection):
+                conferences.append(conference)
+                points.append(point)
+        if not points:
+            return 0
+        outcomes = router(conferences, points, base)
+        for conference, point, outcome in zip(conferences, points, outcomes):
+            if isinstance(outcome, UnroutableError):
                 self.stats.unroutable += 1
-            plans[point] = BackupPlan(
-                members=conference.members, point=point, base_faults=base, entry=entry
+            self._plans.setdefault(conference.conference_id, {})[point] = BackupPlan(
+                members=conference.members,
+                point=point,
+                base_faults=base,
+                entry=_pack_route(outcome),
             )
             self.stats.computed += 1
-        if plans:
-            self._plans[cid] = plans
-        return len(plans)
+        return len(points)
 
     def lookup(
         self, conference: Conference, point: Point, faults: frozenset

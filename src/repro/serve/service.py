@@ -73,6 +73,12 @@ __all__ = ["ServiceStats", "FabricService"]
 #: their ``1.0``-style spelling.
 TICK = 1.0
 
+#: Session states that hold a live fabric route.
+_ROUTED = (SessionState.ACTIVE, SessionState.DEGRADED)
+
+#: The request kinds that change a live session's membership.
+_RESIZES = (RequestKind.JOIN, RequestKind.LEAVE)
+
 #: Admission-latency buckets in virtual-time units (ticks by default).
 SERVE_LATENCY_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 #: Batch-size buckets for the per-tick admission pass.
@@ -541,12 +547,16 @@ class FabricService:
         return report
 
     def _prime_batch(self, batch: "list[SessionRequest]") -> None:
-        """Route this tick's OPEN backlog in one columnar kernel pass.
+        """Route this tick's OPEN backlog and first resizes in one columnar
+        kernel pass.
 
         The per-request admission walk in ``_handle`` then consumes the
         precomputed routes instead of routing one conference at a time;
         decisions are unchanged (the kernel is byte-identical to the
-        sequential path) — only the routing work is batched.
+        sequential path) — only the routing work is batched.  A session's
+        first join/leave of the batch is primed with the member set
+        ``_handle_resize`` will ask for; a later one starts from a route
+        the first may change, so it routes on its own.
         """
         conferences = []
         for request in self._batcher.open_requests(batch):
@@ -556,6 +566,19 @@ class FabricService:
             conferences.append(
                 Conference.of(session.members, conference_id=session.conference_id)
             )
+        resized: set[int] = set()
+        for request in batch:
+            if request.kind not in _RESIZES or request.session_id in resized:
+                continue
+            resized.add(request.session_id)
+            session = self._sessions.get(request.session_id)
+            if session is None or session.state not in _ROUTED:
+                continue
+            wanted = self._wanted_members(request, session)
+            if isinstance(wanted, set):
+                conferences.append(
+                    Conference.of(wanted, conference_id=session.conference_id)
+                )
         if conferences:
             self._healing.prime_batch(conferences, include_healthy=True)
 
@@ -642,20 +665,12 @@ class FabricService:
         session = self._sessions.get(request.session_id)
         if session is None:
             return self._refuse(request, "error", "unknown-session", batch_seq)
-        if session.state not in (SessionState.ACTIVE, SessionState.DEGRADED):
+        if session.state not in _ROUTED:
             return self._refuse(request, "rejected", f"session-{session.state.value}", batch_seq)
-        current = set(session.members)
+        wanted = self._wanted_members(request, session)
+        if not isinstance(wanted, set):
+            return self._refuse(request, *wanted, batch_seq)
         ports = set(request.members)
-        if request.kind == RequestKind.JOIN:
-            if current & ports:
-                return self._refuse(request, "error", "already-a-member", batch_seq)
-            wanted = current | ports
-        else:
-            if ports - current:
-                return self._refuse(request, "error", "not-a-member", batch_seq)
-            wanted = current - ports
-            if len(wanted) < 2:
-                return self._refuse(request, "rejected", "too-few-members", batch_seq)
         try:
             churn = self._healing.resize(session.conference_id, sorted(wanted), now=self.now)
         except (AdmissionDenied, UnroutableError, ChurnLimitExceeded) as exc:
@@ -684,6 +699,23 @@ class FabricService:
             },
         )
 
+    @staticmethod
+    def _wanted_members(request: SessionRequest, session) -> "set[int] | tuple[str, str]":
+        """The member set a join/leave asks for, or its ``(status, reason)``
+        refusal when the ports do not fit the session's membership."""
+        current = set(session.members)
+        ports = set(request.members)
+        if request.kind == RequestKind.JOIN:
+            if current & ports:
+                return "error", "already-a-member"
+            return current | ports
+        if ports - current:
+            return "error", "not-a-member"
+        wanted = current - ports
+        if len(wanted) < 2:
+            return "rejected", "too-few-members"
+        return wanted
+
     def _refuse(self, request, status: str, reason: str, batch_seq: int) -> ServiceResponse:
         """A join/leave/close turned away with the fabric untouched."""
         return self._complete(
@@ -696,7 +728,7 @@ class FabricService:
             return self._refuse(request, "error", "unknown-session", batch_seq)
         if session.state in (SessionState.CLOSED, SessionState.REJECTED, SessionState.LOST):
             return self._refuse(request, "error", "already-closed", batch_seq)
-        if session.state in (SessionState.ACTIVE, SessionState.DEGRADED):
+        if session.state in _ROUTED:
             self._healing.leave(session.conference_id, now=self.now)
         # QUEUED and DOWN hold no fabric resources; the pending open (or
         # in-flight restore) sees CLOSED when it surfaces and cancels.
@@ -868,7 +900,7 @@ class FabricService:
         if self._state != "closed":
             self.drain()
             for session in self._sessions.live():
-                if session.state in (SessionState.ACTIVE, SessionState.DEGRADED):
+                if session.state in _ROUTED:
                     self._healing.leave(session.conference_id, now=self.now)
                 session.transition(SessionState.CLOSED, self.now)
             self._healing.finalize(self.now)

@@ -13,6 +13,7 @@ from repro.core.admission import AdmissionController, AdmissionDenied
 from repro.core.churn import join_member
 from repro.core.conference import Conference
 from repro.core.network import ConferenceNetwork
+from repro.util.rng import ensure_rng
 
 pytestmark = pytest.mark.tier1
 
@@ -117,3 +118,24 @@ class TestPinnedCapacityDenial:
         assert churn.mode == "incremental"
         assert len(full_links(ctl, churn.links_added)) > 1
         assert_denied(ctl, lambda: ctl.apply_churn(churn), "link (2, 39) at load 3/3")
+
+
+class TestBusiestLinks:
+    """Backup planning ranks a route's links off the ledger array; the
+    order must be the per-link ``(-link_load, point)`` ranking."""
+
+    @pytest.mark.parametrize("topology", ("omega", "extra-stage-cube", "benes-cube"))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gather_ranks_as_the_per_link_lambda(self, topology, seed):
+        rng = ensure_rng(seed)
+        network = ConferenceNetwork.build(topology, 32)
+        ctl = AdmissionController(network)
+        # A random ledger with many ties (loads 0-3), level 0 left empty.
+        ctl._load[32:] = rng.integers(0, 4, size=len(ctl._load) - 32)
+        for cid in range(12):
+            k = int(rng.integers(2, 9))
+            members = [int(m) for m in rng.choice(32, size=k, replace=False)]
+            route = network.route(Conference.of(members, cid))
+            want = sorted(route.links, key=lambda p: (-ctl.link_load(p), p))
+            for k in (1, 2, 3, len(want), len(want) + 1):
+                assert ctl._busiest_links(route, k) == want[:k]
