@@ -1,8 +1,9 @@
 """Experiment F2 — routing setup time vs network size, per strategy.
 
 The abstract's "simpler self-routing algorithm" claim, measured two
-ways: the sequential per-object walk (``route_conference_sequential``,
-one conference at a time through per-member dict sweeps) and the
+ways: the sequential per-object walk (``route_conference_sequential``
+of ``repro.core.reference``, one conference at a time through
+per-member dict sweeps) and the
 bit-sliced kernel behind ``route_batch``, over the same seeded
 conference batches.  Every timed cell first asserts byte-identity of
 the two strategies' outputs (``repr`` for ``repr``) — the speedup is
@@ -28,7 +29,7 @@ from _common import emit
 
 from repro.core.batch import BatchRouteOutcome, route_batch
 from repro.core.conference import Conference
-from repro.core.routing import route_conference_sequential
+from repro.core.reference import route_conference_sequential
 from repro.topology.builders import PAPER_TOPOLOGIES, build
 from repro.util.rng import ensure_rng
 

@@ -1,21 +1,27 @@
 """Bit-sliced batch routing — the kernel behind ``route_batch``.
 
-:func:`~repro.core.routing.route_conference_sequential` walks per-member
-Python dicts one conference at a time.  This module evaluates a whole
-*batch* of conferences stage by stage with wide integer operations, the
-idiom of stage-wide MIN evaluation.  Each stage of the network is one
-fixed row permutation per switch side, so it is applied to whole packed
-words at once:
+This is the one routing engine of the library: every path that routes a
+conference (``route_conference``, admission, healing, churn, backup
+plans, analysis) ends in :func:`_kernel`.  It evaluates a whole *batch*
+of conferences stage by stage with wide integer operations, the idiom of
+stage-wide MIN evaluation.  Each stage of the network is one fixed row
+permutation per switch side, so it is applied to whole packed words at
+once:
 
 * **Forward planes.**  Level ``t`` is a row-major ``(n_rows, W)`` uint64
-  plane.  Conference ``c`` owns the bit slot ``[shift, shift + m)`` of
-  one word (``m`` members, member ``i`` is bit ``shift + i``); slots are
-  packed first-fit in batch order and never straddle two words, so a
+  plane.  Conference ``c`` of ``m`` members starts at bit ``shift`` of
+  word ``word``; member ``i`` is bit ``(shift + i) & 63`` of word
+  ``word + ((shift + i) >> 6)``.  Slots are packed first-fit in batch
+  order: a slot of at most 64 members never straddles two words, so a
   word carries several small conferences and ``W`` is about the batch's
-  member count over 64.  A stage gathers the rows of every switch side
-  in one ``take`` and ORs them; a dead point zeroes its whole row, for
-  every conference at once.  Conference ``c``'s mask at ``(t, r)`` is
-  ``(plane[r, word] >> shift) & full``.
+  member count over 64; a wider conference starts a fresh word and
+  spans ``ceil(m / 64)`` of them.  A stage gathers the rows of every
+  switch side in one ``take`` and ORs them; a dead point zeroes its
+  whole row, for every conference at once.
+* **Taps.**  A member's slot is full at ``(t, r)`` when every word piece
+  of its conference's slot is set there.  The policy picks the earliest
+  or the final full level; a *pinned* member (incremental churn) taps at
+  its pin instead whenever its slot is full there.
 * **Backward planes.**  Level ``t`` is a ``(n_rows, ceil(B / 64))``
   uint64 plane with one bit per conference: bit ``c`` is set where some
   tap of conference ``c`` is reachable through surviving points.
@@ -25,17 +31,18 @@ words at once:
   first occurrence of each point, which is the sequential walk's
   first-touch order.
 
-The contract is **byte-identity** with the sequential walk, not mere
-equality: the produced :class:`~repro.core.routing.Route` objects build
-their ``levels`` and ``taps`` dicts in the *same insertion order* the
-sequential algorithm uses, so ``repr``, JSON serialization, frozenset
-iteration of ``Route.links`` — and therefore every downstream
-order-sensitive decision (admission capacity messages, the worst-case
-search's ``max(loads.items())`` target pick) — are indistinguishable
-from the per-object path.  The differential grid in
-``tests/core/test_batch_differential.py`` holds the kernel against
-:func:`~repro.core.routing.route_conference_sequential` across every
-registered topology, both tap policies, fault sets and batch shapes.
+The contract is **byte-identity** with the sequential walk of
+:mod:`repro.core.reference`, not mere equality: the produced
+:class:`~repro.core.routing.Route` objects build their ``levels`` and
+``taps`` dicts in the *same insertion order* the sequential algorithm
+uses, so ``repr``, JSON serialization, frozenset iteration of
+``Route.links`` — and therefore every downstream order-sensitive
+decision (admission capacity messages, the worst-case search's
+``max(loads.items())`` target pick) — are indistinguishable from the
+per-object path.  The differential grid in
+``tests/core/test_batch_differential.py`` holds the kernel against that
+walk across every registered topology, both tap policies, fault sets,
+conference sizes and batch shapes.
 
 **Fault overlay.**  Besides the shared fault set, the kernel takes an
 optional per-conference list of extra dead points.  Once a forward
@@ -45,18 +52,17 @@ only ``c``'s bit of the gathered plane at ``(t, r)`` before the OR.
 Conference ``c`` is then routed exactly as under ``faults | overlay[c]``
 (``tests/core/test_batch_overlay.py``), so backup planning routes every
 ``(conference, protected link)`` pair of a re-protect in one call.  A
-batch with no overlay does no extra array work.
+batch with no overlay, pins or wide conference does no extra array
+work for them.
+
+**Pruning.**  ``policy.prune=True`` (the greedy ablation) is a post-pass
+over each kernel route: :func:`~repro.core.routing._prune`, then the
+carried-mask canonicalisation, then the tap invariant.
 
 A batch is routed in chunks of at most ``_MAX_CELLS // n_rows``
-conferences.  Every slot lies inside one word, so ``W`` never exceeds
-the chunk's conference count, no level of a chunk's planes exceeds
-``_MAX_CELLS`` cells, and memory stays flat however large the batch.
-
-Two inputs fall back to the sequential path per conference, with
-identical outcomes: conferences of more than :data:`MAX_KERNEL_MEMBERS`
-members (their slot would not fit one word) and any batch routed under
-``policy.prune=True`` (the greedy ablation is inherently sequential);
-a fallback conference's overlay is merged into its dead set.
+conferences and as many words (a slot takes ``ceil(m / 64)`` words at
+most), so no level of a chunk's planes exceeds ``_MAX_CELLS`` cells and
+memory stays flat however large the batch.
 """
 
 from __future__ import annotations
@@ -74,15 +80,16 @@ from repro.core.routing import (
     RoutingPolicy,
     TapPolicy,
     UnroutableError,
+    _carried_masks,
+    _check_taps,
     _pack_route,
-    route_conference_sequential,
+    _prune,
 )
 from repro.obs.metrics import timed
 from repro.topology.network import MultistageNetwork, Point
 from repro.util.bits import pack_rows
 
 __all__ = [
-    "MAX_KERNEL_MEMBERS",
     "BatchRouteOutcome",
     "route_batch",
     "stage_occupancy",
@@ -90,13 +97,13 @@ __all__ = [
     "analyze_conflicts_columnar",
 ]
 
-#: Largest conference whose member slot fits one 64-bit word with its
-#: full mask ``2**m - 1`` still a non-negative int64 route mask.
-MAX_KERNEL_MEMBERS = 63
-
-#: Soft bound on ``n_conferences * n_rows`` cells per level; larger
-#: batches are routed in chunks so memory stays flat.
+#: Soft bound on ``n_words * n_rows`` cells per level; larger batches
+#: are routed in chunks so memory stays flat.
 _MAX_CELLS = 1 << 18
+
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+#: ``_BIT[i]`` is the uint64 with only bit ``i`` set.
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 @dataclass(frozen=True)
 class BatchRouteOutcome:
@@ -154,22 +161,24 @@ def _route_batch(
     policy: RoutingPolicy,
     dead: frozenset,
     overlay: "Sequence[Collection[Point]] | None" = None,
+    pins: "Sequence[dict[int, int]] | None" = None,
 ) -> list[BatchRouteOutcome]:
-    """:func:`route_batch` with an optional per-conference fault overlay.
+    """:func:`route_batch` with optional per-conference overlays and pins.
 
     ``overlay[i]`` holds extra dead points for ``confs[i]`` alone, on top
     of the shared ``dead`` set: conference ``i``'s outcome is exactly
     ``route_batch(net, [confs[i]], policy, dead | overlay[i])``.  That is
     how a backup plan for every ``(conference, protected point)`` pair
     of a re-protect is routed in one call.
+
+    ``pins[i]`` maps members of ``confs[i]`` to tap levels to keep: a
+    pinned member taps at its pin when its slot is full there, and at
+    its policy tap otherwise (incremental churn, :mod:`repro.core.churn`).
     """
-    if policy.prune:
-        return [
-            _route_one(net, conf, policy, _with_overlay(dead, overlay, i))
-            for i, conf in enumerate(confs)
-        ]
     outcomes: "list[BatchRouteOutcome | None]" = [None] * len(confs)
-    kernel_idx: list[int] = []
+    limit = max(1, _MAX_CELLS // net.n_ports)
+    chunks: list[list[int]] = []
+    words = limit
     for i, conf in enumerate(confs):
         if conf.members[-1] >= net.n_ports:
             outcomes[i] = BatchRouteOutcome(
@@ -179,26 +188,32 @@ def _route_batch(
                     f"{net.n_ports}-port network"
                 ),
             )
-        elif len(conf.members) > MAX_KERNEL_MEMBERS:
-            outcomes[i] = _route_one(net, conf, policy, _with_overlay(dead, overlay, i))
-        else:
-            kernel_idx.append(i)
-    chunk = max(1, _MAX_CELLS // net.n_ports)
-    for start in range(0, len(kernel_idx), chunk):
-        part = kernel_idx[start : start + chunk]
-        part_overlay = None if overlay is None else [overlay[i] for i in part]
+            continue
+        need = (len(conf.members) + 63) >> 6
+        if words + need > limit:
+            chunks.append([])
+            words = 0
+        chunks[-1].append(i)
+        words += need
+    for part in chunks:
+        part_confs, part_overlay, part_pins = (
+            None if seq is None else [seq[i] for i in part] for seq in (confs, overlay, pins)
+        )
         for i, outcome in zip(
-            part, _kernel(net, [confs[i] for i in part], policy, dead, part_overlay)
+            part, _kernel(net, part_confs, policy, dead, part_overlay, part_pins)
         ):
-            outcomes[i] = outcome
+            outcomes[i] = _pruned(net, outcome) if policy.prune and outcome.ok else outcome
     return outcomes  # type: ignore[return-value]
 
 
-def _with_overlay(
-    dead: frozenset, overlay: "Sequence[Collection[Point]] | None", i: int
-) -> frozenset:
-    """Conference ``i``'s whole dead set, for the sequential fallback."""
-    return dead if overlay is None or not overlay[i] else dead | frozenset(overlay[i])
+def _pruned(net: MultistageNetwork, outcome: BatchRouteOutcome) -> BatchRouteOutcome:
+    """The greedy-pruning ablation as a post-pass over a kernel route."""
+    route = outcome.route
+    conf = route.conference
+    levels = _carried_masks(net, conf, _prune(net, conf, list(route.levels), route.taps))
+    pruned = Route(conf, route.n_ports, route.n_stages, tuple(levels), route.taps)
+    _check_taps(net, pruned)
+    return BatchRouteOutcome(conf, route=pruned)
 
 
 def _prime_routes(
@@ -231,52 +246,29 @@ def _prime_routes(
     return stored
 
 
-def _route_one(
-    net: MultistageNetwork, conf: Conference, policy: RoutingPolicy, dead: frozenset
-) -> BatchRouteOutcome:
-    """The sequential walk wrapped in a per-conference outcome.
-
-    Calls :func:`route_conference_sequential` directly — the public
-    :func:`~repro.core.routing.route_conference` delegates *here* as a
-    batch of one, so routing through it again would recurse.
-    """
-    try:
-        return BatchRouteOutcome(
-            conf,
-            route=route_conference_sequential(net, conf, policy, faults=dead or None),
-        )
-    except ValueError as exc:  # UnroutableError is a ValueError subclass
-        return BatchRouteOutcome(conf, error=exc)
-
-
-def _dead_rows_by_level(dead: frozenset, n_stages: int, n_rows: int) -> "list[np.ndarray | None]":
-    out: "list[np.ndarray | None]" = [None] * (n_stages + 1)
-    if dead:
-        by_level: dict[int, list[int]] = {}
-        for level, row in dead:
-            if 0 <= level <= n_stages and 0 <= row < n_rows:
-                by_level.setdefault(level, []).append(row)
-        for level, rows in by_level.items():
-            out[level] = np.asarray(rows, dtype=np.int64)
-    return out
-
-
 def _slots(sizes: "list[int]") -> "tuple[list[int], list[int]]":
-    """Pack each conference's member bits into one 64-bit word.
+    """Lay each conference's member bits out in 64-bit words.
 
-    Conference ``c`` owns bits ``[shift, shift + m)`` of word ``word``;
-    slots are laid out first-fit in batch order and never straddle two
-    words (``m <= MAX_KERNEL_MEMBERS < 64``).
+    Conference ``c`` of ``m`` members starts at bit ``shifts[c]`` of
+    word ``words[c]``, first-fit in batch order.  A slot of at most 64
+    members never straddles two words; a wider one starts a fresh word
+    and spans ``ceil(m / 64)`` words.
     """
     words, shifts = [], []
     word = shift = 0
     for m in sizes:
-        if shift + m > 64:
+        if shift and shift + m > 64:
             word, shift = word + 1, 0
         words.append(word)
         shifts.append(shift)
-        shift += m
+        word, shift = word + ((shift + m) >> 6), (shift + m) & 63
     return words, shifts
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``range(s, s + n)`` for each ``(s, n)`` pair."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts + counts - ends, counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _gather_or(plane: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -291,12 +283,12 @@ def _gather_or(plane: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndar
     return out
 
 
-def _overlay_by_level(
-    overlay: "Sequence[Collection[Point]]", n_stages: int, n_rows: int
+def _points_by_level(
+    groups: "Sequence[Collection[Point]]", n_stages: int, n_rows: int
 ) -> "dict[int, tuple[np.ndarray, np.ndarray]]":
-    """Group on-grid overlay points by level: ``t -> (conferences, rows)``."""
+    """Group on-grid points by level: ``t -> (group indexes, rows)``."""
     by_level: dict[int, tuple[list[int], list[int]]] = {}
-    for c, points in enumerate(overlay):
+    for c, points in enumerate(groups):
         for level, row in points:
             if 0 <= level <= n_stages and 0 <= row < n_rows:
                 confs, rows = by_level.setdefault(level, ([], []))
@@ -314,42 +306,64 @@ def _kernel(
     policy: RoutingPolicy,
     dead: frozenset,
     overlay: "Sequence[Collection[Point]] | None" = None,
+    pins: "Sequence[dict[int, int]] | None" = None,
 ) -> list[BatchRouteOutcome]:
     """The bit-sliced forward/tap/backward sweep over one chunk.
 
     ``overlay[c]`` (optional) lists extra dead points of conference
     ``c`` alone: they clear only ``c``'s slot of the forward planes and
-    ``c``'s bit of the backward planes.
+    ``c``'s bit of the backward planes.  ``pins[c]`` (optional) maps
+    members of conference ``c`` to tap levels kept where the slot is
+    full.
     """
     n_rows, n_stages, radix = net.n_ports, net.n_stages, net.radix
     n_levels = n_stages + 1
     n_conf = len(confs)
     succ, pred = net.successor_table, net.predecessor_table
-    dead_rows = _dead_rows_by_level(dead, n_stages, n_rows)
-    overlay_at = _overlay_by_level(overlay, n_stages, n_rows) if overlay else {}
+    dead_at = _points_by_level([dead], n_stages, n_rows)
+    overlay_at = _points_by_level(overlay, n_stages, n_rows) if overlay else {}
 
     member_lists = [c.members for c in confs]
     size_list = [len(m) for m in member_lists]
     word_list, shift_list = _slots(size_list)
-    n_words = word_list[-1] + 1
+    n_words = word_list[-1] + ((shift_list[-1] + size_list[-1] + 63) >> 6)
     n_cwords = (n_conf + 63) >> 6
     sizes = np.array(size_list, dtype=np.int64)
-    total = int(sizes.sum())
+    total = sum(size_list)
     members = np.fromiter(chain.from_iterable(member_lists), dtype=np.int64, count=total)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = np.zeros(n_conf + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
     conf_of = np.repeat(np.arange(n_conf, dtype=np.int64), sizes)
-    # Per conference: its member word, slot shift and full-slot mask
-    # (through uint64 so a 63-member slot's mask 2**63 - 1 is exact),
-    # then its word and bit in the backward conference-bit planes.
     word_c = np.array(word_list, dtype=np.int64)
-    shift_c = np.array(shift_list, dtype=np.uint64)
-    full_c = np.left_shift(np.uint64(1), sizes.astype(np.uint64)) - np.uint64(1)
-    cword_c = np.arange(n_conf, dtype=np.int64) >> 6
-    cbit_c = np.left_shift(np.uint64(1), (np.arange(n_conf) & 63).astype(np.uint64))
-    shift_m, full_m = shift_c[conf_of], full_c[conf_of]
-    # Member i of a conference is bit ``shift + i`` of its word.
-    idx_in_conf = (np.arange(total, dtype=np.int64) - offsets[conf_of]).astype(np.uint64)
-    bits = np.left_shift(np.uint64(1), shift_m + idx_in_conf)
+    shift_c = np.array(shift_list, dtype=np.int64)
+    # Member i of a conference is bit (shift + i) & 63 of word
+    # word + ((shift + i) >> 6); small slots stay inside their word.
+    pos = shift_c[conf_of] + np.arange(total, dtype=np.int64) - offsets[conf_of]
+    word_m = word_c[conf_of] + (pos >> 6)
+    bits = _BIT[pos & 63]
+    # A slot's pieces: one per word it touches, each with its word, its
+    # lowest bit and its in-word bits.  A small slot is one piece,
+    # indexed by its conference; a wide slot starts at bit 0.
+    wide = max(size_list) > 64
+    if wide:
+        n_pieces_c = (shift_c + sizes + 63) >> 6
+        piece_start = np.cumsum(n_pieces_c) - n_pieces_c
+        piece_conf = np.repeat(np.arange(n_conf, dtype=np.int64), n_pieces_c)
+        piece_k = np.arange(len(piece_conf), dtype=np.int64) - piece_start[piece_conf]
+        piece_word = word_c[piece_conf] + piece_k
+        piece_lo = np.where(piece_k == 0, shift_c[piece_conf], 0)
+        width = np.minimum(shift_c[piece_conf] + sizes[piece_conf] - 64 * piece_k, 64) - piece_lo
+    else:
+        piece_word, piece_lo, width = word_c, shift_c, sizes
+    piece_lo = piece_lo.astype(np.uint64)
+    piece_slot = np.left_shift(_ALL_ONES >> (64 - width).astype(np.uint64), piece_lo)
+
+    def pieces_of(conf_idx: np.ndarray, rows: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Every ``(piece, row)`` pair of some conferences' ``(conf, row)`` cells."""
+        if not wide:
+            return conf_idx, rows
+        counts = n_pieces_c[conf_idx]
+        return _ranges(piece_start[conf_idx], counts), np.repeat(rows, counts)
 
     # Forward pass: masks[t, r, w] packs, slot by slot, the members of
     # each conference in word w whose signal can be present at point
@@ -359,53 +373,67 @@ def _kernel(
     # (``at``, since two conferences of one word may share a dead cell).
     # Seeding ORs because overlapping conferences may share a cell.
     masks = np.zeros((n_levels, n_rows, n_words), dtype=np.uint64)
-    np.bitwise_or.at(masks[0], (members, word_c[conf_of]), bits)
+    np.bitwise_or.at(masks[0], (members, word_m), bits)
+    overlay_pieces = {t: pieces_of(*cells) for t, cells in overlay_at.items()}
     for t in range(n_levels):
         if t:
             _gather_or(masks[t - 1], pred[t - 1], masks[t])
-        if dead_rows[t] is not None:
-            masks[t, dead_rows[t]] = 0
-        if t in overlay_at:
-            ov_confs, ov_rows = overlay_at[t]
+        if t in dead_at:
+            masks[t, dead_at[t][1]] = 0
+        if t in overlay_pieces:
+            ov_pieces, ov_rows = overlay_pieces[t]
             np.bitwise_and.at(
-                masks[t],
-                (ov_rows, word_c[ov_confs]),
-                ~np.left_shift(full_c[ov_confs], shift_c[ov_confs]),
+                masks[t], (ov_rows, piece_word[ov_pieces]), ~piece_slot[ov_pieces]
             )
     flat_masks = masks.reshape(n_levels, -1)
 
-    # Tap selection: vals[t, i] is the slot of member i's conference on
-    # member i's own row at level t; ok where it is the full combination.
-    vals = (flat_masks[:, members * n_words + word_c[conf_of]] >> shift_m) & full_m
-    ok = vals == full_m
+    # Tap selection: ok[t, i] where every piece of member i's slot is
+    # full on member i's own row at level t.
+    tap_pieces, tap_rows = pieces_of(conf_of, members)
+    slot = piece_slot[tap_pieces]
+    ok = (flat_masks[:, tap_rows * n_words + piece_word[tap_pieces]] & slot) == slot
+    if wide:
+        counts = n_pieces_c[conf_of]
+        ok = np.logical_and.reduceat(ok, np.cumsum(counts) - counts, axis=1)
     if policy.tap_policy is TapPolicy.FINAL:
         member_ok = ok[n_stages]
         taps_of_member = np.full(total, n_stages, dtype=np.int64)
     else:
         member_ok = ok.any(axis=0)
         taps_of_member = ok.argmax(axis=0)
+    if pins is not None:
+        pin = np.fromiter(
+            (p.get(m, -1) for p, ms in zip(pins, member_lists) for m in ms),
+            dtype=np.int64,
+            count=total,
+        )
+        held = (pin >= 0) & ok[np.maximum(pin, 0), np.arange(total)]
+        taps_of_member = np.where(held, pin, taps_of_member)
     routable = np.logical_and.reduceat(member_ok, offsets[:-1])
-    # First failing member per conference, in member order (the sequential
-    # loop raises at exactly that member).
-    first_bad = np.minimum.reduceat(
-        np.where(member_ok, total, np.arange(total)), offsets[:-1]
-    )
 
     outcomes: "list[BatchRouteOutcome | None]" = [None] * n_conf
-    for c in np.flatnonzero(~routable):
-        port = confs[c].members[int(first_bad[c]) - int(offsets[c])]
-        if policy.tap_policy is TapPolicy.FINAL:
-            err = UnroutableError(
-                f"conference cannot be combined at final-stage output {port}"
-            )
-        else:
-            err = UnroutableError(
-                f"no surviving level combines the full conference on row {port}"
-            )
-        outcomes[c] = BatchRouteOutcome(confs[c], error=err)
+    if not routable.all():
+        # First failing member per conference, in member order (the
+        # sequential loop raises at exactly that member).
+        first_bad = np.minimum.reduceat(
+            np.where(member_ok, total, np.arange(total)), offsets[:-1]
+        )
+        for c in np.flatnonzero(~routable):
+            port = confs[c].members[int(first_bad[c]) - int(offsets[c])]
+            if policy.tap_policy is TapPolicy.FINAL:
+                err = UnroutableError(
+                    f"conference cannot be combined at final-stage output {port}"
+                )
+            else:
+                err = UnroutableError(
+                    f"no surviving level combines the full conference on row {port}"
+                )
+            outcomes[c] = BatchRouteOutcome(confs[c], error=err)
 
     # Backward pass: marked[t, r, c // 64] holds bit c % 64 when some tap
     # of conference c is reachable from (t, r) through surviving points.
+    cword_c = np.arange(n_conf, dtype=np.int64) >> 6
+    cbit_c = _BIT[np.arange(n_conf) & 63]
     live = member_ok & routable[conf_of]
     live_confs = conf_of[live]
     marked = np.zeros((n_levels, n_rows, n_cwords), dtype=np.uint64)
@@ -416,8 +444,8 @@ def _kernel(
     )
     for t in range(n_stages, 0, -1):
         prev = _gather_or(marked[t], succ[t - 1], np.empty_like(marked[t]))
-        if dead_rows[t - 1] is not None:
-            prev[dead_rows[t - 1]] = 0
+        if t - 1 in dead_at:
+            prev[dead_at[t - 1][1]] = 0
         if t - 1 in overlay_at:
             ov_confs, ov_rows = overlay_at[t - 1]
             np.bitwise_and.at(prev, (ov_rows, cword_c[ov_confs]), ~cbit_c[ov_confs])
@@ -455,22 +483,30 @@ def _kernel(
 
     # Materialize Route objects (plain-int dicts, matching the sequential
     # path field for field).  Every used point's carried mask is read in
-    # one gather, then the points are grouped by conference (stable, so
-    # level and first-touch order survive) and converted with one
-    # ``tolist``: per-conference numpy slicing would cost more than the
-    # sweeps themselves.
+    # one gather (a wide slot's further words in one more gather per
+    # word, assembled into Python ints), then the points are grouped by
+    # conference (stable, so level and first-touch order survive) and
+    # converted with one ``tolist``: per-conference numpy slicing would
+    # cost more than the sweeps themselves.
     counts = [len(c) for c in level_confs]
     point_confs = np.concatenate(level_confs)
     point_rows = np.concatenate(level_rows)
     point_levels = np.repeat(np.arange(n_levels, dtype=np.int64), counts)
-    point_masks = (
-        masks.reshape(-1)[
-            (point_levels * n_rows + point_rows) * n_words + word_c[point_confs]
-        ]
-        >> shift_c[point_confs]
-    ) & full_c[point_confs]
+    point_cells = (point_levels * n_rows + point_rows) * n_words
+    flat_all = masks.reshape(-1)
+    head = piece_start[point_confs] if wide else point_confs
+    point_masks = (flat_all[point_cells + piece_word[head]] & piece_slot[head]) >> piece_lo[head]
     order = np.argsort(point_confs, kind="stable")
-    points = zip(point_rows[order].tolist(), point_masks[order].tolist())
+    mask_list = point_masks[order].tolist()
+    if wide:
+        for k in range(1, int(n_pieces_c.max())):
+            sel = np.flatnonzero(n_pieces_c[point_confs[order]] > k)
+            src = order[sel]
+            piece = head[src] + k
+            high = flat_all[point_cells[src] + piece_word[piece]] & piece_slot[piece]
+            for j, value in zip(sel.tolist(), high.tolist()):
+                mask_list[j] |= value << (64 * k)
+    points = zip(point_rows[order].tolist(), mask_list)
     sizes_of = np.bincount(
         point_confs * n_levels + point_levels, minlength=n_conf * n_levels
     ).tolist()

@@ -49,8 +49,9 @@ equal one changes nothing.  When no continuing member's old tap lies
 deeper than its kernel tap, the kernel route *is* the incremental
 result, with drift 0 — always so for :func:`prune_route` (no pins) and
 under ``TapPolicy.FINAL`` (every tap is final).  Only when a pin may
-bind — a route cut under a fault that has since been repaired — does
-the pinned per-point walk run.
+bind — a route cut under a fault that has since been repaired — is the
+conference routed once more, through the same kernel with its pins as
+input; the drift is that route's link count minus the natural one's.
 """
 
 from __future__ import annotations
@@ -58,16 +59,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from repro.core.batch import _route_batch
 from repro.core.conference import Conference
-from repro.core.routing import (
-    Route,
-    RoutingPolicy,
-    route_conference,
-    _backward_mark,
-    _carried_masks,
-    _forward_masks,
-    _select_taps,
-)
+from repro.core.routing import Route, RoutingPolicy, _check_taps, route_conference
 from repro.topology.network import MultistageNetwork, Point
 
 __all__ = [
@@ -234,76 +228,6 @@ def _diff(
     )
 
 
-def _pinned_route(
-    net: MultistageNetwork,
-    conference: Conference,
-    pins: dict[int, int],
-    policy: RoutingPolicy,
-    dead: frozenset,
-) -> tuple[Route, int]:
-    """Route ``conference`` keeping each pinned tap that still works.
-
-    A pin survives when the *full* new combination is forward-reachable
-    at the pinned point; everyone else (and every new member) taps at
-    the natural earliest level.  Returns the route and its drift: how
-    many more links it holds than the natural (unpinned) routing of the
-    same members under the same faults.
-    """
-    forward = _forward_masks(net, conference, dead)
-    natural = _select_taps(forward, conference, policy, net.n_stages)
-    full = conference.full_mask
-    taps: dict[int, int] = {}
-    for port in conference.members:
-        pin = pins.get(port)
-        if (
-            pin is not None
-            and pin != natural[port]
-            and forward[pin].get(port, 0) == full
-        ):
-            taps[port] = pin
-        else:
-            taps[port] = natural[port]
-    marked = _backward_mark(net, taps, net.n_stages, dead)
-    levels = [
-        {row: mask for row, mask in forward[t].items() if row in marked[t]}
-        for t in range(net.n_stages + 1)
-    ]
-    levels = _carried_masks(net, conference, levels)
-    route = Route(
-        conference=conference,
-        n_ports=net.n_ports,
-        n_stages=net.n_stages,
-        levels=tuple(levels),
-        taps=taps,
-    )
-    _check_taps(net, route)
-    drift = 0
-    if taps != natural:
-        # Natural-route link count without building the route: within the
-        # backward-marked region the carried mask equals the forward mask,
-        # so forward ∧ marked counts it exactly.
-        nat_marked = _backward_mark(net, natural, net.n_stages, dead)
-        nat_links = sum(
-            1
-            for t in range(1, net.n_stages + 1)
-            for row in forward[t]
-            if row in nat_marked[t]
-        )
-        drift = route.n_links - nat_links
-    return route, drift
-
-
-def _check_taps(net: MultistageNetwork, route: Route) -> None:
-    """Every tap must hear the full combination (cheap; catches wiring bugs)."""
-    full = route.conference.full_mask
-    bad = {port for port, t in route.taps.items() if route.mask_at(t, port) != full}
-    if bad:
-        raise AssertionError(
-            f"churn invariant violated: taps {sorted(bad)} missing members "
-            f"(topology {net.name})"
-        )
-
-
 def _churn_step(
     net: MultistageNetwork,
     route: Route,
@@ -312,47 +236,41 @@ def _churn_step(
     policy: RoutingPolicy,
     faults: "frozenset | None",
     router: "Callable[[Conference], Route]",
-    max_taps_moved: "int | None",
-    drift_limit: "int | None",
-    fallback: str,
+    limits: ChurnPolicy,
 ) -> ChurnResult:
     """One incremental membership change, kernel first.
 
     ``router`` returns the natural route of a conference under
-    ``faults`` (raising :class:`~repro.core.routing.UnroutableError`);
-    it is also the full-reroute result, so no path routes twice.  The
-    pinned walk runs only when some pin lies deeper than its member's
-    natural tap — the only way a pin can bind.
+    ``faults`` (raising :class:`~repro.core.routing.UnroutableError`, or
+    ``ValueError`` for an out-of-range member); it is also the
+    full-reroute result, so no path routes twice.  The pinned kernel
+    call runs only when some pin lies deeper than its member's natural
+    tap — the only way a pin can bind.  ``limits`` supplies
+    ``max_taps_moved``, ``drift_limit`` and ``fallback``.
     """
-    if members[-1] >= net.n_ports:
-        raise ValueError(
-            f"conference member {members[-1]} out of range for "
-            f"{net.n_ports}-port network"
-        )
     conference = Conference.of(members, conference_id=route.conference.conference_id)
     natural = router(conference)
     if policy.prune:
         # The greedy-pruning ablation has no incremental form: pruned
         # regions are not pin-stable, so churn on them is a reroute.
         return _diff(route, natural, mode="full-reroute", fallback_reason="prune-policy")
+    after = natural
     if any(pins.get(port, -1) > tap for port, tap in natural.taps.items()):
         dead = frozenset(faults) if faults else frozenset()
-        after, drift = _pinned_route(net, conference, pins, policy, dead)
-    else:
-        _check_taps(net, natural)
-        after, drift = natural, 0
-    result = _diff(route, after, mode="incremental", drift_links=drift)
+        after = _route_batch(net, [conference], policy, dead, None, [pins])[0].unwrap()
+    _check_taps(net, after)
+    result = _diff(
+        route, after, mode="incremental", drift_links=after.n_links - natural.n_links
+    )
     trigger = None
-    if max_taps_moved is not None and len(result.taps_moved) > max_taps_moved:
-        trigger = f"taps-moved:{len(result.taps_moved)}>{max_taps_moved}"
-    elif drift_limit is not None and result.drift_links > drift_limit:
-        trigger = f"drift:{result.drift_links}>{drift_limit}"
+    if limits.max_taps_moved is not None and len(result.taps_moved) > limits.max_taps_moved:
+        trigger = f"taps-moved:{len(result.taps_moved)}>{limits.max_taps_moved}"
+    elif limits.drift_limit is not None and result.drift_links > limits.drift_limit:
+        trigger = f"drift:{result.drift_links}>{limits.drift_limit}"
     if trigger is None:
         return result
-    if fallback == "raise":
+    if limits.fallback == "raise":
         raise ChurnLimitExceeded(trigger)
-    if fallback != "reroute":
-        raise ValueError(f"unknown churn fallback {fallback!r}")
     return _diff(route, natural, mode="full-reroute", fallback_reason=trigger)
 
 
@@ -397,6 +315,9 @@ def extend_route(
     the step would move more than ``max_taps_moved`` taps or accrue
     more than ``drift_limit`` surplus links.
     """
+    limits = ChurnPolicy(
+        max_taps_moved=max_taps_moved, drift_limit=drift_limit, fallback=fallback
+    )
     policy = policy or RoutingPolicy()
     ports = _ports_tuple(port)
     conference = route.conference
@@ -407,7 +328,7 @@ def extend_route(
     return _churn_step(
         net, route, members, dict(route.taps), policy, faults,
         lambda conf: route_conference(net, conf, policy, faults),
-        max_taps_moved, drift_limit, fallback,
+        limits,
     )
 
 
@@ -432,6 +353,9 @@ def prune_route(
     The change is applied as a delta; limits behave as in
     :func:`extend_route`.
     """
+    limits = ChurnPolicy(
+        max_taps_moved=max_taps_moved, drift_limit=drift_limit, fallback=fallback
+    )
     policy = policy or RoutingPolicy()
     ports = _ports_tuple(port)
     conference = route.conference
@@ -445,7 +369,7 @@ def prune_route(
     return _churn_step(
         net, route, remaining, {}, policy, faults,
         lambda conf: route_conference(net, conf, policy, faults),
-        max_taps_moved, drift_limit, fallback,
+        limits,
     )
 
 

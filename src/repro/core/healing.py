@@ -530,7 +530,7 @@ class SelfHealingController:
             self._network.topology, old, conference.members,
             {} if left else dict(old.taps), self._network.policy, faults,
             lambda conf: self._route(conf, faults),
-            policy.max_taps_moved, policy.drift_limit, policy.fallback,
+            policy,
         )
 
     # -- retrying admission (arrivals) -------------------------------------

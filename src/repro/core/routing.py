@@ -28,6 +28,14 @@ in ``repro.analysis.theory`` (a fact the test suite checks exhaustively).
 A greedy pruning pass is available as an ablation; it can only remove
 redundant fan-out, never the conflicts forced by the banyan unique-path
 property.
+
+This module holds the model (policies, :class:`Route`, errors), the
+pruning ablation and the entry point :func:`route_conference`.  The
+sweep itself has one engine, the bit-sliced kernel of
+:mod:`repro.core.batch`, which runs pins, conferences of any size and
+pruning (as a post-pass over each kernel route).  A per-point walk of
+the same algorithm lives in :mod:`repro.core.reference` as the oracle
+of the differential tests; no production path imports it.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ __all__ = [
     "Route",
     "UnroutableError",
     "route_conference",
-    "route_conference_sequential",
     "delivered_members",
 ]
 
@@ -197,91 +204,6 @@ def _body_crosses(entry: "tuple | UnroutableError", links: frozenset) -> bool:
     return any((t, row) in links for t in range(1, len(levels)) for row in levels[t])
 
 
-def _forward_masks(
-    net: MultistageNetwork,
-    conference: Conference,
-    dead: frozenset = frozenset(),
-) -> list[dict[int, int]]:
-    """Per-level ``row -> member bitmask`` of reachable member signals.
-
-    ``dead`` points (faulty links/injections) carry no signal: masks are
-    never written into them, so downstream reachability reflects only
-    surviving paths.
-    """
-    tab = net.successor_table
-    sides = range(tab.shape[2])
-    level0 = {
-        port: 1 << idx
-        for idx, port in enumerate(conference.members)
-        if (0, port) not in dead
-    }
-    levels = [level0]
-    cur = level0
-    for s in range(net.n_stages):
-        nxt: dict[int, int] = {}
-        for row, mask in cur.items():
-            for side in sides:
-                r2 = int(tab[s, row, side])
-                if (s + 1, r2) in dead:
-                    continue
-                nxt[r2] = nxt.get(r2, 0) | mask
-        levels.append(nxt)
-        cur = nxt
-    return levels
-
-
-def _select_taps(
-    forward: list[dict[int, int]],
-    conference: Conference,
-    policy: RoutingPolicy,
-    n_stages: int,
-) -> dict[int, int]:
-    """Choose the tap level for every member under the policy."""
-    full = conference.full_mask
-    taps: dict[int, int] = {}
-    for port in conference.members:
-        if policy.tap_policy is TapPolicy.FINAL:
-            if forward[n_stages].get(port, 0) != full:
-                raise UnroutableError(
-                    f"conference cannot be combined at final-stage output {port}"
-                )
-            taps[port] = n_stages
-            continue
-        for t in range(n_stages + 1):
-            if forward[t].get(port, 0) == full:
-                taps[port] = t
-                break
-        else:
-            raise UnroutableError(
-                f"no surviving level combines the full conference on row {port}"
-            )
-    return taps
-
-
-def _backward_mark(
-    net: MultistageNetwork,
-    taps: dict[int, int],
-    n_stages: int,
-    dead: frozenset = frozenset(),
-) -> list[set[int]]:
-    """Rows per level from which some tap point is still reachable,
-    traversing only surviving points."""
-    tab = net.predecessor_table
-    marked: list[set[int]] = [set() for _ in range(n_stages + 1)]
-    for port, level in taps.items():
-        marked[level].add(port)
-    sides = range(tab.shape[2])
-    for t in range(n_stages, 0, -1):
-        below = marked[t]
-        dest = marked[t - 1]
-        for row in below:
-            for side in sides:
-                prev = int(tab[t - 1, row, side])
-                if (t - 1, prev) not in dead:
-                    dest.add(prev)
-    return marked
-
-
 def delivered_members(
     net: MultistageNetwork,
     conference: Conference,
@@ -295,9 +217,25 @@ def delivered_members(
     full combination to every member.  Returns ``port -> mask at its
     tap``.
     """
+    carried = _carried_masks(net, conference, levels)
+    return {port: carried[t].get(port, 0) for port, t in taps.items()}
+
+
+def _carried_masks(
+    net: MultistageNetwork,
+    conference: Conference,
+    levels: "list[dict[int, int]] | tuple[dict[int, int], ...]",
+) -> list[dict[int, int]]:
+    """Canonicalize a used region to the masks signals actually carry.
+
+    Re-propagates injections through the used region and drops points
+    that end up carrying nothing (pruning can strand redundant points).
+    For the natural route this is the identity: within the backward-
+    marked region the carried mask equals the forward-reachability mask.
+    """
     tab = net.successor_table
     cur = {port: 1 << idx for idx, port in enumerate(conference.members) if port in levels[0]}
-    carried: list[dict[int, int]] = [cur]
+    out = [cur]
     for s in range(net.n_stages):
         used_next = levels[s + 1]
         nxt: dict[int, int] = {}
@@ -306,9 +244,20 @@ def delivered_members(
                 r2 = int(tab[s, row, side])
                 if r2 in used_next:
                     nxt[r2] = nxt.get(r2, 0) | mask
-        carried.append(nxt)
+        out.append(nxt)
         cur = nxt
-    return {port: carried[t].get(port, 0) for port, t in taps.items()}
+    return out
+
+
+def _check_taps(net: MultistageNetwork, route: Route) -> None:
+    """Every tap must hear the full combination (cheap; catches wiring bugs)."""
+    full = route.conference.full_mask
+    bad = {port for port, t in route.taps.items() if route.mask_at(t, port) != full}
+    if bad:
+        raise AssertionError(
+            f"routing invariant violated: taps {sorted(bad)} missing members "
+            f"(topology {net.name})"
+        )
 
 
 def _prune(
@@ -362,100 +311,15 @@ def route_conference(
     under faults on the built-in full-access topologies).
 
     There is a single routing kernel: this delegates to
-    :func:`repro.core.batch.route_batch` as a batch of one (the
-    columnar sweep, byte-identical to the sequential walk — the golden
-    corpus and differential suite hold the two equal per repr byte).
-    :func:`route_conference_sequential` is the original per-object
-    implementation.  The scalar walk has four remaining callers: the
-    differential-test oracle (and F2's baseline), the kernel's fallback
-    for ``prune=True`` and for conferences of more than 63 members, and
-    churn's pinned walk, which runs only when a continuing member's old
-    tap lies deeper than its kernel tap (see :mod:`repro.core.churn`).
+    :func:`repro.core.batch.route_batch` as a batch of one.  Pins, wide
+    conferences and the ``prune=True`` ablation all run on that kernel;
+    the sequential per-point walk survives only as the reference the
+    differential tests and F2 hold it against
+    (:mod:`repro.core.reference`).
     """
     from repro.core.batch import route_batch  # circular at module load
 
     return route_batch(net, [conference], policy, faults)[0].unwrap()
-
-
-def route_conference_sequential(
-    net: MultistageNetwork,
-    conference: Conference,
-    policy: "RoutingPolicy | None" = None,
-    faults: "frozenset | None" = None,
-) -> Route:
-    """The sequential reference implementation of :func:`route_conference`.
-
-    Same contract, same results, same error args — one conference at a
-    time through per-member Python dict sweeps.  The columnar kernel in
-    :mod:`repro.core.batch` is the production path; this walk is the
-    oracle the differential tests (and F2's baseline) compare it
-    against, and the engine for the kernel's fallback cases
-    (``prune=True``, conferences past the 63-member bitmask bound).
-    Its helpers also drive churn's pinned walk, the one serving-path
-    use left, reached only when a pin can bind.
-    """
-    policy = policy or RoutingPolicy()
-    dead = frozenset(faults) if faults else frozenset()
-    if conference.members[-1] >= net.n_ports:
-        raise ValueError(
-            f"conference member {conference.members[-1]} out of range for "
-            f"{net.n_ports}-port network"
-        )
-    forward = _forward_masks(net, conference, dead)
-    taps = _select_taps(forward, conference, policy, net.n_stages)
-    marked = _backward_mark(net, taps, net.n_stages, dead)
-    levels = [
-        {row: mask for row, mask in forward[t].items() if row in marked[t]}
-        for t in range(net.n_stages + 1)
-    ]
-    if policy.prune:
-        levels = _prune(net, conference, levels, taps)
-    levels = _carried_masks(net, conference, levels)
-    route = Route(
-        conference=conference,
-        n_ports=net.n_ports,
-        n_stages=net.n_stages,
-        levels=tuple(levels),
-        taps=taps,
-    )
-    # Internal invariant: the route always delivers the full combination;
-    # cheap to assert and catches topology/wiring bugs early.
-    full = conference.full_mask
-    bad = {port for port, t in taps.items() if route.mask_at(t, port) != full}
-    if bad:
-        raise AssertionError(
-            f"routing invariant violated: taps {sorted(bad)} missing members "
-            f"(topology {net.name})"
-        )
-    return route
-
-
-def _carried_masks(
-    net: MultistageNetwork,
-    conference: Conference,
-    levels: list[dict[int, int]],
-) -> list[dict[int, int]]:
-    """Canonicalize a used region to the masks signals actually carry.
-
-    Re-propagates injections through the used region and drops points
-    that end up carrying nothing (pruning can strand redundant points).
-    For the natural route this is the identity: within the backward-
-    marked region the carried mask equals the forward-reachability mask.
-    """
-    tab = net.successor_table
-    cur = {port: 1 << idx for idx, port in enumerate(conference.members) if port in levels[0]}
-    out = [cur]
-    for s in range(net.n_stages):
-        used_next = levels[s + 1]
-        nxt: dict[int, int] = {}
-        for row, mask in cur.items():
-            for side in range(tab.shape[2]):
-                r2 = int(tab[s, row, side])
-                if r2 in used_next:
-                    nxt[r2] = nxt.get(r2, 0) | mask
-        out.append(nxt)
-        cur = nxt
-    return out
 
 
 def combine_at_level(route: Route, level: int) -> frozenset[int]:

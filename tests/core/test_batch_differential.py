@@ -23,8 +23,8 @@ import pytest
 
 from repro.core.admission import AdmissionController, AdmissionDenied
 from repro.core.batch import (
-    MAX_KERNEL_MEMBERS,
     BatchRouteOutcome,
+    _route_batch,
     _slots,
     analyze_conflicts_columnar,
     route_batch,
@@ -33,11 +33,8 @@ from repro.core.conference import Conference
 from repro.core.conflict import ConflictReport, analyze_conflicts, link_loads
 from repro.core.healing import SelfHealingController
 from repro.core.network import ConferenceNetwork
-from repro.core.routing import (
-    RoutingPolicy,
-    UnroutableError,
-    route_conference_sequential,
-)
+from repro.core.reference import route_conference_sequential
+from repro.core.routing import RoutingPolicy, UnroutableError
 from repro.sim.engine import EventLoop
 from repro.topology.builders import TOPOLOGY_BUILDERS, build, radix_delta
 from repro.util.rng import ensure_rng
@@ -188,23 +185,31 @@ class TestRouteBatchGrid:
             batched[1].unwrap()
         assert excinfo.value.args == oracle[1].error.args
 
-    def test_oversized_conference_falls_back_to_sequential(self):
+    def test_oversized_conference_spans_words(self):
         net = build("omega", 128)
-        big = Conference.of(range(MAX_KERNEL_MEMBERS + 1))
+        big = Conference.of(range(64 + 1))
         small = Conference.of([1, 2])
         assert_outcomes_identical(
             route_batch(net, [big, small]),
             sequential_outcomes(net, [big, small]),
         )
 
-    def test_prune_policy_falls_back_to_sequential(self):
-        net = build("indirect-binary-cube", 16)
-        policy = RoutingPolicy(prune=True)
-        batch = random_batch(16, ensure_rng(2), size=8)
-        assert_outcomes_identical(
-            route_batch(net, batch, policy),
-            sequential_outcomes(net, batch, policy),
-        )
+    def test_prune_policy_is_a_kernel_post_pass(self):
+        pruned = 0
+        for topology, tap in (
+            ("indirect-binary-cube", "earliest"),
+            ("extra-stage-cube", "final"),
+            ("benes-cube", "final"),
+        ):
+            net = build(topology, 16)
+            policy = RoutingPolicy(tap_policy=tap, prune=True)
+            batch = random_batch(16, ensure_rng(2), size=8)
+            batched = route_batch(net, batch, policy)
+            assert_outcomes_identical(batched, sequential_outcomes(net, batch, policy))
+            natural = route_batch(net, batch, RoutingPolicy(tap_policy=tap))
+            pruned += sum(a.route.n_links - b.route.n_links for a, b in zip(natural, batched))
+        # Extra-stage fan-out under final taps is redundant: pruning bit.
+        assert pruned > 0
 
     def test_engine_parameter_is_gone(self):
         net = build("omega", 16)
@@ -223,30 +228,38 @@ class TestPackedLayout:
     first and last level."""
 
     def test_slots_never_straddle_a_word(self):
-        sizes = [63, 2, 40, 30, 63, 1, 33, 31, 62, 2, 7]
+        sizes = [63, 2, 40, 30, 63, 1, 33, 31, 62, 2, 7, 64, 3, 65, 5, 128, 200, 1]
         words, shifts = _slots(sizes)
         assert (words[0], shifts[0]) == (0, 0)
         for m, shift in zip(sizes, shifts):
-            assert shift + m <= 64
+            # A slot of at most 64 members fits its word; a wider one
+            # starts a fresh word.
+            assert shift + m <= 64 or shift == 0
         # First-fit in batch order: each slot starts where the previous
         # one ended, or opens the next word when it would not fit.
         for i in range(1, len(sizes)):
-            end = shifts[i - 1] + sizes[i - 1]
-            if end + sizes[i] <= 64:
-                assert (words[i], shifts[i]) == (words[i - 1], end)
+            end = words[i - 1] * 64 + shifts[i - 1] + sizes[i - 1]
+            if end % 64 + sizes[i] <= 64 or end % 64 == 0:
+                assert (words[i], shifts[i]) == divmod(end, 64)
             else:
-                assert (words[i], shifts[i]) == (words[i - 1] + 1, 0)
+                assert (words[i], shifts[i]) == (end // 64 + 1, 0)
+        # 65 members take two words and the next slot packs into the
+        # second; 128 take exactly two; 200 take four, the last one
+        # shared with the 1-member slot after them.
+        assert (words[14] - words[13], shifts[14]) == (1, 1)
+        assert (words[16] - words[15], shifts[16]) == (2, 0)
+        assert (words[17] - words[16], shifts[17]) == (3, 200 - 192)
 
     @pytest.mark.parametrize("tap", ["earliest", "final"])
     def test_mixed_sizes_up_to_the_kernel_bound(self, tap):
         net = build("omega", 128)
         rng = ensure_rng(11)
-        sizes = [MAX_KERNEL_MEMBERS, 2, 40, 30, MAX_KERNEL_MEMBERS, 1, 33, 31, 62, 2, 7, 64]
+        sizes = [63, 2, 40, 30, 63, 1, 33, 31, 62, 2, 7, 64]
         batch = [
             Conference.of((int(m) for m in rng.choice(128, size=k, replace=False)), cid)
             for cid, k in enumerate(sizes)
         ]
-        words, _ = _slots([len(c.members) for c in batch if len(c.members) <= 63])
+        words, _ = _slots([len(c.members) for c in batch])
         assert words[-1] >= 5  # slots really spill across words
         policy = RoutingPolicy(tap_policy=tap)
         assert_outcomes_identical(
@@ -291,6 +304,82 @@ class TestPackedLayout:
             route_batch(net, batch, faults=faults),
             sequential_outcomes(net, batch, faults=faults),
         )
+
+
+class TestWideSlots:
+    """Conferences of more than 64 members: their slot starts a fresh
+    word and spans up to four, between small slots packed around them."""
+
+    SIZES = (3, 64, 5, 65, 2, 128, 7, 200, 1, 40)
+
+    def batch(self, seed):
+        rng = ensure_rng(seed)
+        return [
+            Conference.of((int(m) for m in rng.choice(256, size=k, replace=False)), cid)
+            for cid, k in enumerate(self.SIZES)
+        ]
+
+    def spare_faults(self, net, batch):
+        """Dead injections and final-stage links of ports no conference
+        uses: zeroed rows in every word, off every route."""
+        used = set().union(*(c.member_set for c in batch))
+        spare = [p for p in range(net.n_ports) if p not in used]
+        return frozenset({(0, spare[0]), (net.n_stages, spare[1]), (net.n_stages, spare[2])})
+
+    @pytest.mark.parametrize("topology", ["omega", "indirect-binary-cube"])
+    @pytest.mark.parametrize("tap", ["earliest", "final"])
+    def test_wide_slots_under_faults(self, topology, tap):
+        net = build(topology, 256)
+        policy = RoutingPolicy(tap_policy=tap)
+        batch = self.batch(1)
+        words, shifts = _slots(list(self.SIZES))
+        assert (shifts[7] + 200 + 63) >> 6 == 4 and words[-1] > words[7]
+        rng = ensure_rng(2)
+        wide = set()
+        for faults in (
+            frozenset(),
+            self.spare_faults(net, batch),
+            *(
+                frozenset(
+                    (int(rng.integers(0, net.n_stages + 1)), int(rng.integers(net.n_ports)))
+                    for _ in range(n_faults)
+                )
+                for n_faults in (3, 12)
+            ),
+        ):
+            batched = route_batch(net, batch, policy, faults=faults)
+            assert_outcomes_identical(
+                batched, sequential_outcomes(net, batch, policy, faults=faults)
+            )
+            wide.update(
+                (bool(faults), o.ok) for o in batched if len(o.conference.members) > 64
+            )
+        # Wide conferences were routed under faults and took the error path.
+        assert {(True, True), (True, False)} <= wide
+
+    @pytest.mark.parametrize("topology", ["omega", "indirect-binary-cube"])
+    @pytest.mark.parametrize("tap", ["earliest", "final"])
+    def test_wide_slots_under_an_overlay(self, topology, tap):
+        net = build(topology, 256)
+        policy = RoutingPolicy(tap_policy=tap)
+        batch = self.batch(3)
+        faults = self.spare_faults(net, batch)
+        overlays = []
+        for conf, outcome in zip(batch, route_batch(net, batch, policy, faults=faults)):
+            kind = conf.conference_id % 3
+            if kind == 0 and outcome.ok:
+                links = sorted(outcome.route.links)
+                overlays.append(links[len(links) // 2 :: 7])
+            elif kind == 1:
+                overlays.append([(0, conf.members[-1])])  # a dead injection
+            else:
+                overlays.append([])
+        got = _route_batch(net, batch, policy, faults, overlays)
+        for conf, points, outcome in zip(batch, overlays, got):
+            want = sequential_outcomes(net, [conf], policy, faults | frozenset(points))
+            assert_outcomes_identical([outcome], want)
+        # 65 members lose a route link, 128 keep theirs, 200 lose an injection.
+        assert [o.ok for o in got if len(o.conference.members) > 64] == [False, True, False]
 
 
 class TestConflictEquality:

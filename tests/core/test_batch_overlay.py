@@ -8,14 +8,14 @@ store leans on that to route every ``(conference, protected point)``
 pair of a re-protect in one kernel call.  The grid covers every
 registered topology and both tap policies, overlay points on the route,
 already in ``faults``, off the grid and at level 0, unroutable outcomes,
-batches spanning several chunks, and conferences past the kernel's
-63-member slot (routed by the sequential walk with the overlay merged).
+batches spanning several chunks, conferences whose slot spans several
+words, and the pruning ablation's post-pass.
 """
 
 import pytest
 
 from repro.core import batch as batch_mod
-from repro.core.batch import MAX_KERNEL_MEMBERS, _route_batch, route_batch
+from repro.core.batch import _route_batch, route_batch
 from repro.core.conference import Conference
 from repro.core.routing import RoutingPolicy, TapPolicy, UnroutableError
 from repro.topology.builders import TOPOLOGY_BUILDERS, build
@@ -123,8 +123,9 @@ def test_no_overlay_and_empty_overlays_route_as_route_batch():
 
 @pytest.mark.parametrize("topology", ("indirect-binary-cube", "extra-stage-cube"))
 def test_overlay_merges_into_the_dead_set_past_the_kernel_slot(topology):
+    """A 65-member slot spans two words; the overlay clears both."""
     net = build(topology, 128)
-    big = Conference.of(range(0, 128, 2)[: MAX_KERNEL_MEMBERS + 1], 0)
+    big = Conference.of([*range(0, 128, 2), 127], 0)
     small = Conference.of([1, 5, 9], 1)
     base = route_batch(net, [big])[0].route
     link = sorted(base.links)[len(base.links) // 2]
@@ -134,10 +135,15 @@ def test_overlay_merges_into_the_dead_set_past_the_kernel_slot(topology):
     assert isinstance(got[2].error, UnroutableError)
 
 
-def test_overlay_under_the_pruning_ablation_routes_sequentially():
-    net = build("indirect-binary-cube", 16)
-    policy = RoutingPolicy(prune=True)
+def test_overlay_under_the_pruning_ablation():
+    net = build("extra-stage-cube", 16)
+    policy = RoutingPolicy(tap_policy=TapPolicy.FINAL, prune=True)
     rng = ensure_rng(5)
     faults = _random_faults(net, rng, 1)
     confs, overlays = _overlay_cases(net, policy, faults, rng, 8)
-    _assert_overlay_matches(net, policy, faults, confs, overlays)
+    got = _assert_overlay_matches(net, policy, faults, confs, overlays)
+    natural = _route_batch(
+        net, confs, RoutingPolicy(tap_policy=TapPolicy.FINAL), faults, overlays
+    )
+    # The post-pass ran on overlay routes: pruning removed links.
+    assert sum(a.route.n_links - b.route.n_links for a, b in zip(natural, got) if a.ok) > 0

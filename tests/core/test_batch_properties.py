@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from repro.core.batch import occupancy_words, route_batch, stage_occupancy
 from repro.core.conference import Conference
 from repro.core.conflict import link_loads
-from repro.core.routing import RoutingPolicy, route_conference_sequential
+from repro.core.reference import route_conference_sequential
+from repro.core.routing import RoutingPolicy
 from repro.topology.builders import build
 from repro.util.bits import pack_rows, unpack_rows
 

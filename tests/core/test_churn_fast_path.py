@@ -1,23 +1,24 @@
-"""Kernel-first churn against the pinned walk it short-cuts.
+"""Kernel-first churn against the pinned reference walk.
 
 ``extend_route`` / ``prune_route`` route the new member set with the
 kernel and return that route (drift 0) unless some continuing member's
-old tap lies deeper than its kernel tap; only then does the pinned
-per-point walk ``_pinned_route`` run.  The walk stays in the module as
-the oracle: for every registered topology, N=16 and N=64, 0-3 faults
-and both tap policies, the after-route ``repr``, ``drift_links``,
-``taps_moved`` and error args must equal what the walk alone gives.
-Routes healed around a fault on their own links and extended after its
-repair are included:
-their fault-era pins lie deeper than the new natural taps, so pins bind
-there, and the grid must send some cases down the fallback.
+old tap lies deeper than its kernel tap; only then is the conference
+routed again, by the kernel with its pins as input.  The oracle is the
+sequential walk of ``repro.core.reference`` with ``pins=``: for every
+registered topology, N=16 and N=64, 0-3 faults and both tap policies,
+the after-route ``repr``, ``drift_links``, ``taps_moved`` and error args
+must equal what the walk gives.  Routes healed around a fault on their
+own links and extended after its repair are included: their fault-era
+pins lie deeper than the new natural taps, so pins bind there, and the
+grid must send some cases down the pinned kernel call.
 """
 
 import pytest
 
 from repro.core import churn
-from repro.core.churn import _diff, _pinned_route, extend_route, prune_route
+from repro.core.churn import _diff, extend_route, prune_route
 from repro.core.conference import Conference
+from repro.core.reference import route_conference_sequential
 from repro.core.routing import RoutingPolicy, TapPolicy, UnroutableError, route_conference
 from repro.topology.builders import TOPOLOGY_BUILDERS, build
 from repro.util.rng import ensure_rng
@@ -29,12 +30,15 @@ POLICIES = (RoutingPolicy(), RoutingPolicy(tap_policy=TapPolicy.FINAL))
 
 
 def _oracle(net, route, members, pins, policy, faults):
-    """The pinned walk alone: what incremental churn computed before."""
+    """The pinned reference walk: the incremental result and its drift
+    over the natural routing of the same members."""
     conference = Conference.of(members, conference_id=route.conference.conference_id)
     try:
-        after, drift = _pinned_route(net, conference, pins, policy, frozenset(faults))
+        after = route_conference_sequential(net, conference, policy, faults, pins=pins)
     except ValueError as exc:
         return ("error", type(exc), exc.args)
+    natural = route_conference_sequential(net, conference, policy, faults)
+    drift = after.n_links - natural.n_links
     result = _diff(route, after, mode="incremental", drift_links=drift)
     return (repr(after), drift, result.taps_moved)
 
@@ -76,9 +80,10 @@ def _degraded(net, route, policy, faults, rng):
 
 @pytest.mark.parametrize("n_ports", (16, 64))
 def test_fast_path_equals_the_pinned_walk(n_ports, monkeypatch):
-    walks = []
+    pinned = []  # pinned kernel calls
+    route_batch = churn._route_batch
     monkeypatch.setattr(
-        churn, "_pinned_route", lambda *args: walks.append(1) or _pinned_route(*args)
+        churn, "_route_batch", lambda *args: pinned.append(1) or route_batch(*args)
     )
     rng = ensure_rng(n_ports)
     cases = bound = 0
@@ -101,13 +106,13 @@ def test_fast_path_equals_the_pinned_walk(n_ports, monkeypatch):
                     grown = tuple(sorted([*members, joiner]))
                     shrunk = tuple(m for m in members if m != leaver)
                     case = (topology, policy.tap_policy, faults, route)
-                    before = len(walks)
+                    before = len(pinned)
                     want = _oracle(net, route, grown, dict(route.taps), policy, faults)
                     got = _observed(
                         lambda: extend_route(net, route, joiner, policy=policy, faults=faults)
                     )
                     assert got == want, (case, joiner)
-                    if len(walks) > before:  # the extend took the fallback
+                    if len(pinned) > before:  # the extend made the pinned call
                         bound += got != _oracle(net, route, grown, {}, policy, faults)
                     want = _oracle(net, route, shrunk, {}, policy, faults)
                     got = _observed(
@@ -116,17 +121,17 @@ def test_fast_path_equals_the_pinned_walk(n_ports, monkeypatch):
                     assert got == want, (case, leaver)
                     cases += 1
     assert cases >= 200
-    # Some extends took the fallback, and in some of those a pin bound:
-    # the result differs from the natural routing of the same members.
-    assert len(walks) >= 10
+    # Some extends made the pinned call, and in some of those a pin
+    # bound: the result differs from the natural routing of the members.
+    assert len(pinned) >= 10
     assert bound > 0
 
 
 def test_prune_and_final_taps_never_walk(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the pinned walk ran")
+        raise AssertionError("the pinned kernel call ran")
 
-    monkeypatch.setattr(churn, "_pinned_route", forbidden)
+    monkeypatch.setattr(churn, "_route_batch", forbidden)
     net = build("omega", 16)
     final = RoutingPolicy(tap_policy=TapPolicy.FINAL)
     route = route_conference(net, Conference.of([0, 5, 9, 12]), final)

@@ -17,6 +17,7 @@ from repro.core.churn import (
     ChurnPolicy,
     extend_route,
     join_member,
+    leave_member,
     prune_route,
 )
 from repro.core.conference import Conference
@@ -163,6 +164,31 @@ class TestLimits:
         route = route_conference(net, Conference.of([0, 1]))
         with pytest.raises(ValueError, match="fallback"):
             extend_route(net, route, 8, max_taps_moved=0, fallback="explode")
+
+    # Bad limits are rejected on entry, before any routing, whether or
+    # not the step would ever reach them (an in-block join moves no tap
+    # and accrues no drift, so no limit trips on it).
+    BAD_LIMITS = (
+        ({"fallback": "bogus"}, "fallback"),
+        ({"max_taps_moved": -1}, "max_taps_moved"),
+        ({"drift_limit": -5}, "drift_limit"),
+    )
+
+    @pytest.mark.parametrize("entry", (extend_route, join_member))
+    @pytest.mark.parametrize("kwargs, field", BAD_LIMITS)
+    def test_bad_limits_rejected_on_join(self, entry, kwargs, field):
+        net = build("indirect-binary-cube", N)
+        route = route_conference(net, Conference.of([0, 1]))
+        with pytest.raises(ValueError, match=field):
+            entry(net, route, 2, **kwargs)
+
+    @pytest.mark.parametrize("entry", (prune_route, leave_member))
+    @pytest.mark.parametrize("kwargs, field", BAD_LIMITS)
+    def test_bad_limits_rejected_on_leave(self, entry, kwargs, field):
+        net = build("indirect-binary-cube", N)
+        route = route_conference(net, Conference.of([0, 1, 2]))
+        with pytest.raises(ValueError, match=field):
+            entry(net, route, 2, **kwargs)
 
 
 class TestChurnPolicy:

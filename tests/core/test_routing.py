@@ -37,7 +37,7 @@ class TestRouteInvariants:
         net = build(name, 16)
         route = route_conference(net, conf)
         # Recompute unrestricted forward masks to check minimality.
-        from repro.core.routing import _forward_masks
+        from repro.core.reference import _forward_masks
 
         forward = _forward_masks(net, conf)
         for port, t in route.taps.items():

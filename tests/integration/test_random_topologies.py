@@ -59,7 +59,7 @@ class TestRandomTopologyContract:
             route = route_conference(net, conf)
         except UnroutableError:
             return
-        from repro.core.routing import _forward_masks
+        from repro.core.reference import _forward_masks
 
         forward = _forward_masks(net, conf)
         for port, t in route.taps.items():

@@ -201,7 +201,7 @@ def failover(out: Path) -> None:
 
 @check
 def f2(out: Path) -> None:
-    """F2: the batch kernel is byte-identical to the sequential walk, then timed."""
+    """F2: the batch kernel is byte-identical to the reference walk, then timed."""
     bench(out, "bench_f2_routing_time.py", "BENCH_f2.json")
 
 
