@@ -9,6 +9,8 @@ from repro.core.conflict import analyze_conflicts
 from repro.core.groupcast import GroupConnection, route_group
 from repro.core.routing import route_conference
 from repro.topology.builders import PAPER_TOPOLOGIES, build
+from repro.topology.network import MultistageNetwork, Stage
+from repro.topology.permutations import identity
 
 TOPOLOGIES = sorted(PAPER_TOPOLOGIES)
 
@@ -69,6 +71,22 @@ class TestRouteGroup:
         net = build("omega", 16)
         route = route_group(net, GroupConnection.multicast(0, [3, 9]), earliest_taps=False)
         assert set(route.taps.values()) == {4}
+
+    @pytest.mark.parametrize(
+        "earliest, message",
+        [
+            (True, "receiver 5 can never hear all senders (0, 1) in deg"),
+            (False, "receiver 5 cannot combine all senders at the outputs"),
+        ],
+    )
+    def test_unreachable_receiver_messages(self, earliest, message):
+        """Without full access receiver 5 never hears sender 0 (receiver 1,
+        on sender 0's switch, does): both tap modes name it."""
+        net = MultistageNetwork(8, [Stage(identity(8), identity(8))] * 3, name="deg")
+        with pytest.raises(ValueError) as info:
+            route_group(net, GroupConnection((0, 1), (1, 5)), earliest_taps=earliest)
+        assert type(info.value) is ValueError
+        assert info.value.args == (message,)
 
     def test_out_of_range_rejected(self):
         net = build("omega", 8)
