@@ -32,7 +32,7 @@ WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "0")) or None
 def draw_port_groups(seed):
     rng = ensure_rng(seed)
     perm = [int(p) for p in rng.permutation(N_PORTS)]
-    return [perm[i : i + GROUP_SIZE] for i in range(0, N_PORTS - GROUP_SIZE, GROUP_SIZE)][:8]
+    return [perm[i : i + GROUP_SIZE] for i in range(0, N_PORTS - GROUP_SIZE + 1, GROUP_SIZE)][:8]
 
 
 def build_rows(workers=WORKERS):

@@ -2,7 +2,8 @@
 
 This is the one routing engine of the library: every path that routes a
 conference (``route_conference``, admission, healing, churn, backup
-plans, analysis) ends in :func:`_kernel`.  It evaluates a whole *batch*
+plans, analysis) or a group connection (``route_group``) ends in
+:func:`_kernel`.  It evaluates a whole *batch*
 of conferences stage by stage with wide integer operations, the idiom of
 stage-wide MIN evaluation.  Each stage of the network is one fixed row
 permutation per switch side, so it is applied to whole packed words at
@@ -18,10 +19,12 @@ once:
   spans ``ceil(m / 64)`` of them.  A stage gathers the rows of every
   switch side in one ``take`` and ORs them; a dead point zeroes its
   whole row, for every conference at once.
-* **Taps.**  A member's slot is full at ``(t, r)`` when every word piece
-  of its conference's slot is set there.  The policy picks the earliest
-  or the final full level; a *pinned* member (incremental churn) taps at
-  its pin instead whenever its slot is full there.
+* **Taps.**  A receiver's slot is full at ``(t, r)`` when every word
+  piece of its conference's slot is set there.  The receivers are the
+  members, or a group connection's own rows (its members are then the
+  senders).  The policy picks the earliest or the final full level; a
+  *pinned* receiver (incremental churn) taps at its pin instead
+  whenever its slot is full there.
 * **Backward planes.**  Level ``t`` is a ``(n_rows, ceil(B / 64))``
   uint64 plane with one bit per conference: bit ``c`` is set where some
   tap of conference ``c`` is reachable through surviving points.
@@ -162,8 +165,9 @@ def _route_batch(
     dead: frozenset,
     overlay: "Sequence[Collection[Point]] | None" = None,
     pins: "Sequence[dict[int, int]] | None" = None,
+    receivers: "Sequence[Sequence[int]] | None" = None,
 ) -> list[BatchRouteOutcome]:
-    """:func:`route_batch` with optional per-conference overlays and pins.
+    """:func:`route_batch` with optional per-conference overlays, pins, receivers.
 
     ``overlay[i]`` holds extra dead points for ``confs[i]`` alone, on top
     of the shared ``dead`` set: conference ``i``'s outcome is exactly
@@ -174,6 +178,11 @@ def _route_batch(
     ``pins[i]`` maps members of ``confs[i]`` to tap levels to keep: a
     pinned member taps at its pin when its slot is full there, and at
     its policy tap otherwise (incremental churn, :mod:`repro.core.churn`).
+
+    ``receivers[i]`` (sorted, non-empty, checked by the caller) are the
+    rows that tap ``confs[i]`` in place of its members, which still inject
+    (group connections, :mod:`repro.core.groupcast`).  Every failure's
+    ``port`` attribute names the first receiver that cannot tap.
     """
     outcomes: "list[BatchRouteOutcome | None]" = [None] * len(confs)
     limit = max(1, _MAX_CELLS // net.n_ports)
@@ -196,12 +205,8 @@ def _route_batch(
         chunks[-1].append(i)
         words += need
     for part in chunks:
-        part_confs, part_overlay, part_pins = (
-            None if seq is None else [seq[i] for i in part] for seq in (confs, overlay, pins)
-        )
-        for i, outcome in zip(
-            part, _kernel(net, part_confs, policy, dead, part_overlay, part_pins)
-        ):
+        extras = [None if s is None else [s[i] for i in part] for s in (overlay, pins, receivers)]
+        for i, outcome in zip(part, _kernel(net, [confs[i] for i in part], policy, dead, *extras)):
             outcomes[i] = _pruned(net, outcome) if policy.prune and outcome.ok else outcome
     return outcomes  # type: ignore[return-value]
 
@@ -271,6 +276,16 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts + counts - ends, counts) + np.arange(ends[-1] if len(ends) else 0)
 
 
+def _flatten(
+    lists: "Sequence[Sequence[int]]", sizes: "Sequence[int]"
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Concatenated rows, start offsets and owning entry of row lists."""
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    rows = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(offsets[-1]))
+    return rows, offsets, np.repeat(np.arange(len(lists), dtype=np.int64), sizes)
+
+
 def _gather_or(plane: np.ndarray, table: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One stage of a row-major plane: ``out[r] = OR_s plane[table[r, s]]``.
 
@@ -307,14 +322,16 @@ def _kernel(
     dead: frozenset,
     overlay: "Sequence[Collection[Point]] | None" = None,
     pins: "Sequence[dict[int, int]] | None" = None,
+    receivers: "Sequence[Sequence[int]] | None" = None,
 ) -> list[BatchRouteOutcome]:
     """The bit-sliced forward/tap/backward sweep over one chunk.
 
     ``overlay[c]`` (optional) lists extra dead points of conference
     ``c`` alone: they clear only ``c``'s slot of the forward planes and
     ``c``'s bit of the backward planes.  ``pins[c]`` (optional) maps
-    members of conference ``c`` to tap levels kept where the slot is
-    full.
+    receivers of conference ``c`` to tap levels kept where the slot is
+    full.  ``receivers[c]`` (optional) are the rows that tap conference
+    ``c``; by default its members, whose arrays are then reused.
     """
     n_rows, n_stages, radix = net.n_ports, net.n_stages, net.radix
     n_levels = n_stages + 1
@@ -329,11 +346,15 @@ def _kernel(
     n_words = word_list[-1] + ((shift_list[-1] + size_list[-1] + 63) >> 6)
     n_cwords = (n_conf + 63) >> 6
     sizes = np.array(size_list, dtype=np.int64)
-    total = sum(size_list)
-    members = np.fromiter(chain.from_iterable(member_lists), dtype=np.int64, count=total)
-    offsets = np.zeros(n_conf + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    conf_of = np.repeat(np.arange(n_conf, dtype=np.int64), sizes)
+    members, offsets, conf_of = _flatten(member_lists, sizes)
+    total = len(members)
+    # Members inject; receivers (by default the members) tap.
+    recv_lists = member_lists if receivers is None else receivers
+    recv_rows, recv_offsets, recv_conf = (
+        (members, offsets, conf_of) if receivers is None
+        else _flatten(receivers, [len(r) for r in receivers])
+    )
+    n_recv = len(recv_rows)
     word_c = np.array(word_list, dtype=np.int64)
     shift_c = np.array(shift_list, dtype=np.int64)
     # Member i of a conference is bit (shift + i) & 63 of word
@@ -387,39 +408,39 @@ def _kernel(
             )
     flat_masks = masks.reshape(n_levels, -1)
 
-    # Tap selection: ok[t, i] where every piece of member i's slot is
-    # full on member i's own row at level t.
-    tap_pieces, tap_rows = pieces_of(conf_of, members)
+    # Tap selection: ok[t, i] where every piece of receiver i's slot is
+    # full on receiver i's own row at level t.
+    tap_pieces, tap_rows = pieces_of(recv_conf, recv_rows)
     slot = piece_slot[tap_pieces]
     ok = (flat_masks[:, tap_rows * n_words + piece_word[tap_pieces]] & slot) == slot
     if wide:
-        counts = n_pieces_c[conf_of]
+        counts = n_pieces_c[recv_conf]
         ok = np.logical_and.reduceat(ok, np.cumsum(counts) - counts, axis=1)
     if policy.tap_policy is TapPolicy.FINAL:
-        member_ok = ok[n_stages]
-        taps_of_member = np.full(total, n_stages, dtype=np.int64)
+        recv_ok = ok[n_stages]
+        taps_of_recv = np.full(n_recv, n_stages, dtype=np.int64)
     else:
-        member_ok = ok.any(axis=0)
-        taps_of_member = ok.argmax(axis=0)
+        recv_ok = ok.any(axis=0)
+        taps_of_recv = ok.argmax(axis=0)
     if pins is not None:
         pin = np.fromiter(
-            (p.get(m, -1) for p, ms in zip(pins, member_lists) for m in ms),
+            (p.get(m, -1) for p, ms in zip(pins, recv_lists) for m in ms),
             dtype=np.int64,
-            count=total,
+            count=n_recv,
         )
-        held = (pin >= 0) & ok[np.maximum(pin, 0), np.arange(total)]
-        taps_of_member = np.where(held, pin, taps_of_member)
-    routable = np.logical_and.reduceat(member_ok, offsets[:-1])
+        held = (pin >= 0) & ok[np.maximum(pin, 0), np.arange(n_recv)]
+        taps_of_recv = np.where(held, pin, taps_of_recv)
+    routable = np.logical_and.reduceat(recv_ok, recv_offsets[:-1])
 
     outcomes: "list[BatchRouteOutcome | None]" = [None] * n_conf
     if not routable.all():
-        # First failing member per conference, in member order (the
-        # sequential loop raises at exactly that member).
+        # First failing receiver per conference, in receiver order (the
+        # sequential loop raises at exactly that receiver).
         first_bad = np.minimum.reduceat(
-            np.where(member_ok, total, np.arange(total)), offsets[:-1]
+            np.where(recv_ok, n_recv, np.arange(n_recv)), recv_offsets[:-1]
         )
         for c in np.flatnonzero(~routable):
-            port = confs[c].members[int(first_bad[c]) - int(offsets[c])]
+            port = recv_lists[c][int(first_bad[c]) - int(recv_offsets[c])]
             if policy.tap_policy is TapPolicy.FINAL:
                 err = UnroutableError(
                     f"conference cannot be combined at final-stage output {port}"
@@ -428,18 +449,19 @@ def _kernel(
                 err = UnroutableError(
                     f"no surviving level combines the full conference on row {port}"
                 )
+            err.port = port
             outcomes[c] = BatchRouteOutcome(confs[c], error=err)
 
     # Backward pass: marked[t, r, c // 64] holds bit c % 64 when some tap
     # of conference c is reachable from (t, r) through surviving points.
     cword_c = np.arange(n_conf, dtype=np.int64) >> 6
     cbit_c = _BIT[np.arange(n_conf) & 63]
-    live = member_ok & routable[conf_of]
-    live_confs = conf_of[live]
+    live = recv_ok & routable[recv_conf]
+    live_confs = recv_conf[live]
     marked = np.zeros((n_levels, n_rows, n_cwords), dtype=np.uint64)
     np.bitwise_or.at(
         marked,
-        (taps_of_member[live], members[live], cword_c[live_confs]),
+        (taps_of_recv[live], recv_rows[live], cword_c[live_confs]),
         cbit_c[live_confs],
     )
     for t in range(n_stages, 0, -1):
@@ -510,15 +532,15 @@ def _kernel(
     sizes_of = np.bincount(
         point_confs * n_levels + point_levels, minlength=n_conf * n_levels
     ).tolist()
-    tap_list = taps_of_member.tolist()
-    offset_list = offsets.tolist()
+    tap_list = taps_of_recv.tolist()
+    offset_list = recv_offsets.tolist()
     for c in range(n_conf):
         if outcomes[c] is not None:
             continue  # unroutable: no tap was marked, so it owns no points
         base = c * n_levels
         levels = tuple([dict(islice(points, n)) for n in sizes_of[base : base + n_levels]])
         conf = confs[c]
-        taps = dict(zip(conf.members, tap_list[offset_list[c] : offset_list[c + 1]]))
+        taps = dict(zip(recv_lists[c], tap_list[offset_list[c] : offset_list[c + 1]]))
         # Direct field assembly: Route's frozen-dataclass __init__ costs
         # five object.__setattr__ calls per instance, measurable at this
         # volume; the resulting object is indistinguishable.

@@ -4,7 +4,8 @@ The paper frames conferencing inside the broader space of *group
 communication*: "messages from one or more sender(s) are delivered to a
 large number of receivers".  This module implements that general object
 — a :class:`GroupConnection` with independent sender and receiver sets —
-on the same fabric and with the same two-sweep self-routing:
+on the same fabric and with the same routing kernel
+(:mod:`repro.core.batch`), the receivers given as its tap rows:
 
 * senders inject; switches combine senders' signals;
 * each *receiver* taps the earliest link on its own row carrying the
@@ -19,10 +20,13 @@ slot scheduling work unchanged on mixed traffic.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.topology.network import MultistageNetwork, Point
+from repro.core.batch import _route_batch
+from repro.core.conference import Conference
+from repro.core.routing import RoutingPolicy, TapPolicy, _check_taps, _LinkAccounting
+from repro.topology.network import MultistageNetwork
 from repro.util.validation import check_ports
 
 __all__ = ["GroupConnection", "GroupRoute", "route_group"]
@@ -76,22 +80,16 @@ class GroupConnection:
 
 
 @dataclass(frozen=True)
-class GroupRoute:
+class GroupRoute(_LinkAccounting):
     """Realization of a group connection; interface-compatible with
-    :class:`~repro.core.routing.Route` for conflict accounting."""
+    :class:`~repro.core.routing.Route` for conflict accounting (the
+    link accounting is Route's own); ``levels`` carry sender bitmasks."""
 
     connection: GroupConnection
     n_ports: int
     n_stages: int
     levels: tuple[dict[int, int], ...]
     taps: dict[int, int]
-
-    @property
-    def links(self) -> frozenset[Point]:
-        """Used inter-stage links (downstream-point identification)."""
-        return frozenset(
-            (t, r) for t, rows in enumerate(self.levels) if t >= 1 for r in rows
-        )
 
     # -- fabric adapter (shared with Route) ------------------------------
 
@@ -115,20 +113,6 @@ class GroupRoute:
         """Ports this connection claims exclusively."""
         return self.connection.ports
 
-    @property
-    def n_links(self) -> int:
-        """Number of inter-stage links occupied."""
-        return sum(len(rows) for rows in self.levels[1:])
-
-    @property
-    def depth(self) -> int:
-        """Deepest tap level."""
-        return max(self.taps.values())
-
-    def mask_at(self, level: int, row: int) -> int:
-        """Sender bitmask carried at ``(level, row)``."""
-        return self.levels[level].get(row, 0)
-
 
 def route_group(
     net: MultistageNetwork,
@@ -143,65 +127,34 @@ def route_group(
     receiver can never hear every sender (impossible on full-access
     networks).
     """
-    check_ports(connection.senders, net.n_ports, "senders")
-    check_ports(connection.receivers, net.n_ports, "receivers")
-    full = (1 << len(connection.senders)) - 1
-    tab = net.successor_table
+    return _route_groups(net, [connection], earliest_taps)[0]
 
-    levels: list[dict[int, int]] = [
-        {port: 1 << idx for idx, port in enumerate(connection.senders)}
-    ]
-    cur = levels[0]
-    for s in range(net.n_stages):
-        nxt: dict[int, int] = {}
-        for row, mask in cur.items():
-            for side in range(tab.shape[2]):
-                r2 = int(tab[s, row, side])
-                nxt[r2] = nxt.get(r2, 0) | mask
-        levels.append(nxt)
-        cur = nxt
 
-    taps: dict[int, int] = {}
-    for port in connection.receivers:
-        if earliest_taps:
-            for t in range(net.n_stages + 1):
-                if levels[t].get(port, 0) == full:
-                    taps[port] = t
-                    break
-            else:
+def _route_groups(
+    net: MultistageNetwork,
+    connections: "Sequence[GroupConnection]",
+    earliest_taps: bool,
+) -> list[GroupRoute]:
+    """:func:`route_group` for a list of connections, in one kernel call.
+    All ports are checked first; then the first unroutable connection raises."""
+    for connection in connections:
+        check_ports(connection.senders, net.n_ports, "senders")
+        check_ports(connection.receivers, net.n_ports, "receivers")
+    policy = RoutingPolicy(TapPolicy.EARLIEST if earliest_taps else TapPolicy.FINAL)
+    confs = [Conference(c.senders, c.connection_id) for c in connections]
+    receivers = [c.receivers for c in connections]
+    outcomes = _route_batch(net, confs, policy, frozenset(), receivers=receivers)
+    routes = []
+    for connection, outcome in zip(connections, outcomes):
+        if not outcome.ok:
+            port = outcome.error.port
+            if earliest_taps:
                 raise ValueError(
                     f"receiver {port} can never hear all senders "
                     f"{connection.senders} in {net.name}"
                 )
-        else:
-            if levels[net.n_stages].get(port, 0) != full:
-                raise ValueError(
-                    f"receiver {port} cannot combine all senders at the outputs"
-                )
-            taps[port] = net.n_stages
-
-    # Backward usefulness sweep.
-    ptab = net.predecessor_table
-    marked: list[set[int]] = [set() for _ in range(net.n_stages + 1)]
-    for port, t in taps.items():
-        marked[t].add(port)
-    for t in range(net.n_stages, 0, -1):
-        for row in marked[t]:
-            for side in range(ptab.shape[2]):
-                marked[t - 1].add(int(ptab[t - 1, row, side]))
-
-    used = [
-        {row: mask for row, mask in levels[t].items() if row in marked[t]}
-        for t in range(net.n_stages + 1)
-    ]
-    route = GroupRoute(
-        connection=connection,
-        n_ports=net.n_ports,
-        n_stages=net.n_stages,
-        levels=tuple(used),
-        taps=taps,
-    )
-    bad = [p for p, t in taps.items() if route.mask_at(t, p) != full]
-    if bad:
-        raise AssertionError(f"group routing invariant violated at taps {bad}")
-    return route
+            raise ValueError(f"receiver {port} cannot combine all senders at the outputs")
+        route = outcome.route
+        _check_taps(net, route)
+        routes.append(GroupRoute(connection, net.n_ports, net.n_stages, route.levels, route.taps))
+    return routes

@@ -186,9 +186,8 @@ class ConferenceNetwork:
         return route_conference(self._topology, conference, self._policy, faults=faults)
 
     def route_set(self, conferences: "ConferenceSet | Iterable[Iterable[int]]") -> tuple[Route, ...]:
-        """Route every conference of a disjoint set; order is preserved."""
-        conferences = self._coerce_set(conferences)
-        return tuple(self.route(conf) for conf in conferences)
+        """Route every conference of a disjoint set (:meth:`route_batch`)."""
+        return self.route_batch(conferences)
 
     def route_batch(
         self,
@@ -196,12 +195,11 @@ class ConferenceNetwork:
     ) -> tuple[Route, ...]:
         """Route a disjoint set in one columnar pass; order is preserved.
 
-        The batched equivalent of :meth:`route_set`: the bitset kernel
-        (:func:`repro.core.batch.route_batch`) evaluates every
-        conference's layered graph stage by stage with numpy columnar
-        state, returning routes **byte-identical** to the sequential
-        path, and raises the same error the first failing conference's
-        :meth:`route` call would have raised.
+        The bitset kernel (:func:`repro.core.batch.route_batch`)
+        evaluates every conference's layered graph stage by stage with
+        numpy columnar state, returning the routes one :meth:`route`
+        call per conference would return, and raises the same error the
+        first failing conference's :meth:`route` call would have raised.
         """
         conferences = self._coerce_set(conferences)
         outcomes = _batch_route(self._topology, list(conferences), self._policy)

@@ -6,7 +6,7 @@ through per-member Python dict sweeps — the algorithm of
 production path: the library routes every conference through the
 bit-sliced kernel behind :func:`~repro.core.batch.route_batch`.  This
 walk is the oracle the differential tests hold the kernel against, and
-the baseline F2 times it against.
+the baseline F2 times it against; with ``receivers=``, of group routing.
 
 Internal under the stability policy of ``docs/api.md``: no module of
 the package imports it.
@@ -67,11 +67,12 @@ def _select_taps(
     conference: Conference,
     policy: RoutingPolicy,
     n_stages: int,
+    receivers: "tuple[int, ...] | None" = None,
 ) -> dict[int, int]:
-    """Choose the tap level for every member under the policy."""
+    """Choose the tap level of every receiver (default: member) under the policy."""
     full = conference.full_mask
     taps: dict[int, int] = {}
-    for port in conference.members:
+    for port in conference.members if receivers is None else receivers:
         if policy.tap_policy is TapPolicy.FINAL:
             if forward[n_stages].get(port, 0) != full:
                 raise UnroutableError(
@@ -120,6 +121,7 @@ def route_conference_sequential(
     policy: "RoutingPolicy | None" = None,
     faults: "frozenset | None" = None,
     pins: "dict[int, int] | None" = None,
+    receivers: "tuple[int, ...] | None" = None,
 ) -> Route:
     """The sequential reference implementation of
     :func:`~repro.core.routing.route_conference`.
@@ -128,7 +130,10 @@ def route_conference_sequential(
     time.  ``pins`` maps member ports to tap levels to keep: a pinned
     member taps at its pin whenever the full combination reaches its row
     there, and at its natural level otherwise (the incremental-churn
-    semantics of :func:`~repro.core.churn.extend_route`).
+    semantics of :func:`~repro.core.churn.extend_route`).  ``receivers``
+    (sorted) tap in place of the members, which still inject: a group
+    connection (:mod:`repro.core.groupcast`); taps, pins and errors are
+    then keyed by receiver.
     """
     policy = policy or RoutingPolicy()
     dead = frozenset(faults) if faults else frozenset()
@@ -138,7 +143,7 @@ def route_conference_sequential(
             f"{net.n_ports}-port network"
         )
     forward = _forward_masks(net, conference, dead)
-    taps = _select_taps(forward, conference, policy, net.n_stages)
+    taps = _select_taps(forward, conference, policy, net.n_stages, receivers)
     for port, pin in (pins or {}).items():
         if port in taps and forward[pin].get(port, 0) == conference.full_mask:
             taps[port] = pin

@@ -93,27 +93,12 @@ class RoutingPolicy:
         object.__setattr__(self, "tap_policy", TapPolicy(self.tap_policy))
 
 
-@dataclass(frozen=True)
-class Route:
-    """The realization of one conference in a network.
+class _LinkAccounting:
+    """Link accounting read from ``levels``/``taps``: the one definition
+    :class:`Route` and :class:`~repro.core.groupcast.GroupRoute` share."""
 
-    ``levels`` maps each level ``t`` to a dict ``row -> member bitmask``
-    of used points and the partial combination they carry; ``taps`` maps
-    each member port to the level its output mux selects.
-    """
-
-    conference: Conference
-    n_ports: int
-    n_stages: int
-    levels: tuple[dict[int, int], ...]
-    taps: dict[int, int]
-
-    @property
-    def points(self) -> frozenset[Point]:
-        """All used points (level, row), including level-0 injections."""
-        return frozenset(
-            (t, r) for t, rows in enumerate(self.levels) for r in rows
-        )
+    levels: "tuple[dict[int, int], ...]"
+    taps: "dict[int, int]"
 
     @property
     def links(self) -> frozenset[Point]:
@@ -134,8 +119,35 @@ class Route:
 
     @property
     def depth(self) -> int:
-        """Deepest level the conference reaches (max tap level)."""
+        """Deepest level the route reaches (max tap level)."""
         return max(self.taps.values())
+
+    def mask_at(self, level: int, row: int) -> int:
+        """Injection bitmask carried at ``(level, row)`` (0 when unused)."""
+        return self.levels[level].get(row, 0)
+
+
+@dataclass(frozen=True)
+class Route(_LinkAccounting):
+    """The realization of one conference in a network.
+
+    ``levels`` maps each level ``t`` to a dict ``row -> member bitmask``
+    of used points and the partial combination they carry; ``taps`` maps
+    each member port to the level its output mux selects.
+    """
+
+    conference: Conference
+    n_ports: int
+    n_stages: int
+    levels: tuple[dict[int, int], ...]
+    taps: dict[int, int]
+
+    @property
+    def points(self) -> frozenset[Point]:
+        """All used points (level, row), including level-0 injections."""
+        return frozenset(
+            (t, r) for t, rows in enumerate(self.levels) for r in rows
+        )
 
     def stages_traversed(self, member: int) -> int:
         """Switching stages member ``member``'s received signal crossed."""
@@ -165,10 +177,6 @@ class Route:
     def exclusive_ports(self) -> frozenset[int]:
         """Ports this connection claims exclusively."""
         return self.conference.member_set
-
-    def mask_at(self, level: int, row: int) -> int:
-        """Member bitmask carried at ``(level, row)`` (0 when unused)."""
-        return self.levels[level].get(row, 0)
 
     def members_at(self, level: int, row: int) -> frozenset[int]:
         """Member ports whose signal is mixed at ``(level, row)``."""

@@ -263,17 +263,22 @@ def group_traffic_trial(index: int, seed, params: dict) -> dict:
     """Per-shape fabric load of one drawn family of port groups.
 
     Draws ``n_groups`` disjoint groups of ``group_size`` ports, routes
-    them as full conference / panel / multicast, and returns the
-    per-shape mean links, mean depth, and required dilation.
+    them as full conference / panel / multicast (one kernel call per
+    shape), and returns the per-shape mean links, mean depth, and
+    required dilation.  ``ValueError`` when the groups do not fit.
     """
-    from repro.core.groupcast import GroupConnection, route_group
+    from repro.core.groupcast import GroupConnection, _route_groups
 
     n_ports = params["n_ports"]
     size = params["group_size"]
+    if params["n_groups"] * size > n_ports:
+        raise ValueError(
+            f"{params['n_groups']} groups of {size} ports do not fit in {n_ports} ports"
+        )
     net = shared_network(params["topology"], n_ports)
     rng = np.random.default_rng(seed)
     perm = [int(p) for p in rng.permutation(n_ports)]
-    groups = [perm[i : i + size] for i in range(0, n_ports - size, size)]
+    groups = [perm[i : i + size] for i in range(0, n_ports - size + 1, size)]
     groups = groups[: params["n_groups"]]
     shapes = {
         "conference": [GroupConnection.conference(g, connection_id=c) for c, g in enumerate(groups)],
@@ -287,7 +292,7 @@ def group_traffic_trial(index: int, seed, params: dict) -> dict:
     }
     record: dict = {"trial": index}
     for shape, connections in shapes.items():
-        routes = [route_group(net, conn) for conn in connections]
+        routes = _route_groups(net, connections, earliest_taps=True)
         record[shape] = {
             "mean_links": float(np.mean([r.n_links for r in routes])),
             "mean_depth": float(np.mean([r.depth for r in routes])),

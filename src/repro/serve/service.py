@@ -25,7 +25,8 @@ it:
   a session is never lost while the service runs (the churn acceptance
   test asserts exactly this).
 * **Graceful drain** — :meth:`drain` stops new work and ticks until the
-  backlog and every in-flight restore settles; :meth:`shutdown` then
+  backlog and every in-flight restore settles (a restore waiting for
+  ports another live session holds never does); :meth:`shutdown` then
   closes the remaining sessions.
 
 Time is **virtual**: the service owns a deterministic
@@ -873,8 +874,10 @@ class FabricService:
 
         Returns the number of ticks it took.  ``RuntimeError`` if the
         backlog (queued requests, backoff re-admissions, in-flight
-        restores) has not settled within ``max_ticks`` — a signal the
-        fault timeline left the fabric unroutable.
+        restores) has not settled within ``max_ticks``: the fault
+        timeline left the fabric unroutable, or (on a healthy fabric) a
+        re-queued restore waits for ports a session admitted meanwhile
+        holds, which draining never closes.
         """
         if self._state == "closed":
             raise RuntimeError("cannot drain a closed service")

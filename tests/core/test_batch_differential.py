@@ -496,12 +496,15 @@ class TestHealingBatchDifferential:
 
 
 class TestNetworkFacade:
-    def test_route_batch_matches_route_set(self):
+    def test_route_batch_and_route_set_match_the_reference_walk(self):
         net = ConferenceNetwork.build("baseline", 16, dilation=16)
         groups = [[0, 3], [4, 5, 6], [8, 12, 13]]
-        batched = net.route_batch(groups)
-        sequential = net.route_set(groups)
-        assert [repr(r) for r in batched] == [repr(r) for r in sequential]
+        expected = [
+            repr(route_conference_sequential(net.topology, Conference.of(g, cid)))
+            for cid, g in enumerate(groups)
+        ]
+        assert [repr(r) for r in net.route_batch(groups)] == expected
+        assert [repr(r) for r in net.route_set(groups)] == expected
 
     def test_route_batch_raises_first_sequential_error(self):
         net = ConferenceNetwork.build("omega", 16)

@@ -5,8 +5,10 @@ differential tests' oracle.  Two checks keep it out of the library:
 no module under ``src/repro`` other than the reference module itself
 imports it or defines its functions (a static AST scan), and with every
 function of the module patched to raise, the serve bench, the cluster
-bench, W1's churn workloads (pinned extends included) and a
-``prune=True`` batch all still run.
+bench, W1's churn workloads (pinned extends included), a
+``prune=True`` batch, ``route_group`` and E3's group-traffic trial all
+still run.  Group connections have no sweep of their own either:
+``groupcast.py`` reads neither routing table.
 """
 
 import ast
@@ -19,9 +21,11 @@ import pytest
 from repro.core import reference
 from repro.core.batch import route_batch
 from repro.core.conference import Conference
+from repro.core.groupcast import GroupConnection, route_group
 from repro.core.healing import RetryPolicy
 from repro.core.routing import RoutingPolicy
 from repro.cluster.bench import run_cluster_bench
+from repro.parallel.experiments import group_traffic_trial
 from repro.serve.bench import run_serve_bench
 from repro.sim.faults import FaultProcessConfig
 from repro.topology.builders import build
@@ -75,6 +79,18 @@ def test_no_package_module_imports_or_defines_the_walk():
             if isinstance(node, ast.FunctionDef) and node.name in WALK
         ]
     assert offenders == []
+
+
+def test_groupcast_reads_no_routing_table():
+    tree = ast.parse((PACKAGE / "core" / "groupcast.py").read_text())
+    tables = {"successor_table", "predecessor_table"}
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in tables)
+        or (isinstance(node, ast.Name) and node.id in tables)
+    ]
+    assert reads == []
 
 
 def test_the_scan_sees_every_import_spelling():
@@ -137,3 +153,13 @@ def test_prune_batch_runs_without_the_walk(walk_raises):
     batch = [Conference.of([0, 3, 5, 9], 0), Conference.of([1, 2, 12], 1)]
     outcomes = route_batch(net, batch, RoutingPolicy(prune=True))
     assert all(outcome.ok for outcome in outcomes)
+
+
+def test_group_routing_runs_without_the_walk(walk_raises):
+    net = build("omega", 16)
+    route = route_group(net, GroupConnection((0, 5), (3, 5, 12)), earliest_taps=False)
+    assert set(route.taps) == {3, 5, 12}
+    record = group_traffic_trial(
+        0, 7000, {"topology": "indirect-binary-cube", "n_ports": 16, "group_size": 4, "n_groups": 4}
+    )
+    assert record["multicast"]["mean_links"] < record["conference"]["mean_links"]

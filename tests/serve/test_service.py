@@ -356,6 +356,34 @@ class TestDrainAndShutdown:
         assert len(svc.queue) == 0
         assert svc.state == "draining"
 
+    def test_drain_cannot_settle_a_restore_whose_port_is_taken(self):
+        """A healthy fabric that never drains: session 0 goes down on a
+        transient fault, session 1 takes its port 1 meanwhile, and the
+        re-queued restore waits for that port until session 1 closes."""
+        network = ConferenceNetwork.build("indirect-binary-cube", N_PORTS, dilation=1)
+        svc = service(network=network, retry=RetryPolicy(max_retries=2, base_delay=1.0))
+        first = svc.submit_open([0, 1])
+        svc.tick()
+        svc.attach_faults(
+            [FaultTransition(2.0, (1, 0), True), FaultTransition(5.0, (1, 0), False)]
+        )
+        for _ in range(3):
+            svc.tick()
+        assert svc.sessions.require(first).state is SessionState.DOWN
+        got = []
+        second = svc.submit_open([1, 3], on_complete=collect(got))
+        for _ in range(6):
+            svc.tick()
+        assert got[-1].status == "admitted"
+        with pytest.raises(
+            RuntimeError,
+            match=r"drain did not settle within 200 ticks \(1 in flight, 0 queued, 0 down\)",
+        ):
+            svc.drain(max_ticks=200)
+        assert svc.sessions.require(first).state is SessionState.DOWN
+        assert svc.sessions.require(second).state is SessionState.ACTIVE
+        assert not svc.healing.down_conferences
+
     def test_draining_rejects_new_opens_but_takes_closes(self):
         svc = service()
         got = []

@@ -98,6 +98,19 @@ def e5(out: Path) -> None:
 
 
 @check
+def e3(out: Path) -> None:
+    """E3 group-traffic assertions; its tables hold no timings, so the
+    regenerated ``benchmarks/results/e3_group_traffic.{csv,txt}`` must
+    equal the checked-in ones byte for byte."""
+    tables = [REPO / "benchmarks" / "results" / f"e3_group_traffic.{ext}" for ext in ("csv", "txt")]
+    for table in tables:
+        shutil.copy2(table, out / f"{table.stem}.committed{table.suffix}")
+    bench(out, "bench_e3_group_traffic.py", "benchmarks/results/e3_*", pytest=True)
+    for table in tables:
+        same(out / f"{table.stem}.committed{table.suffix}", out / table.name)
+
+
+@check
 def e2e_digests(out: Path) -> None:
     """The end-to-end benchmark's seed-0 decision digests match the pins.
 
