@@ -22,7 +22,7 @@ from pathlib import Path
 
 from _common import emit
 
-from repro.parallel.cache import shared_network, shared_route_cache
+from repro.parallel.cache import shared_network
 from repro.parallel.experiments import random_load_arm
 
 N_PORTS = 32
@@ -44,7 +44,6 @@ def _run(workers):
     # Each configuration pays its own warmup: parent-side registries
     # would otherwise be inherited by forked workers and by the serial
     # run, whichever goes second.
-    shared_route_cache.cache_clear()
     shared_network.cache_clear()
     start = time.perf_counter()
     arm = random_load_arm(TOPOLOGY, N_PORTS, trials=TRIALS, seed=SEED, workers=workers)

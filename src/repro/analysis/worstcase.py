@@ -19,6 +19,7 @@ topology, strongest-evidence first:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import networkx as nx
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core.batch import route_batch
 from repro.core.conference import Conference, ConferenceSet
-from repro.core.routing import RoutingPolicy, route_conference
+from repro.core.routing import RoutingPolicy
 from repro.obs.metrics import timed
 from repro.topology.network import MultistageNetwork, Point
 from repro.util.bits import ilog2
@@ -121,35 +122,43 @@ def exhaustive_max_multiplicity(
     """Ground-truth worst case by full enumeration (use only for N <= 8).
 
     Routes every family of disjoint conferences (all sizes >= 2) and
-    returns the maximum link multiplicity with a witness.  Routing runs
-    through the columnar kernel one family at a time, byte-identical to
-    the per-object walk it replaced.
+    returns the maximum link multiplicity with a witness.  Each family's
+    not-yet-seen conferences are routed in one kernel call.
     """
     policy = policy or RoutingPolicy()
     best = SearchResult(0, None, None, 0, True)
     explored = 0
-    route_cache: dict[tuple[int, ...], frozenset[Point]] = {}
+    known: dict[tuple[int, ...], frozenset[Point]] = {}
     for cs in conference_sets(net.n_ports, max_conferences=max_conferences):
         explored += 1
         if len(cs) < 2:
             continue
-        missing = [conf for conf in cs if conf.members not in route_cache]
-        if missing:
-            outcomes = route_batch(net, missing, policy)
-            for conf, outcome in zip(missing, outcomes):
-                route_cache[conf.members] = outcome.unwrap().links
+        _route_missing(net, policy, known, (conf.members for conf in cs))
         loads: Counter = Counter()
         for conf in cs:
-            links = route_cache.get(conf.members)
-            if links is None:
-                links = route_conference(net, conf, policy).links
-                route_cache[conf.members] = links
-            loads.update(links)
+            loads.update(known[conf.members])
         if loads:
             link, mult = max(loads.items(), key=lambda kv: kv[1])
             if mult > best.multiplicity:
                 best = SearchResult(mult, cs, link, explored, True)
     return SearchResult(best.multiplicity, best.witness, best.link, explored, True)
+
+
+def _route_missing(
+    net: MultistageNetwork,
+    policy: "RoutingPolicy | None",
+    known: "dict[tuple[int, ...], frozenset[Point]]",
+    groups: "Iterable[Iterable[int]]",
+) -> None:
+    """Store the links of every member group ``known`` lacks, keyed by
+    its sorted members, routing them all in one :func:`route_batch`
+    call (a routing error raises)."""
+    keys = (tuple(sorted(group)) for group in groups)
+    missing = list(dict.fromkeys(key for key in keys if key not in known))
+    if missing:
+        outcomes = route_batch(net, [Conference.of(m) for m in missing], policy)
+        for members, outcome in zip(missing, outcomes):
+            known[members] = outcome.unwrap().links
 
 
 def _pair_link_graph(
@@ -271,34 +280,41 @@ def randomized_search(
             workers=workers,
             chunk_size=chunk_size,
         )
-    from repro.parallel.cache import RouteCache
-
     rng = ensure_rng(seed)
     n = net.n_ports
     ilog2(n)
-    cache = RouteCache(net, policy)
+    known: dict[tuple[int, ...], frozenset[Point]] = {}
     best = SearchResult(0, None, None, trials, False)
     for _ in range(trials):
-        found = _hill_climb(rng, n, pool_size, cache)
+        found = _hill_climb(rng, pool_size, net, policy, known)
         if found is not None and len(found[1]) > best.multiplicity:
             target, keep = found
             best = SearchResult(len(keep), ConferenceSet.of(n, keep), target, trials, False)
     return best
 
 
-def _hill_climb(rng: np.random.Generator, n: int, pool_size: int, cache) -> "tuple | None":
+def _hill_climb(
+    rng: np.random.Generator,
+    pool_size: int,
+    net: MultistageNetwork,
+    policy: "RoutingPolicy | None",
+    known: "dict[tuple[int, ...], frozenset[Point]]",
+) -> "tuple | None":
     """One search trial, shared by the serial loop and the sharded trials:
     ``(target link, kept pairs)``, or ``None`` when the seed matching
-    uses no link.  Routes through the ``RouteCache`` ``cache``."""
+    uses no link.  Pair links are read from ``known`` (sorted members ->
+    links), which the trial fills as it goes and callers keep across
+    trials, so each distinct pair is routed at most once."""
+    n = net.n_ports
     ports = rng.permutation(n)
     pairs = [(int(ports[2 * i]), int(ports[2 * i + 1])) for i in range(min(pool_size, n // 2))]
-    # One columnar pass resolves the seed matching; the lookups below hit.
-    cache.prime(pairs)
+    # One kernel call resolves the seed matching.
+    _route_missing(net, policy, known, pairs)
     loads: Counter = Counter()
     links_of: dict[tuple[int, int], frozenset[Point]] = {}
-    for pair in pairs:
-        links = cache.route(Conference.of(pair)).links
-        links_of[pair] = links
+    for a, b in pairs:
+        links = known[(min(a, b), max(a, b))]
+        links_of[(a, b)] = links
         loads.update(links)
     if not loads:
         return None
@@ -311,23 +327,23 @@ def _hill_climb(rng: np.random.Generator, n: int, pool_size: int, cache) -> "tup
     for i in range(len(free)):
         if free[i] in used:
             continue  # every inner pair would be skipped anyway
-        primed_until = i + 1  # greedy-scan candidates primed so far
+        routed_until = i + 1  # greedy-scan candidates routed so far
         for j in range(i + 1, len(free)):
             a, b = free[i], free[j]
             if a in used or b in used:
                 continue
-            if j >= primed_until:
-                # Prime the next block lazily: a hit poisons the rest of
+            if j >= routed_until:
+                # Route the next block lazily: a hit poisons the rest of
                 # this scan, so batching far ahead routes unasked pairs.
                 block, k = [], j
                 while k < len(free) and len(block) < 64:
                     if free[k] not in used:
-                        block.append((min(a, free[k]), max(a, free[k])))
+                        block.append((a, free[k]))
                     k += 1
-                primed_until = k
-                cache.prime(block)
+                routed_until = k
+                _route_missing(net, policy, known, block)
             pair = (min(a, b), max(a, b))
-            if target in cache.route(Conference.of(pair)).links:
+            if target in known[pair]:
                 keep.append(pair)
                 used.update(pair)
     return target, keep

@@ -67,7 +67,6 @@ from repro.obs.slo import (
     default_serve_slos,
 )
 from repro.obs.trace import Tracer
-from repro.parallel.cache import RouteCache
 from repro.perfmodel.capacity import DeliveryModel
 from repro.perfmodel.model import (
     CycleSim,
@@ -104,7 +103,7 @@ from repro.workloads.churn import (
 
 #: Version of the public surface (bumped on any additive change; the
 #: library version tracks releases, this tracks the API contract).
-API_VERSION = "2.0"
+API_VERSION = "3.0"
 
 
 @runtime_checkable
@@ -181,7 +180,6 @@ __all__ = [
     "RetryPolicy",
     "SelfHealingController",
     "SubmitOutcome",
-    "RouteCache",
     # protection (precomputed fast failover)
     "BackupPlan",
     "BackupPlanStore",

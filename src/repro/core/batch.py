@@ -227,28 +227,19 @@ def _prime_routes(
     policy: RoutingPolicy,
     faults: frozenset,
     store: "Callable[[tuple, tuple | UnroutableError], None]",
-    skip: "Collection[tuple]" = (),
-) -> int:
+) -> None:
     """Route ahead of a sequential walk in one :func:`route_batch` call.
 
-    Each distinct ``(members, faults)`` key not in ``skip`` is routed and
-    its packed body handed to ``store``; out-of-range members are skipped
-    (the sequential path raises the same ``ValueError``).  Returns the
-    number of bodies stored.
+    Each distinct ``(members, faults)`` key is routed and its packed body
+    handed to ``store``; out-of-range members are skipped (the sequential
+    path raises the same ``ValueError``).
     """
     todo: dict[tuple, Conference] = {}
     for conf in conferences:
-        key = (conf.members, faults)
-        if key not in todo and key not in skip:
-            todo[key] = conf
-    if not todo:
-        return 0
-    stored = 0
+        todo.setdefault((conf.members, faults), conf)
     for key, outcome in zip(todo, route_batch(net, list(todo.values()), policy, faults or None)):
         if outcome.ok or isinstance(outcome.error, UnroutableError):
             store(key, _pack_route(outcome.route if outcome.ok else outcome.error))
-            stored += 1
-    return stored
 
 
 def _slots(sizes: "list[int]") -> "tuple[list[int], list[int]]":

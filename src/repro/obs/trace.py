@@ -3,7 +3,7 @@
 A :class:`Tracer` collects a flat stream of **events** (instantaneous
 observations) and **spans** (operations with a begin and an end) from
 whatever components it is attached to — the event loop, the self-healing
-controller, the fault injector, the route cache.  Records carry both the
+controller, the fault injector, the service layer.  Records carry both the
 *simulation* clock (``t``, when the emitting component knows it) and the
 *wall* clock (``wall``, monotonic seconds), so a trace can answer "what
 happened to conference 12 between the fault at t=381 and its restore"

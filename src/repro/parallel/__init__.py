@@ -2,20 +2,16 @@
 
 Fan Monte Carlo trials out over worker processes with per-trial seed
 streams and an ordered deterministic reduction, so results are
-byte-identical for any worker count and chunking; memoize hot routing
-work through the fault-aware :class:`RouteCache`.
+byte-identical for any worker count and chunking.  Workers build each
+topology once (:func:`shared_network`) and route straight through the
+batch kernel.
 
 See DESIGN.md ("Parallel experiment engine") for the determinism
 contract and ``tests/parallel/`` for the differential suite enforcing
 it.
 """
 
-from repro.parallel.cache import (
-    CacheStats,
-    RouteCache,
-    shared_network,
-    shared_route_cache,
-)
+from repro.parallel.cache import shared_network
 from repro.parallel.experiments import (
     random_load_arm,
     randomized_search_parallel,
@@ -32,10 +28,7 @@ from repro.parallel.seeds import (
 )
 
 __all__ = [
-    "CacheStats",
-    "RouteCache",
     "shared_network",
-    "shared_route_cache",
     "random_load_arm",
     "randomized_search_parallel",
     "search_trials",

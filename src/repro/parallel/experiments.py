@@ -12,27 +12,27 @@ suite re-expressed as sharded trials for
 * :func:`traffic_arm` / :func:`availability_arm` — the F3 blocking and
   E5 availability sweeps, parallelized over their independent arms.
 
-The module-level ``_*_trial`` functions are the units workers execute;
+The module-level ``*_trial`` functions are the units workers execute;
 they resolve networks through the per-process registry
-(:func:`~repro.parallel.cache.shared_network`) and route through the
-shared :class:`~repro.parallel.cache.RouteCache`, so a warm worker
-never rebuilds topology tables and reuses routes of recurring
-placements.  Every kernel is a pure function of ``(seed, params)``;
-the differential suite checks the serial and parallel engines agree
-record-for-record.
+(:func:`~repro.parallel.cache.shared_network`), so a warm worker never
+rebuilds topology tables, and route through the batch kernel.  Every
+kernel is a pure function of ``(seed, params)``; the differential suite
+checks the serial and parallel engines agree record-for-record.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
+from repro.core.batch import route_batch
 from repro.core.conference import ConferenceSet
 from repro.core.conflict import analyze_conflicts
 from repro.core.network import ConferenceNetwork
 from repro.obs.metrics import DEFAULT_OCCUPANCY_BUCKETS, maybe_registry
-from repro.parallel.cache import shared_network, shared_route_cache
+from repro.parallel.cache import shared_network
 from repro.parallel.runner import ExperimentRunner, NetworkSpec
 from repro.sim.scenarios import run_traffic
 from repro.workloads.generators import clustered, interleaved, uniform_partition
@@ -94,16 +94,12 @@ def _record_trial(kind: str, multiplicity: int) -> None:
 
 def random_load_trial(index: int, seed, params: dict) -> dict:
     """Route one random conference set; report its conflict pressure."""
-    cache = shared_route_cache(params["topology"], params["n_ports"])
+    net = shared_network(params["topology"], params["n_ports"])
     generate = WORKLOAD_GENERATORS[params.get("workload", "uniform")]
     kwargs = dict(params.get("generator_kwargs") or {})
     conferences = generate(params["n_ports"], seed=seed, **kwargs)
-    # Route the whole set through the columnar kernel in one pass; the
-    # per-conference lookups below then hit the cache.  Records are
-    # identical either way (primed routes are byte-identical).
-    cache.prime(conferences)
-    routes = [cache.route(conf) for conf in conferences]
-    report = analyze_conflicts(routes, n_stages=cache.network.n_stages)
+    routes = [outcome.unwrap() for outcome in route_batch(net, conferences)]
+    report = analyze_conflicts(routes, n_stages=net.n_stages)
     _record_trial("random_load", int(report.max_multiplicity))
     return {
         "trial": index,
@@ -161,19 +157,31 @@ def random_load_arm(
 # -- randomized worst-case search ------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _shared_pair_links(topology: str, n_ports: int, policy) -> dict:
+    """The process-wide pair-links dict (sorted members -> links) of one
+    registry topology and policy; at most ``N(N-1)/2`` entries."""
+    return {}
+
+
 def search_trial(index: int, seed, params: dict) -> dict:
     """One hill-climbing trial of the randomized worst-case search.
 
     The same trial :func:`repro.analysis.worstcase.randomized_search`
-    loops over, drawn from a per-trial stream and routed through the
-    worker's shared cache (pair routes recur heavily across trials, so
-    the cache hits).
+    loops over, drawn from a per-trial stream.  Pair links are kept in
+    the worker's shared dict: pairs recur heavily across trials, so each
+    is routed once per worker.
     """
     from repro.analysis.worstcase import _hill_climb
 
-    n = params["n_ports"]
-    cache = shared_route_cache(params["topology"], n, params.get("policy"))
-    found = _hill_climb(np.random.default_rng(seed), n, params.get("pool_size", 64), cache)
+    topology, n, policy = params["topology"], params["n_ports"], params.get("policy")
+    found = _hill_climb(
+        np.random.default_rng(seed),
+        params.get("pool_size", 64),
+        shared_network(topology, n),
+        policy,
+        _shared_pair_links(topology, n, policy),
+    )
     if found is None:
         _record_trial("search", 0)
         return {"trial": index, "multiplicity": 0, "link": None, "groups": []}

@@ -15,8 +15,8 @@ deterministically:
   size**, including the inline serial path (``workers=None``) — the
   differential test suite enforces exactly this equality.
 * **Warm workers** — each worker process prebuilds the experiment's
-  networks (and route caches) once from the pool initializer, so trials
-  only pay for their own work.
+  networks once from the pool initializer, so trials only pay for their
+  own work.
 
 Trial functions must be module-level (they are pickled by reference)
 with the signature ``fn(index, seed, params)``; task functions for
@@ -34,7 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, collecting
-from repro.parallel.cache import shared_network, shared_route_cache
+from repro.parallel.cache import shared_network
 from repro.parallel.seeds import chunk_tasks, trial_seeds
 from repro.topology.builders import TOPOLOGY_BUILDERS
 from repro.topology.network import MultistageNetwork
@@ -72,10 +72,9 @@ class NetworkSpec:
 
 
 def _warm_worker(specs: tuple[NetworkSpec, ...]) -> None:
-    """Pool initializer: prebuild networks and route caches once."""
+    """Pool initializer: prebuild networks once."""
     for spec in specs:
         spec.build()
-        shared_route_cache(spec.topology, spec.n_ports)
 
 
 def _run_trial_chunk(

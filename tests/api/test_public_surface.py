@@ -165,7 +165,7 @@ REMOVED_KEYWORDS = [
 
 
 class TestRemovedIn20:
-    """Everything the 2.0 API dropped now fails loudly (see docs/api.md)."""
+    """Everything the 2.0 and 3.0 APIs dropped now fails loudly (see docs/api.md)."""
 
     @pytest.mark.parametrize(
         "owner, keyword", REMOVED_KEYWORDS, ids=[f"{o}-{k}" for o, k in REMOVED_KEYWORDS]
@@ -182,11 +182,20 @@ class TestRemovedIn20:
         assert result.mode == "full-reroute"
 
     @pytest.mark.parametrize(
-        "name", ["BuddyAllocator", "place_aligned", "GroupConnection", "route_group"]
+        "name",
+        ["BuddyAllocator", "place_aligned", "GroupConnection", "route_group", "RouteCache"],
     )
     def test_legacy_top_level_names_are_gone(self, name):
         with pytest.raises(AttributeError, match="no attribute"):
             getattr(repro, name)
+
+    @pytest.mark.parametrize("name", ["RouteCache", "CacheStats", "shared_route_cache"])
+    def test_route_cache_is_gone_from_the_parallel_package(self, name):
+        import repro.parallel
+        import repro.parallel.cache
+
+        assert not hasattr(repro.parallel, name)
+        assert not hasattr(repro.parallel.cache, name)
 
     @pytest.mark.parametrize(
         "owner, name",
@@ -201,8 +210,8 @@ class TestRemovedIn20:
         assert not hasattr(owner, name)
 
     def test_versions(self):
-        assert api.API_VERSION == "2.0"
-        assert repro.__version__ == "2.0.0"
+        assert api.API_VERSION == "3.0"
+        assert repro.__version__ == "3.0.0"
 
 
 class TestDeprecations:

@@ -10,6 +10,7 @@ from repro.core.admission import AdmissionDenied
 from repro.core.conference import Conference
 from repro.core.healing import RetryPolicy, SelfHealingController
 from repro.core.network import ConferenceNetwork
+from repro.core.routing import UnroutableError
 from repro.sim.engine import EventLoop
 from repro.sim.faults import FaultInjector, FaultTransition, fault_universe
 from repro.util.rng import ensure_rng
@@ -77,6 +78,41 @@ class TestAdmissionUnderFaults:
         healing.apply_fault(EventLoop(), (1, 0))
         healing.try_join(Conference.of([0, 1], 0))
         assert healing.degraded_conferences == {0}
+
+
+class TestPrimeBatch:
+    """A primed entry decides a join exactly as a fresh route would."""
+
+    @pytest.mark.parametrize(
+        "topology, members, parked",
+        [
+            ("extra-stage-cube", (0, 1), "route"),
+            # The unique-path cube has no way around (1, 0): a negative entry.
+            ("indirect-binary-cube", (0, 1), "unroutable"),
+            # Out-of-range members are never parked; the join raises itself.
+            ("extra-stage-cube", (0, 99), None),
+        ],
+    )
+    def test_primed_join_matches_unprimed(self, topology, members, parked):
+        def join(prime):
+            healing = controller(topology)
+            healing.apply_fault(EventLoop(), (1, 0))
+            conference = Conference.of(members, 0)
+            if prime:
+                healing.prime_batch([conference])
+                entry = healing._primed.get((conference.members, frozenset({(1, 0)})))
+                kind = entry and ("unroutable" if isinstance(entry, UnroutableError) else "route")
+                assert kind == parked
+            try:
+                outcome = repr(healing.try_join(conference))
+            except AdmissionDenied as denial:
+                outcome = ("denied", denial.reason)
+            except ValueError as exc:
+                outcome = ("error", exc.args)
+            assert not healing._primed  # entries are single-shot
+            return outcome
+
+        assert join(prime=True) == join(prime=False)
 
 
 class TestDegradationLadder:
