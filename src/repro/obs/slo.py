@@ -41,6 +41,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 __all__ = [
@@ -56,13 +57,15 @@ __all__ = [
 ALERT_STATES = ("ok", "warn", "page")
 
 
+@lru_cache(maxsize=128)
 def log_bucket_edges(low: float, high: float, growth: float) -> tuple[float, ...]:
     """Geometric bucket upper edges from ``low`` up to at least ``high``.
 
     ``edges[0] == low`` and ``edges[i] == low * growth**i``; the last
     edge is the first one ``>= high``.  A value ``v`` in ``(edges[i-1],
     edges[i]]`` reported as ``edges[i]`` carries relative error below
-    ``growth`` — the bound the property suite checks.
+    ``growth`` — the bound the property suite checks.  Memoized: every
+    histogram of one shape shares one edge tuple.
     """
     if not (low > 0.0 and high >= low):
         raise ValueError(f"need 0 < low <= high, got low={low!r} high={high!r}")

@@ -20,7 +20,10 @@ A fresh sim per tick means queue state does not carry across ticks —
 each tick measures the steady push of ``packets_per_tick`` through the
 current route set from idle, which keeps the model independent of tick
 history (and therefore byte-stable under replay/resume).  The
-cross-tick aggregates are where sustained trends show up.
+cross-tick aggregates are where sustained trends show up.  A sim is
+cheap to build: it keeps one owner slot per lane and per-level wave
+counters, never per-lane queue objects, and the tick reads its peak
+lane occupancy straight off those counters.
 """
 
 from __future__ import annotations
@@ -96,9 +99,7 @@ class DeliveryModel:
         self.undelivered_packets += sim.pending_packets
         for cause, count in sim.stalls.items():
             self.stalls[cause] += count
-        peak = max(
-            (link.peak_occupancy for link in sim.links.values()), default=0
-        )
+        peak = sim.peak_lane_occupancy
         if peak > self.peak_lane_occupancy:
             self.peak_lane_occupancy = peak
         self._latency.merge(sim.latency_histogram.snapshot())

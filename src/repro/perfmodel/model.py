@@ -4,11 +4,12 @@ The paper's conflict analysis bounds what a conference fabric *needs* —
 a link shared by ``m`` conferences requires dilation (or a TDM frame) of
 ``m`` to carry them all at once.  This module measures what a concrete
 *buffered* fabric **delivers**: every inter-stage link carries ``L``
-lanes (:class:`LinkModel`), each lane a bounded flit FIFO
-(:class:`LaneQueue`), and admitted conference routes send *worms* —
-packets of ``F`` flits — through their multicast trees under wormhole
-switching, one flit per lane per cycle, with backpressure
-(:class:`CycleSim`).
+lanes, each lane a bounded flit FIFO, and admitted conference routes
+send *worms* — packets of ``F`` flits — through their multicast trees
+under wormhole switching, one flit per lane per cycle, with
+backpressure (:class:`CycleSim`).  The sim tracks each lane by its
+owner worm alone; :class:`LinkModel` / :class:`LaneQueue` are the
+per-link, per-lane view :attr:`CycleSim.links` builds for inspection.
 
 The switching discipline mirrors multi-lane wormhole MINs (Stergiou):
 
@@ -121,6 +122,11 @@ class LaneQueue:
     worm's own flit order.  Counters (``pushes``, ``pops``,
     ``peak_occupancy``, ``stall_busy``, ``stall_full``) are the raw
     material of the queue-occupancy and stall telemetry.
+
+    :attr:`CycleSim.links` fills these in as a snapshot of the sim's
+    lane state (its ``_pushed_cycle`` bandwidth guard stays unset: a
+    snapshot is taken between cycles, where the guard never fires);
+    the methods are the push/pop contract the sim's bookkeeping obeys.
     """
 
     __slots__ = (
@@ -185,7 +191,8 @@ class LaneQueue:
 
 
 class LinkModel:
-    """One inter-stage link: ``L`` parallel lanes with their queues.
+    """One inter-stage link: ``L`` parallel lanes with their queues
+    (as an inspection snapshot, see :attr:`CycleSim.links`).
 
     ``link`` is the downstream point ``(level, row)`` — the same
     identity :attr:`repro.core.routing.Route.links` uses, so the model
@@ -229,24 +236,31 @@ class _Worm:
 
 
 class _ConfState:
-    """Per-conference routing geometry and lane map, fixed at build time."""
+    """Per-conference lane map and wave counters.
 
-    __slots__ = ("cid", "route", "depth", "level_links", "lane_of", "slot", "queue", "active")
+    ``level_lanes[t]`` holds the lane ids the route uses entering level
+    ``t`` (row order of the route dict).  A flit wave pushes or pops
+    every one of them at once, so the per-lane counters of the
+    :class:`LaneQueue` snapshot are sums (maxima, for the peak) of the
+    per-level wave counters here over the conferences sharing a lane.
+    """
 
-    def __init__(self, cid: int, route: Route, depth: int):
+    __slots__ = (
+        "cid", "depth", "level_lanes", "slot", "queue", "active",
+        "pushes", "pops", "stall_full", "peak",
+    )
+
+    def __init__(self, cid: int, depth: int):
         self.cid = cid
-        self.route = route
         self.depth = depth
-        # level -> tuple of link points the route uses entering that level
-        # (row order matches the route dict's insertion order).
-        self.level_links: list[tuple[Point, ...]] = [
-            tuple((t, r) for r in route.levels[t]) if 1 <= t <= depth else ()
-            for t in range(len(route.levels))
-        ]
-        self.lane_of: dict[Point, int] = {}
+        self.level_lanes: list[tuple[int, ...]] = []
         self.slot = 0
         self.queue: list[_Worm] = []  # offered packets awaiting injection, FIFO
         self.active: list[_Worm] = []  # worms with at least one flit in fabric
+        self.pushes = [0] * (depth + 1)
+        self.pops = [0] * (depth + 1)
+        self.stall_full = [0] * (depth + 1)
+        self.peak = [0] * (depth + 1)
 
 
 class CycleSim:
@@ -269,6 +283,14 @@ class CycleSim:
     Every sim counts its own cycles from 0 (:attr:`cycle`), so the
     fresh sim the serve layer builds per tick is independent of the
     ticks before it.
+
+    The state of a lane is its owner worm alone.  Lanes are exclusive
+    and a flit wave moves on every link of a level at once, so a lane
+    held at level ``t`` holds exactly ``owner.occ[t]`` flits: a move
+    into a level the worm already holds can only fail on a full buffer,
+    and a move into the next level only on a lane held by another worm.
+    :attr:`links` rebuilds the per-lane :class:`LinkModel` /
+    :class:`LaneQueue` view from that state when asked.
     """
 
     def __init__(
@@ -288,12 +310,12 @@ class CycleSim:
             if cid in self._confs:
                 raise ValueError(f"duplicate conference id {cid} in route set")
             depth = max(route.taps.values()) if route.taps else 0
-            self._confs[cid] = _ConfState(cid, route, depth)
+            self._confs[cid] = _ConfState(cid, depth)
+        self._states = [self._confs[cid] for cid in sorted(self._confs)]
         self.n_slots = 1
         if self.config.tdm:
             self._assign_tdm_slots(routes, schedule)
-        self._links: dict[Point, LinkModel] = {}
-        self._assign_lanes()
+        self._assign_lanes(routes)
         self.cycle = 0
         self.offered_packets = 0
         self.offered_flits = 0
@@ -353,8 +375,9 @@ class CycleSim:
             except KeyError:
                 raise ValueError(f"TDM schedule is missing conference {cid}") from None
 
-    def _assign_lanes(self) -> None:
-        """Map each (conference, link) to a lane index.
+    def _assign_lanes(self, routes: list[Route]) -> None:
+        """Give every (link, lane) a flat id and map each conference's
+        route links onto them.
 
         Space mode balances sharers round-robin over the ``L`` lanes in
         conference-id order (deterministic, and even whenever ``L``
@@ -365,28 +388,67 @@ class CycleSim:
         from the slot gating alone.  Because the colouring is proper, a
         link's sharers all have distinct slots, i.e. TDM gives every
         sharer a private virtual lane at 1/n_slots of the cycle rate.
+
+        Link ``i`` (first-use order) owns lane ids ``i*n .. i*n + n-1``.
         """
         cfg = self.config
         n_lanes = max(cfg.lanes, self.n_slots) if cfg.tdm else cfg.lanes
-        sharers: dict[Point, list[int]] = {}
-        for cid in sorted(self._confs):
-            state = self._confs[cid]
-            for links in state.level_links:
-                for link in links:
-                    sharers.setdefault(link, []).append(cid)
-        for link, cids in sorted(sharers.items()):
-            self._links[link] = LinkModel(link, n_lanes, cfg.buffer_depth)
-            for idx, cid in enumerate(cids):
-                state = self._confs[cid]
-                lane = (state.slot if cfg.tdm else idx) % n_lanes
-                state.lane_of[link] = lane
+        levels_of = {route.conference.conference_id: route.levels for route in routes}
+        points: list[Point] = []  # link of each lane-id block, first use first
+        # level -> row -> [first lane id, sharers so far]
+        index: dict[int, dict[int, list[int]]] = {}
+        for state in self._states:
+            levels = levels_of[state.cid]
+            level_lanes: list[tuple[int, ...]] = [()]
+            for t in range(1, state.depth + 1):
+                rows = index.setdefault(t, {})
+                ids = []
+                for row in levels[t]:
+                    entry = rows.get(row)
+                    if entry is None:
+                        entry = rows[row] = [len(points) * n_lanes, 0]
+                        points.append((t, row))
+                    ids.append(entry[0] + (state.slot if cfg.tdm else entry[1]) % n_lanes)
+                    entry[1] += 1
+                level_lanes.append(tuple(ids))
+            state.level_lanes = level_lanes
+        self._n_lanes = n_lanes
+        self._link_points = points
+        n_ids = len(points) * n_lanes
+        self._owner: list["_Worm | None"] = [None] * n_ids
+        self._stall_busy = [0] * n_ids
 
     # -- introspection -----------------------------------------------------
 
     @property
     def links(self) -> dict[Point, LinkModel]:
-        """The modelled links (every link some route uses)."""
-        return self._links
+        """The modelled links (every link some route uses), in point
+        order: a snapshot of the lane state built on each access."""
+        n_lanes = self._n_lanes
+        models = [
+            LinkModel(link, n_lanes, self.config.buffer_depth)
+            for link in self._link_points
+        ]
+        lanes = [lane for model in models for lane in model.lanes]
+        for state in self._states:
+            for t in range(1, state.depth + 1):
+                for k in state.level_lanes[t]:
+                    lane = lanes[k]
+                    lane.pushes += state.pushes[t]
+                    lane.pops += state.pops[t]
+                    lane.stall_full += state.stall_full[t]
+                    lane.peak_occupancy = max(lane.peak_occupancy, state.peak[t])
+        for k, (lane, worm) in enumerate(zip(lanes, self._owner)):
+            lane.stall_busy = self._stall_busy[k]
+            if worm is not None:
+                lane.owner = worm.pid
+                lane.occupancy = worm.occ[self._link_points[k // n_lanes][0]]
+        return {model.link: model for model in sorted(models, key=lambda m: m.link)}
+
+    @property
+    def peak_lane_occupancy(self) -> int:
+        """Worst single-lane flit occupancy seen so far (0 with no links)."""
+        return max((max(state.peak) for state in self._states), default=0)
 
     @property
     def conference_ids(self) -> tuple[int, ...]:
@@ -465,16 +527,20 @@ class CycleSim:
         ``t+1`` this cycle is usable at level ``t`` this same cycle.
         """
         cycle = self.cycle
-        worms: list[tuple[_ConfState, _Worm, bool]] = []
-        for cid in sorted(self._confs):
-            state = self._confs[cid]
+        if not self.pending_packets:  # nothing queued or in flight
+            self.cycle += 1
+            return
+        worms: list[tuple[int, _ConfState, _Worm, bool]] = []
+        for state in self._states:
             for w in state.active:
-                worms.append((state, w, False))
+                worms.append((w.pid, state, w, False))
             if state.queue:
-                worms.append((state, state.queue[0], True))
-        worms.sort(key=lambda item: item[1].pid)
-        for state, worm, queued in worms:
-            if self.config.tdm and cycle % self.n_slots != state.slot:
+                head = state.queue[0]
+                worms.append((head.pid, state, head, True))
+        worms.sort()  # packet ids are unique: only the first field compares
+        tdm = self.config.tdm
+        for _pid, state, worm, queued in worms:
+            if tdm and cycle % self.n_slots != state.slot:
                 self.stalls["tdm_gate"] += 1
                 continue
             self._advance(state, worm, cycle)
@@ -486,61 +552,72 @@ class CycleSim:
 
     def _advance(self, state: _ConfState, worm: _Worm, cycle: int) -> None:
         depth = state.depth
+        occ = worm.occ
+        if depth == 0:
+            # Degenerate route (tap at level 0): delivery is direct.
+            if worm.to_inject > 0:
+                worm.to_inject -= 1
+                self.injected_flits += 1
+                self._deliver_flit(state, worm, cycle)
+            return
         # Deliver: one flit drains past the deepest taps per cycle (the
         # output muxes tap without contention).
-        if depth > 0 and worm.occ[depth] > 0:
-            worm.occ[depth] -= 1
+        if occ[depth] > 0:
             self._drain_level(state, worm, depth)
             self._deliver_flit(state, worm, cycle)
         # Shift buffered flits up one level where space allows.
         for t in range(depth - 1, 0, -1):
-            if worm.occ[t] > 0 and self._try_move(state, worm, t + 1, cycle):
-                worm.occ[t] -= 1
-                worm.occ[t + 1] += 1
+            if occ[t] > 0 and self._try_move(state, worm, t + 1):
                 self._drain_level(state, worm, t)
         # Inject the next flit from the source ports.
-        if worm.to_inject > 0:
-            if depth == 0:
-                # Degenerate route (tap at level 0): delivery is direct.
-                worm.to_inject -= 1
-                self.injected_flits += 1
-                self._deliver_flit(state, worm, cycle)
-            elif self._try_move(state, worm, 1, cycle):
-                worm.to_inject -= 1
-                worm.occ[1] += 1
-                self.injected_flits += 1
+        if worm.to_inject > 0 and self._try_move(state, worm, 1):
+            worm.to_inject -= 1
+            self.injected_flits += 1
 
-    def _try_move(self, state: _ConfState, worm: _Worm, level: int, cycle: int) -> bool:
+    def _try_move(self, state: _ConfState, worm: _Worm, level: int) -> bool:
         """Can (and does) the worm push one flit into every route link
         entering ``level`` this cycle?  All-or-nothing across the tree
         breadth; acquisition extends the frontier atomically."""
-        links = state.level_links[level]
-        lanes = [self._links[link].lanes[state.lane_of[link]] for link in links]
-        ok = True
-        for lane in lanes:
-            # Query every lane (not short-circuit) so stall counters see
-            # each blocked lane once per cycle.
-            if not lane.can_accept(worm.pid, cycle):
-                ok = False
-        if not ok:
-            if worm.frontier < level:
-                self.stalls["lane_busy"] += 1
-            else:
+        occ = worm.occ
+        if level <= worm.frontier:
+            # The worm holds every lane here, each with occ[level] flits.
+            if occ[level] >= self.config.buffer_depth:
+                state.stall_full[level] += 1
                 self.stalls["buffer_full"] += 1
-            return False
-        for lane in lanes:
-            lane.push(worm.pid, cycle)
-        if worm.frontier < level:
+                return False
+        else:
+            # level == frontier + 1: none of these lanes is the worm's
+            # own, and a free lane is empty.  Tally every held lane.
+            owner = self._owner
+            lanes = state.level_lanes[level]
+            busy = False
+            for k in lanes:
+                if owner[k] is not None:
+                    self._stall_busy[k] += 1
+                    busy = True
+            if busy:
+                self.stalls["lane_busy"] += 1
+                return False
+            for k in lanes:
+                owner[k] = worm
             worm.frontier = level
+        filled = occ[level] + 1
+        occ[level] = filled
+        state.pushes[level] += 1
+        if filled > state.peak[level]:
+            state.peak[level] = filled
         return True
 
     def _drain_level(self, state: _ConfState, worm: _Worm, level: int) -> None:
         """Pop one flit from every route link at ``level``; release the
         lanes once no flit of this worm will enter the level again."""
-        upstream = worm.to_inject + sum(worm.occ[1:level])
-        release = upstream == 0 and worm.occ[level] == 0
-        for link in state.level_links[level]:
-            self._links[link].lanes[state.lane_of[link]].pop(release=release)
+        occ = worm.occ
+        occ[level] -= 1
+        state.pops[level] += 1
+        if not occ[level] and not worm.to_inject and not any(occ[1:level]):
+            owner = self._owner
+            for k in state.level_lanes[level]:
+                owner[k] = None
 
     def _deliver_flit(self, state: _ConfState, worm: _Worm, cycle: int) -> None:
         worm.delivered += 1
@@ -601,16 +678,17 @@ class CycleSim:
         for cause, count in self.stalls.items():
             self._publish_delta(stalls, ("stalls", cause), count, cause=cause)
         occ = reg.gauge("repro_perf_queue_occupancy", "Buffered flits per link level")
-        by_level: dict[int, int] = {}
-        peak = 0
-        for (level, _row), link in self._links.items():
-            by_level[level] = by_level.get(level, 0) + link.occupancy
-            peak = max(peak, link.peak_occupancy)
+        by_level = dict.fromkeys((level for level, _row in self._link_points), 0)
+        n_lanes = self._n_lanes
+        for k, worm in enumerate(self._owner):
+            if worm is not None:
+                level = self._link_points[k // n_lanes][0]
+                by_level[level] += worm.occ[level]
         for level in sorted(by_level):
             occ.set(by_level[level], level=str(level))
         reg.gauge(
             "repro_perf_lane_peak_occupancy", "Worst single-lane flit occupancy"
-        ).set_max(peak)
+        ).set_max(self.peak_lane_occupancy)
 
     def latency_percentiles(self) -> "dict[str, float | None]":
         """Aggregate packet-latency p50/p95/p99 (cycles, offer to drain)."""
@@ -625,13 +703,11 @@ class CycleSim:
 
     def report(self) -> PerfReport:
         """Summarize the run so far as a :class:`PerfReport`."""
-        peak = 0
-        stall_busy = stall_full = 0
-        for link in self._links.values():
-            peak = max(peak, link.peak_occupancy)
-            for lane in link.lanes:
-                stall_busy += lane.stall_busy
-                stall_full += lane.stall_full
+        stall_full = sum(
+            count * len(state.level_lanes[t])
+            for state in self._states
+            for t, count in enumerate(state.stall_full)
+        )
         per_conference = {
             cid: {
                 "offered": self._offered_by_conf[cid],
@@ -649,7 +725,7 @@ class CycleSim:
             cycles=self.cycle,
             config=self.config.as_dict(),
             n_conferences=len(self._confs),
-            n_links=len(self._links),
+            n_links=len(self._link_points),
             n_slots=self.n_slots,
             offered_packets=self.offered_packets,
             delivered_packets=self.delivered_packets,
@@ -660,9 +736,9 @@ class CycleSim:
             latency=self.latency_percentiles(),
             per_conference=per_conference,
             stalls=dict(self.stalls),
-            lane_stall_busy=stall_busy,
+            lane_stall_busy=sum(self._stall_busy),
             lane_stall_full=stall_full,
-            peak_lane_occupancy=peak,
+            peak_lane_occupancy=self.peak_lane_occupancy,
             conserved=conserved,
         )
 

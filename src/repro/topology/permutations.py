@@ -12,7 +12,7 @@ inverses, plus the blockwise restriction needed by baseline networks.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -177,12 +177,15 @@ def butterfly(size: int, k: int) -> Permutation:
     return Permutation(size, fly, name=f"butterfly[{k}]")
 
 
+@lru_cache(maxsize=None)
 def bit_to_front(size: int, k: int) -> Permutation:
     """Rotate address bits ``0..k`` right by one, moving bit ``k`` to bit 0.
 
     Used to express "pair rows differing in bit k" networks (the indirect
     binary cube) in the canonical adjacent-pair switch layout: after this
     wiring, rows that differed only in bit ``k`` sit on adjacent rails.
+    Memoized: permutations are immutable, so every network built at one
+    size shares the same wiring objects and their cached tables.
     """
     n = ilog2(size)
     if not 0 <= k < n:

@@ -37,8 +37,15 @@ class TestLogBucketEdges:
         [(0.0, 1.0, 2.0), (-1.0, 1.0, 2.0), (2.0, 1.0, 2.0), (1.0, 2.0, 1.0), (1.0, 2.0, 0.5)],
     )
     def test_invalid_parameters_raise(self, low, high, growth):
-        with pytest.raises(ValueError):
-            log_bucket_edges(low, high, growth)
+        for _ in range(2):  # a rejected call is not memoized
+            with pytest.raises(ValueError):
+                log_bucket_edges(low, high, growth)
+
+    def test_repeated_calls_share_one_tuple(self):
+        edges = log_bucket_edges(1.0, float(1 << 20), 2.0 ** 0.25)
+        assert log_bucket_edges(1.0, float(1 << 20), 2.0 ** 0.25) is edges
+        assert len(edges) == 82 and edges[0] == 1.0 and edges[-2] < 1 << 20 <= edges[-1]
+        assert log_bucket_edges(1.0, 16.0, 2.0) == (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
 class TestWindowedHistogram:

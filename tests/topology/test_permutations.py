@@ -77,6 +77,19 @@ class TestSpecificPermutations:
         with pytest.raises(ValueError):
             perms.butterfly(8, -1)
 
+    def test_bit_to_front_is_shared_and_read_only(self):
+        p = perms.bit_to_front(16, 2)
+        assert perms.bit_to_front(16, 2) is p
+        assert perms.bit_to_front(16, 1) is not p
+        assert not p.table.flags.writeable
+        with pytest.raises(ValueError):
+            p.table[0] = 1
+        assert np.array_equal(p.table, [p(x) for x in range(16)])
+        # A rejected call is not memoized: it raises every time.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                perms.bit_to_front(16, 4)
+
 
 class TestCombinators:
     def test_compose_order(self):
