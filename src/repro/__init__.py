@@ -27,7 +27,7 @@ reproduced evaluation, and docs/api.md for the stability policy.
 
 from repro import api
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = sorted([*api.__all__, "__version__"])
 

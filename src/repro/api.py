@@ -103,7 +103,7 @@ from repro.workloads.churn import (
 
 #: Version of the public surface (bumped on any additive change; the
 #: library version tracks releases, this tracks the API contract).
-API_VERSION = "3.0"
+API_VERSION = "4.0"
 
 
 @runtime_checkable

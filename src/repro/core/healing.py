@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.admission import AdmissionController, AdmissionDenied
-from repro.core.batch import _prime_routes, _route_batch
+from repro.core.batch import _prime_routes
 from repro.core.churn import ChurnPolicy, ChurnResult, _churn_step, _diff
 from repro.core.conference import Conference, ConferenceSet
 from repro.core.network import ConferenceNetwork
@@ -763,27 +763,13 @@ class SelfHealingController:
 
     def _protect(self, *routes: Route, faults: "frozenset | None" = None) -> None:
         """(Re)plan the backup routings of live routes (default: under the
-        current fault set), every backup in one overlay kernel call."""
+        current fault set), protecting each route's busiest links."""
         if self._plans is not None:
-            self._plans._protect_many(
-                [(route.conference, route) for route in routes],
+            self._plans.protect(
+                routes,
                 frozenset(self._faults) if faults is None else faults,
-                self._inner._busiest_links, self._route_plans,
+                self._inner._busiest_links,
             )
-
-    def _route_plans(
-        self, conferences: "list[Conference]", points: "list[Point]", base: frozenset
-    ) -> "list[Route | UnroutableError]":
-        """Every backup of a (re)plan in one kernel call: conference ``i``
-        routed under ``base | {points[i]}`` through the fault overlay."""
-        outcomes = _route_batch(
-            self._network.topology, conferences, self._network.policy, base,
-            [(point,) for point in points],
-        )
-        return [
-            o.error if isinstance(o.error, UnroutableError) else o.unwrap()
-            for o in outcomes
-        ]
 
     def _reprotect(self, faults: frozenset) -> None:
         """Re-plan every live conference after a fault-set change.

@@ -74,18 +74,15 @@ class DeliveryModel:
         self.peak_lane_occupancy = 0
         self._latency = CycleSim._make_histogram()
 
-    def on_tick(self, routes: Sequence[Route]) -> "dict[str, Any] | None":
-        """Simulate one service tick over the live ``routes``.
-
-        Returns the tick's own summary (``None`` on an idle tick — no
-        live sessions, nothing to simulate) and folds it into the
-        cross-tick aggregates either way.
-        """
+    def on_tick(self, routes: Sequence[Route]) -> None:
+        """Simulate one service tick over the live ``routes`` and fold it
+        into the cross-tick aggregates (an idle tick — no live sessions —
+        only counts)."""
         self.ticks += 1
         routes = [r for r in routes if r is not None]
         if not routes:
             self.idle_ticks += 1
-            return None
+            return
         cfg = self.config
         sim = CycleSim(routes, cfg, metrics=self._metrics)
         for cid in sim.conference_ids:
@@ -103,13 +100,6 @@ class DeliveryModel:
         if peak > self.peak_lane_occupancy:
             self.peak_lane_occupancy = peak
         self._latency.merge(sim.latency_histogram.snapshot())
-        return {
-            "conferences": len(routes),
-            "offered_packets": sim.offered_packets,
-            "delivered_packets": sim.delivered_packets,
-            "pending_packets": sim.pending_packets,
-            "latency": sim.latency_percentiles(),
-        }
 
     @property
     def delivery_ratio(self) -> float:

@@ -247,7 +247,7 @@ class _ConfState:
 
     __slots__ = (
         "cid", "depth", "level_lanes", "slot", "queue", "active",
-        "pushes", "pops", "stall_full", "peak",
+        "pushes", "pops", "stall_full", "peak", "latencies",
     )
 
     def __init__(self, cid: int, depth: int):
@@ -261,6 +261,7 @@ class _ConfState:
         self.pops = [0] * (depth + 1)
         self.stall_full = [0] * (depth + 1)
         self.peak = [0] * (depth + 1)
+        self.latencies: list[float] = []  # per delivered packet, for report()
 
 
 class CycleSim:
@@ -325,15 +326,13 @@ class CycleSim:
         self.stalls = dict.fromkeys(STALL_CAUSES, 0)
         self._next_pid = 0
         self._published: dict[tuple, int] = {}
-        # Per-packet latency (offer -> last flit drained), log-bucketed;
-        # one aggregate histogram plus one per conference.  The window is
-        # sized so a whole benchmark run stays live — callers measuring
-        # "recent" behaviour can pass their own sized histograms instead.
+        # Per-packet latency (offer -> last flit drained), log-bucketed
+        # into one aggregate histogram; per-conference histograms are
+        # built from ``_ConfState.latencies`` only when report() asks.
+        # The window is sized so a whole benchmark run stays live —
+        # callers measuring "recent" behaviour can pass their own sized
+        # histograms instead.
         self._latency = self._make_histogram()
-        self._conf_latency: dict[int, WindowedHistogram] = {
-            cid: self._make_histogram() for cid in self._confs
-        }
-        self._delivered_by_conf = dict.fromkeys(self._confs, 0)
         self._offered_by_conf = dict.fromkeys(self._confs, 0)
 
     def _publish_delta(self, counter: Any, key: tuple, total: int, **labels: Any) -> None:
@@ -624,10 +623,9 @@ class CycleSim:
         self.delivered_flits += 1
         if worm.delivered == self.config.flits_per_packet:
             self.delivered_packets += 1
-            self._delivered_by_conf[worm.cid] += 1
             latency = float(cycle + 1 - worm.offered_cycle)
             self._latency.observe(latency, now=float(cycle))
-            self._conf_latency[worm.cid].observe(latency, now=float(cycle))
+            state.latencies.append(latency)
             if worm in state.active:
                 state.active.remove(worm)
             else:  # delivered straight from the source queue (depth 0)
@@ -701,6 +699,15 @@ class CycleSim:
         into one cross-tick histogram this way)."""
         return self._latency
 
+    @classmethod
+    def _percentiles(cls, latencies: list[float]) -> "dict[str, float | None]":
+        """p50/p95/p99 of some latencies, bucketed as the aggregate is (its
+        one window spans the whole run, so every sample lands at t=0)."""
+        histogram = cls._make_histogram()
+        for latency in latencies:
+            histogram.observe(latency, now=0.0)
+        return histogram.percentiles()
+
     def report(self) -> PerfReport:
         """Summarize the run so far as a :class:`PerfReport`."""
         stall_full = sum(
@@ -709,12 +716,12 @@ class CycleSim:
             for t, count in enumerate(state.stall_full)
         )
         per_conference = {
-            cid: {
-                "offered": self._offered_by_conf[cid],
-                "delivered": self._delivered_by_conf[cid],
-                "latency": self._conf_latency[cid].percentiles(),
+            state.cid: {
+                "offered": self._offered_by_conf[state.cid],
+                "delivered": len(state.latencies),
+                "latency": self._percentiles(state.latencies),
             }
-            for cid in sorted(self._confs)
+            for state in self._states
         }
         try:
             self.check_conservation()

@@ -12,9 +12,10 @@ plan for each of the ``F`` most-loaded links the live route crosses —
 a protected link by switching to the stored plan in O(1).
 
 Correctness rests on one fact: routing is a pure function of
-``(topology, policy, members, fault set)``.  A plan
-is computed by the *same* router the reactive path would call, under
-the fault set ``base ∪ {point}`` — so a plan that is still **valid**
+``(topology, policy, members, fault set)``.  The store routes its
+plans itself, through the *same* kernel the reactive path calls, under
+the fault set ``base ∪ {point}`` (one fault-overlay call per
+:meth:`BackupPlanStore.protect`) — so a plan that is still **valid**
 (its base fault set is exactly the current fault set minus the failed
 point, and the membership is unchanged) yields a route *bit-identical*
 to what the reactive reroute would have produced.  The property suite
@@ -39,6 +40,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
+from repro.core.batch import _route_batch
 from repro.core.conference import Conference
 from repro.core.routing import (
     Route,
@@ -53,19 +55,6 @@ from repro.topology.network import MultistageNetwork, Point
 __all__ = ["BackupPlan", "PlanStats", "BackupPlanStore"]
 
 _NO_FAULTS: frozenset[Point] = frozenset()
-
-#: ``router(conference, faults)`` -> Route, raising UnroutableError.
-PlanRouter = Callable[[Conference, frozenset], Route]
-
-#: ``router(conferences, points, base)`` -> for each pair, the route of
-#: the conference under ``base | {point}`` or its UnroutableError.
-PlanBatchRouter = Callable[
-    [list[Conference], list[Point], frozenset], "list[Route | UnroutableError]"
-]
-
-#: ``ranked(route, k)`` -> up to ``k`` of the route's links, most-loaded first.
-LinkRanking = Callable[[Route, int], list[Point]]
-
 
 @dataclass
 class PlanStats:
@@ -176,17 +165,16 @@ class BackupPlanStore:
     *lifecycle* of an admitted call — :meth:`invalidate` on leave/drop
     must clear exactly that call's plans.
 
-    ``protection`` is the per-conference plan budget F: each
-    :meth:`protect` call plans the F most-loaded links of the live
-    route.  ``protection=0`` disables the store entirely (every lookup
-    misses, nothing is computed) — the pre-protection behaviour.
+    ``protection`` is the per-conference plan budget F (at least 1: a
+    controller without protection builds no store): each
+    :meth:`protect` call plans the F most important links of each live
+    route.
 
-    The store never routes by itself: :meth:`protect` calls the
-    ``router`` the owning controller hands it, which is the same pure
-    function the reactive path uses — that sameness is what makes fast
-    failover bit-identical.  The self-healing controller hands the same
-    planning body a batch router built on the kernel's fault overlay,
-    so one call plans every backup of a re-protect.
+    The store plans its own backups: :meth:`protect` routes every
+    requested ``(conference, point)`` pair in one call to the routing
+    kernel's per-conference fault overlay, the same kernel the reactive
+    path reaches through :func:`~repro.core.routing.route_conference` —
+    that sameness is what makes fast failover bit-identical.
     """
 
     def __init__(
@@ -196,8 +184,8 @@ class BackupPlanStore:
         protection: int = 1,
         tracer=None,
     ):
-        if protection < 0:
-            raise ValueError(f"protection must be >= 0, got {protection}")
+        if protection < 1:
+            raise ValueError(f"protection must be >= 1, got {protection}")
         self._network = network
         self._policy = policy or RoutingPolicy()
         self._protection = protection
@@ -255,77 +243,45 @@ class BackupPlanStore:
 
     def protect(
         self,
-        conference: Conference,
-        route: Route,
+        routes: "Iterable[Route]",
         faults: frozenset,
-        router: PlanRouter,
-        load_of: "Callable[[Point], int] | None" = None,
+        ranked: "Callable[[Route, int], list[Point]] | None" = None,
     ) -> int:
-        """(Re)plan one conference: cover the F most-loaded links of
-        ``route`` against single additional faults on top of ``faults``.
+        """(Re)plan live routes: cover F links of each against a single
+        additional fault on top of ``faults``, every backup in one call.
 
-        Any previous plans of the conference are replaced wholesale (so
+        Each route's conference loses its previous plans wholesale (so
         membership churn or a changed live route can never leave a plan
-        for a link the call no longer crosses).  ``load_of`` ranks the
-        route's links by current channel load, most-loaded first (ties
-        broken by point order, for determinism); without it the ranking
-        degenerates to point order.  Returns the number of plans stored.
+        for a link the call no longer crosses).  ``ranked(route, k)``
+        picks up to ``k`` protected links, most important first; the
+        default is point order.  Every ``(conference, point)`` pair is
+        then routed in one fault-overlay call to the routing kernel,
+        conference under ``faults | {point}``, and the plans are stored
+        in route order, then link rank.  Returns the number of plans
+        stored.
         """
-        def ranked(route: Route, k: int) -> list[Point]:
-            links = sorted(route.links)
-            if load_of is not None:
-                links.sort(key=lambda p: (-load_of(p), p))
-            return links[:k]
-
-        def route_each(conferences, points, base):
-            outcomes: "list[Route | UnroutableError]" = []
-            for conf, point in zip(conferences, points):
-                try:
-                    outcomes.append(router(conf, base | {point}))
-                except UnroutableError as exc:
-                    outcomes.append(exc)
-            return outcomes
-
-        return self._protect_many([(conference, route)], faults, ranked, route_each)
-
-    def _protect_many(
-        self,
-        pairs: "list[tuple[Conference, Route]]",
-        faults: frozenset,
-        ranked: LinkRanking,
-        router: PlanBatchRouter,
-    ) -> int:
-        """(Re)plan several conferences with one ``router`` call.
-
-        The planning body behind :meth:`protect`: each conference's
-        previous plans are dropped, ``ranked`` picks its F protected
-        links, and every ``(conference, point)`` pair is routed in one
-        batch.  Plans are stored in pair order, then link rank, exactly
-        as one :meth:`protect` call per pair would store them.  Returns
-        the number of plans stored.
-        """
-        for conference, _ in pairs:
-            self._plans.pop(conference.conference_id, None)
-        if self._protection == 0:
-            return 0
         base = frozenset(faults) if faults else _NO_FAULTS
+        k = self._protection
         conferences: list[Conference] = []
         points: list[Point] = []
-        for conference, route in pairs:
-            for point in ranked(route, self._protection):
-                conferences.append(conference)
+        for route in routes:
+            self._plans.pop(route.conference.conference_id, None)
+            for point in ranked(route, k) if ranked else sorted(route.links)[:k]:
+                conferences.append(route.conference)
                 points.append(point)
         if not points:
             return 0
-        outcomes = router(conferences, points, base)
+        outcomes = _route_batch(
+            self._network, conferences, self._policy, base, [(p,) for p in points]
+        )
         for conference, point, outcome in zip(conferences, points, outcomes):
-            if isinstance(outcome, UnroutableError):
+            if isinstance(outcome.error, UnroutableError):
+                entry = _pack_route(outcome.error)
                 self.stats.unroutable += 1
+            else:
+                entry = _pack_route(outcome.unwrap())
             self._plans.setdefault(conference.conference_id, {})[point] = BackupPlan(
-                members=conference.members,
-                point=point,
-                base_faults=base,
-                entry=_pack_route(outcome),
+                members=conference.members, point=point, base_faults=base, entry=entry
             )
             self.stats.computed += 1
         return len(points)

@@ -209,9 +209,13 @@ class TestRemovedIn20:
     def test_removed_attribute_is_gone(self, owner, name):
         assert not hasattr(owner, name)
 
+    def test_protect_takes_routes_and_plans_through_the_kernel(self):
+        params = list(inspect.signature(api.BackupPlanStore.protect).parameters)
+        assert params == ["self", "routes", "faults", "ranked"]
+
     def test_versions(self):
-        assert api.API_VERSION == "3.0"
-        assert repro.__version__ == "3.0.0"
+        assert api.API_VERSION == "4.0"
+        assert repro.__version__ == "4.0.0"
 
 
 class TestDeprecations:

@@ -218,8 +218,6 @@ class TestDuplicateTransitions:
         # A plan whose base fault set no longer matches must never be
         # used: the controller records ``stale`` and takes the reactive
         # path, landing on the same outcome as an unprotected twin.
-        from repro.core.routing import route_conference
-
         network = ConferenceNetwork.build("extra-stage-cube", N_PORTS, dilation=N_PORTS)
         prot = SelfHealingController(network, rng=0, protection=64)
         bare = SelfHealingController(
@@ -236,14 +234,7 @@ class TestDuplicateTransitions:
         # the pre-fault base — exactly what an overlapping fault the
         # planner never anticipated looks like to the lookup.
         route = prot.route_of(0)
-        prot.plan_store.protect(
-            route.conference,
-            route,
-            frozenset(),  # stale base: pretends no fault is live
-            lambda conf, faults: route_conference(
-                network.topology, conf, network.policy, faults=faults
-            ),
-        )
+        prot.plan_store.protect([route], frozenset())  # stale base: pretends no fault is live
         second = sorted(route.links)[0]
         for ctl in (prot, bare):
             ctl.apply_fault(loop, second)

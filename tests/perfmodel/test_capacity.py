@@ -59,16 +59,15 @@ class TestDeliveryModel:
     def test_tick_folds_into_aggregates(self):
         routes = adversarial_routes()
         model = DeliveryModel(PerfModelConfig(cycles_per_tick=128))
-        tick = model.on_tick(routes)
-        assert tick is not None
-        assert tick["conferences"] == len(routes)
-        assert tick["offered_packets"] == len(routes)  # packets_per_tick=1
-        assert model.offered_packets == tick["offered_packets"]
-        assert model.delivered_packets == tick["delivered_packets"]
+        assert model.on_tick(routes) is None
+        assert (model.ticks, model.idle_ticks) == (1, 0)
+        assert model.offered_packets == len(routes)  # packets_per_tick=1
+        assert 0 < model.delivered_packets <= model.offered_packets
         assert (
             model.undelivered_packets
-            == tick["offered_packets"] - tick["delivered_packets"]
+            == model.offered_packets - model.delivered_packets
         )
+        assert model.latency_percentiles()["p50"] is not None
 
     def test_cross_tick_totals_accumulate(self):
         routes = adversarial_routes()

@@ -26,41 +26,51 @@ from repro.topology.builders import build
 pytestmark = pytest.mark.tier1
 
 N_PORTS = 16
-NET = build("extra-stage-cube", N_PORTS)
 POLICY = RoutingPolicy()
-UNIVERSE = fault_universe(NET)
+#: extra-stage-cube has relay slack, so most plans route; plain
+#: indirect-binary-cube has none, so its plans are mostly negative.
+NETS = {name: build(name, N_PORTS) for name in ("extra-stage-cube", "indirect-binary-cube")}
+UNIVERSES = {name: fault_universe(net) for name, net in NETS.items()}
+UNIVERSE = UNIVERSES["extra-stage-cube"]
 
 
-def router(conference, faults=frozenset()):
-    return route_conference(NET, conference, POLICY, faults=faults)
+def router(net, conference, faults=frozenset()):
+    return route_conference(net, conference, POLICY, faults=faults)
 
 
 members_strategy = st.sets(
     st.integers(min_value=0, max_value=N_PORTS - 1), min_size=2, max_size=6
 ).map(lambda s: tuple(sorted(s)))
 
-base_faults_strategy = st.sets(
-    st.sampled_from(UNIVERSE), min_size=0, max_size=3
-).map(frozenset)
+
+def base_faults(data, topology):
+    universe = st.sampled_from(UNIVERSES[topology])
+    return data.draw(st.sets(universe, min_size=0, max_size=3).map(frozenset))
 
 
+@pytest.mark.parametrize("topology", sorted(NETS, reverse=True))
 class TestBitIdentity:
+    """The kernel's fault overlay (the store's planner) against
+    ``route_conference`` (the reactive router), plan by plan."""
+
     @settings(max_examples=60, deadline=None)
-    @given(members=members_strategy, base=base_faults_strategy)
-    def test_stored_plan_equals_reactive_reroute(self, members, base):
+    @given(members=members_strategy, data=st.data())
+    def test_stored_plan_equals_reactive_reroute(self, topology, members, data):
+        net = NETS[topology]
+        base = base_faults(data, topology)
         conf = Conference.of(members, 1)
         try:
-            live = router(conf, base)
+            live = router(net, conf, base)
         except UnroutableError:
             return  # never admitted — nothing to protect
-        store = BackupPlanStore(NET, policy=POLICY, protection=len(live.links))
-        store.protect(conf, live, base, router)
+        store = BackupPlanStore(net, policy=POLICY, protection=len(live.links))
+        store.protect([live], base)
         for point in sorted(live.links - base):
             faults = base | {point}
             status, payload = store.lookup(conf, point, faults)
             assert status == "hit"
             try:
-                expected = router(conf, faults)
+                expected = router(net, conf, faults)
             except UnroutableError:
                 assert isinstance(payload, UnroutableError), (
                     f"plan for {point} routed but reactive says unroutable"
@@ -69,19 +79,18 @@ class TestBitIdentity:
                 assert payload == expected, f"plan for {point} diverged"
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        members=members_strategy,
-        base=base_faults_strategy,
-        extra=st.sampled_from(UNIVERSE),
-    )
-    def test_any_unanticipated_fault_is_never_a_hit(self, members, base, extra):
+    @given(members=members_strategy, data=st.data())
+    def test_any_unanticipated_fault_is_never_a_hit(self, topology, members, data):
+        net = NETS[topology]
+        base = base_faults(data, topology)
+        extra = data.draw(st.sampled_from(UNIVERSES[topology]))
         conf = Conference.of(members, 1)
         try:
-            live = router(conf, base)
+            live = router(net, conf, base)
         except UnroutableError:
             return
-        store = BackupPlanStore(NET, policy=POLICY, protection=len(live.links))
-        store.protect(conf, live, base, router)
+        store = BackupPlanStore(net, policy=POLICY, protection=len(live.links))
+        store.protect([live], base)
         for point in sorted(live.links - base):
             faults = base | {point, extra}
             if faults == base | {point}:

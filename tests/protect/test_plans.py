@@ -56,19 +56,18 @@ class TestStoreLifecycle:
         with pytest.raises(ValueError, match="protection"):
             BackupPlanStore(net, protection=-1)
 
-    def test_protect_zero_stores_nothing(self):
-        s, router = store(protection=0)
-        conf = Conference.of([0, 1, 2], 7)
-        route = router(conf)
-        assert s.protect(conf, route, frozenset(), router) == 0
-        assert len(s) == 0
-        assert s.lookup(conf, next(iter(sorted(route.links))), frozenset({(1, 0)}))[0] == "miss"
+    def test_protection_zero_is_refused(self):
+        # "Protection off" is a controller without a store, never an
+        # empty one (SelfHealingController(protection=0).plan_store is None).
+        net = build("extra-stage-cube", N_PORTS)
+        with pytest.raises(ValueError, match="protection must be >= 1"):
+            BackupPlanStore(net, protection=0)
 
     def test_protect_plans_the_budgeted_links(self):
         s, router = store(protection=2)
         conf = Conference.of([0, 1, 2, 3], 1)
         route = router(conf)
-        stored = s.protect(conf, route, frozenset(), router)
+        stored = s.protect([route], frozenset())
         assert stored == min(2, len(route.links))
         assert s.protected_points(1) <= route.links
         assert s.stats.computed == stored
@@ -77,7 +76,7 @@ class TestStoreLifecycle:
         s, router = store(protection=10_000)
         conf = Conference.of([0, 5], 2)
         route = router(conf)
-        assert s.protect(conf, route, frozenset(), router) == len(route.links)
+        assert s.protect([route], frozenset()) == len(route.links)
         assert s.protected_points(2) == route.links
 
     def test_load_ranking_prefers_most_loaded_links(self):
@@ -86,14 +85,18 @@ class TestStoreLifecycle:
         route = router(conf)
         links = sorted(route.links)
         hot = links[-1]  # pretend the lexicographically-last link is hottest
-        s.protect(conf, route, frozenset(), router, load_of=lambda p: 9 if p == hot else 0)
+        load = {hot: 9}
+        s.protect(
+            [route], frozenset(),
+            ranked=lambda r, k: sorted(r.links, key=lambda p: (-load.get(p, 0), p))[:k],
+        )
         assert s.protected_points(3) == frozenset({hot})
 
     def test_hit_returns_route_bit_identical_to_reactive(self):
         s, router = store(protection=64)
         conf = Conference.of([0, 1, 2], 4)
         route = router(conf)
-        s.protect(conf, route, frozenset(), router)
+        s.protect([route], frozenset())
         for point in sorted(route.links):
             faults = frozenset({point})
             status, payload = s.lookup(conf, point, faults)
@@ -111,7 +114,7 @@ class TestStoreLifecycle:
         s, router = store(topology="indirect-binary-cube", protection=64)
         conf = Conference.of([0, 1, 2], 5)
         route = router(conf)
-        s.protect(conf, route, frozenset(), router)
+        s.protect([route], frozenset())
         foot = s.footprint()
         assert foot["plans"] == foot["negative_plans"] > 0
         assert foot["route_cells"] == 0
@@ -123,7 +126,7 @@ class TestStoreLifecycle:
         s, router = store(protection=64)
         conf = Conference.of([0, 1], 6)
         route = router(conf)
-        s.protect(conf, route, frozenset(), router)
+        s.protect([route], frozenset())
         point = sorted(route.links)[0]
         extra = (route.n_stages, N_PORTS - 1)
         status, payload = s.lookup(conf, point, frozenset({point, extra}))
@@ -134,7 +137,7 @@ class TestStoreLifecycle:
         s, router = store(protection=64)
         conf = Conference.of([0, 1], 8)
         route = router(conf)
-        s.protect(conf, route, frozenset(), router)
+        s.protect([route], frozenset())
         point = sorted(route.links)[0]
         grown = Conference.of([0, 1, 2], 8)
         status, _ = s.lookup(grown, point, frozenset({point}))
@@ -143,7 +146,7 @@ class TestStoreLifecycle:
     def test_unknown_point_or_conference_misses(self):
         s, router = store(protection=1)
         conf = Conference.of([0, 1], 9)
-        s.protect(conf, router(conf), frozenset(), router)
+        s.protect([router(conf)], frozenset())
         stranger = Conference.of([4, 5], 99)
         assert s.lookup(stranger, (1, 0), frozenset({(1, 0)}))[0] == "miss"
 
@@ -151,12 +154,12 @@ class TestStoreLifecycle:
         s, router = store(protection=64)
         conf = Conference.of([0, 1, 2], 10)
         route = router(conf)
-        s.protect(conf, route, frozenset(), router)
+        s.protect([route], frozenset())
         # Re-plan under a fault on a route link: the new plans' base must
         # be the new fault set, and old per-point plans must be gone.
         dead = sorted(route.links)[0]
         detour = router(conf, frozenset({dead}))
-        s.protect(conf, detour, frozenset({dead}), router)
+        s.protect([detour], frozenset({dead}))
         plans = s.plans_of(10)
         assert set(plans) == detour.links
         assert all(p.base_faults == frozenset({dead}) for p in plans.values())
@@ -164,7 +167,7 @@ class TestStoreLifecycle:
     def test_invalidate_removes_and_counts(self):
         s, router = store(protection=64)
         conf = Conference.of([0, 1, 2], 11)
-        s.protect(conf, router(conf), frozenset(), router)
+        s.protect([router(conf)], frozenset())
         n = len(s)
         assert n > 0
         assert s.invalidate(11) == n
@@ -174,17 +177,16 @@ class TestStoreLifecycle:
 
     def test_footprint_grows_with_protection(self):
         cells = {}
-        for level in (0, 1, 2, 4):
+        for level in (1, 2, 4):
             s, router = store(protection=level)
             for i, members in enumerate([(0, 1), (2, 3, 4), (5, 6)]):
                 conf = Conference.of(members, i)
-                s.protect(conf, router(conf), frozenset(), router)
+                s.protect([router(conf)], frozenset())
             foot = s.footprint()
             assert foot["protection"] == level
             assert foot["plans"] <= 3 * level
             cells[level] = foot["route_cells"]
-        assert cells[0] == 0
-        assert cells[0] <= cells[1] <= cells[2] <= cells[4]
+        assert cells[1] <= cells[2] <= cells[4]
 
     def test_lookup_events_reach_the_tracer(self):
         events = []
@@ -196,7 +198,7 @@ class TestStoreLifecycle:
         s, router = store(protection=64, tracer=Spy())
         conf = Conference.of([0, 1], 12)
         route = router(conf)
-        s.protect(conf, route, frozenset(), router)
+        s.protect([route], frozenset())
         point = sorted(route.links)[0]
         s.lookup(conf, point, frozenset({point}))
         s.lookup(conf, point, frozenset({point, (1, 15)}))

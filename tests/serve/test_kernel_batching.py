@@ -1,12 +1,14 @@
 """Kernel-call counts: the serving path routes in batches, not one by one.
 
 Every bit-sliced kernel call (one chunk of a ``route_batch``) is counted
-by wrapping ``repro.core.batch._kernel``.  A re-protect plans every live
-conference's F backups through the fault overlay in ``ceil(K*F/chunk)``
-kernel calls, and a tick whose batch holds first resizes of distinct
-sessions routes all of them in its prime pass: with no binding pins,
-the churn engine and the fault-free reference routes consume primed
-routes and call the kernel no more.
+by wrapping ``repro.core.batch._kernel``.  Backup planning makes one
+``BackupPlanStore.protect`` call per admission, per resize and per
+re-protect, and each is one overlay batch: a re-protect plans every
+live conference's F backups in ``ceil(K*F/chunk)`` kernel calls.  A
+tick whose batch holds first resizes of distinct sessions routes all
+of them in its prime pass: with no binding pins, the churn engine and
+the fault-free reference routes consume primed routes and call the
+kernel no more.
 """
 
 import math
@@ -17,6 +19,7 @@ from repro.core import batch as batch_mod
 from repro.core.conference import Conference
 from repro.core.healing import SelfHealingController
 from repro.core.network import ConferenceNetwork
+from repro.protect.plans import BackupPlanStore
 from repro.serve.service import FabricService
 from repro.sim.engine import EventLoop
 from repro.sim.faults import FaultTransition
@@ -24,6 +27,15 @@ from repro.sim.faults import FaultTransition
 pytestmark = pytest.mark.tier1
 
 N_PORTS = 16
+
+
+def idle_link(network, healing):
+    """The first link point no live route of ``healing`` crosses."""
+    used = set().union(*(healing.route_of(cid).points for cid in healing.live_conferences))
+    return next(
+        (t, r) for t in range(1, network.n_stages + 1) for r in range(N_PORTS)
+        if (t, r) not in used
+    )
 
 
 @pytest.fixture
@@ -57,11 +69,7 @@ def test_reprotect_is_one_overlay_batch(protection, kernel_calls, monkeypatch):
     groups = ([0, 5, 9], [1, 12], [2, 6, 10, 14], [3, 7], [4, 11, 15])
     for cid, members in enumerate(groups):
         ctrl.try_join(Conference.of(members, cid))
-    used = set().union(*(ctrl.route_of(cid).points for cid in range(len(groups))))
-    idle = next(
-        (t, r) for t in range(1, network.n_stages + 1) for r in range(N_PORTS)
-        if (t, r) not in used
-    )
+    idle = idle_link(network, ctrl)
     chunk = 3
     monkeypatch.setattr(batch_mod, "_MAX_CELLS", chunk * N_PORTS)
     kernel_calls.clear()
@@ -72,6 +80,36 @@ def test_reprotect_is_one_overlay_batch(protection, kernel_calls, monkeypatch):
     assert len(kernel_calls) == math.ceil(backups / chunk)
 
 
+def test_one_plan_call_per_admission_resize_and_reprotect(kernel_calls, monkeypatch):
+    planned: list[tuple[list[int], int]] = []  # (cids, kernel calls) per protect
+    protect = BackupPlanStore.protect
+
+    def counted(self, routes, *args, **kwargs):
+        routes = list(routes)
+        before = len(kernel_calls)
+        stored = protect(self, routes, *args, **kwargs)
+        cids = [route.conference.conference_id for route in routes]
+        planned.append((cids, len(kernel_calls) - before))
+        return stored
+
+    monkeypatch.setattr(BackupPlanStore, "protect", counted)
+    network = ConferenceNetwork.build("extra-stage-cube", N_PORTS, dilation=N_PORTS)
+    ctrl = SelfHealingController(network, protection=2)
+    ctrl.try_join(Conference.of([0, 5, 9], 0))
+    ctrl.try_join(Conference.of([1, 3, 12], 1))
+    assert planned == [([0], 1), ([1], 1)]
+    planned.clear()
+    ctrl.resize(0, (0, 5, 9, 13))
+    ctrl.resize(1, (1, 12))
+    assert planned == [([0], 1), ([1], 1)]
+    idle = idle_link(network, ctrl)
+    planned.clear()
+    loop = EventLoop()
+    ctrl.apply_fault(loop, idle)
+    ctrl.apply_repair(loop, idle)
+    assert planned == [([0, 1], 1), ([0, 1], 1)]
+
+
 @pytest.mark.parametrize("with_fault", (False, True))
 def test_first_resizes_route_only_in_the_prime_pass(with_fault, kernel_calls):
     network = ConferenceNetwork.build("extra-stage-cube", N_PORTS, dilation=N_PORTS)
@@ -80,12 +118,7 @@ def test_first_resizes_route_only_in_the_prime_pass(with_fault, kernel_calls):
     sessions = [svc.submit_open(members) for members in groups]
     svc.tick()
     if with_fault:
-        healing = svc.healing
-        used = set().union(*(healing.route_of(cid).points for cid in healing.live_conferences))
-        idle = next(
-            (t, r) for t in range(1, network.n_stages + 1) for r in range(N_PORTS)
-            if (t, r) not in used
-        )
+        idle = idle_link(network, svc.healing)
         svc.attach_faults([FaultTransition(svc.now + 0.5, idle, True)])
         svc.tick()
         assert svc.healing.current_faults == {idle}

@@ -93,8 +93,16 @@ def availability_smoke(out: Path) -> None:
 
 @check
 def e5(out: Path) -> None:
-    """E5 availability benchmark assertions."""
+    """E5 availability benchmark assertions; its tables (plan hits, the
+    plan-store footprint) hold no timings, so every regenerated
+    ``benchmarks/results/e5_*`` table must equal the checked-in one
+    byte for byte."""
+    tables = sorted((REPO / "benchmarks" / "results").glob("e5_*"))
+    for table in tables:
+        shutil.copy2(table, out / f"{table.stem}.committed{table.suffix}")
     bench(out, "bench_e5_availability.py", "benchmarks/results/e5_*", pytest=True)
+    for table in tables:
+        same(out / f"{table.stem}.committed{table.suffix}", out / table.name)
 
 
 @check
