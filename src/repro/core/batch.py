@@ -87,6 +87,7 @@ from repro.core.routing import (
     _check_taps,
     _pack_route,
     _prune,
+    _unroutable,
 )
 from repro.obs.metrics import timed
 from repro.topology.network import MultistageNetwork, Point
@@ -432,16 +433,7 @@ def _kernel(
         )
         for c in np.flatnonzero(~routable):
             port = recv_lists[c][int(first_bad[c]) - int(recv_offsets[c])]
-            if policy.tap_policy is TapPolicy.FINAL:
-                err = UnroutableError(
-                    f"conference cannot be combined at final-stage output {port}"
-                )
-            else:
-                err = UnroutableError(
-                    f"no surviving level combines the full conference on row {port}"
-                )
-            err.port = port
-            outcomes[c] = BatchRouteOutcome(confs[c], error=err)
+            outcomes[c] = BatchRouteOutcome(confs[c], error=_unroutable(port, policy.tap_policy))
 
     # Backward pass: marked[t, r, c // 64] holds bit c % 64 when some tap
     # of conference c is reachable from (t, r) through surviving points.

@@ -185,6 +185,20 @@ class Route(_LinkAccounting):
         return frozenset(mem[i] for i in range(len(mem)) if (mask >> i) & 1)
 
 
+def _unroutable(port: int, tap_policy: TapPolicy) -> UnroutableError:
+    """The verdict that ``port`` cannot tap, in its tap policy's words.
+
+    The kernel and the backup-plan screen both build their errors here,
+    so a screened plan carries the kernel's exact message and ``port``.
+    """
+    if tap_policy is TapPolicy.FINAL:
+        err = UnroutableError(f"conference cannot be combined at final-stage output {port}")
+    else:
+        err = UnroutableError(f"no surviving level combines the full conference on row {port}")
+    err.port = port
+    return err
+
+
 def _pack_route(outcome: "Route | UnroutableError") -> "tuple | UnroutableError":
     """The stored body of a routing outcome: ``(levels, taps)``, or a copy of
     its :class:`UnroutableError`.  Caches and plan stores keep bodies by
@@ -202,14 +216,6 @@ def _unpack_route(
         raise UnroutableError(*entry.args)
     levels, taps = entry
     return Route(conference, net.n_ports, net.n_stages, levels, taps)
-
-
-def _body_crosses(entry: "tuple | UnroutableError", links: frozenset) -> bool:
-    """Does a stored body's route use any of ``links``?  (Errors use none.)"""
-    if isinstance(entry, UnroutableError):
-        return False
-    levels = entry[0]
-    return any((t, row) in links for t in range(1, len(levels)) for row in levels[t])
 
 
 def delivered_members(

@@ -29,6 +29,31 @@ Unroutable outcomes are planned too: a **negative plan** records that
 the conference cannot survive the protected link's death, so the
 controller can drop it in O(1) instead of re-discovering the dead end.
 
+**Negative plans from the wiring.**  On a network with unique paths
+(every banyan fabric of the paper: at most one path joins an input to
+a point) most plans are negative, and :meth:`BackupPlanStore.protect`
+decides them without the kernel.  Let ``anc(q)`` be the inputs that
+reach point ``q`` and ``cone(q)`` the points ``q`` reaches.  A member's
+signal reaches ``(t, j)`` along exactly one path, so it is lost there
+iff some dead point ``q`` lies on that path: the member is in
+``anc(q)`` and ``(t, j)`` is in ``cone(q)``.  Hence ``(t, j)`` carries
+the full conference under a dead set ``D`` iff every member is in
+``anc(t, j)`` and ``(t, j)`` lies in no ``cone(q)`` of a ``q`` in ``D``
+that some member reaches — the kernel's forward mask, read from two
+bitset tables.  Member ``j`` can tap iff such a level exists (any
+level under EARLIEST, the final one under FINAL; pins play no part in
+planning), and the kernel's verdict names the first member, in member
+order, that cannot.  The screen computes exactly that under
+``D = faults | {point}`` — base faults included, so it holds for any
+live route, fresh or stale — and builds the error through the
+kernel's own constructor (same message, same ``port``).  Only the
+pairs where every member can tap (positive plans), and every pair on a
+fabric without unique paths (extra-stage cube, Beneš), go to the
+kernel.  The tables live on the network instance and are built on the
+first ``protect`` call (:class:`~repro.topology.network.MultistageNetwork`'s
+``_ancestors`` / ``_cones``); ``tests/protect/test_negative_screen.py``
+holds every screened verdict against the kernel.
+
 Memory is the price: each positive plan stores one ``(levels, taps)``
 route body, so a store holds at most ``live conferences × F`` plans.
 :meth:`BackupPlanStore.footprint` reports the realized cost for the
@@ -39,22 +64,65 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.core.batch import _route_batch
 from repro.core.conference import Conference
 from repro.core.routing import (
     Route,
     RoutingPolicy,
+    TapPolicy,
     UnroutableError,
-    _body_crosses,
     _pack_route,
     _unpack_route,
+    _unroutable,
 )
 from repro.topology.network import MultistageNetwork, Point
 
 __all__ = ["BackupPlan", "PlanStats", "BackupPlanStore"]
 
 _NO_FAULTS: frozenset[Point] = frozenset()
+
+
+def _wired_verdict(
+    net: MultistageNetwork,
+    members: tuple[int, ...],
+    dead: "Iterable[Point]",
+    tap_policy: TapPolicy,
+) -> "UnroutableError | None":
+    """The kernel's unroutable verdict for ``members`` under ``dead``, read
+    from the wiring; ``None`` when every member can tap, or when ``net``
+    has more than one path somewhere (see the module docstring for why
+    this is exact)."""
+    if not net._unique_paths:
+        return None
+    n_rows, n_stages = net.n_ports, net.n_stages
+    anc, cones = net._ancestors, net._cones
+    mask = 0
+    for m in members:
+        mask |= 1 << m
+    # Bit t * n_rows + r: some member's only path to (t, r) is dead.
+    cut = 0
+    for t, r in dead:
+        if 0 <= t <= n_stages and 0 <= r < n_rows and anc[t][r] & mask:
+            cut |= cones[t][r] << (t * n_rows)
+    levels = (n_stages,) if tap_policy is TapPolicy.FINAL else range(n_stages + 1)
+    for j in members:
+        if not any(
+            (anc[t][j] & mask) == mask and not (cut >> (t * n_rows + j)) & 1 for t in levels
+        ):
+            return _unroutable(j, tap_policy)
+    return None
+
+
+def _touches(plan: "BackupPlan") -> "set[Point]":
+    """The points whose change invalidates ``plan``: its protected point
+    and every link its stored backup route crosses."""
+    points = {plan.point}
+    if not plan.unroutable:
+        levels = plan.entry[0]
+        points.update((t, row) for t in range(1, len(levels)) for row in levels[t])
+    return points
 
 @dataclass
 class PlanStats:
@@ -170,11 +238,13 @@ class BackupPlanStore:
     :meth:`protect` call plans the F most important links of each live
     route.
 
-    The store plans its own backups: :meth:`protect` routes every
-    requested ``(conference, point)`` pair in one call to the routing
-    kernel's per-conference fault overlay, the same kernel the reactive
-    path reaches through :func:`~repro.core.routing.route_conference` —
-    that sameness is what makes fast failover bit-identical.
+    The store plans its own backups: :meth:`protect` decides the
+    negative plans of a unique-path network from its wiring and routes
+    every other requested ``(conference, point)`` pair in one call to
+    the routing kernel's per-conference fault overlay, the same kernel
+    the reactive path reaches through
+    :func:`~repro.core.routing.route_conference` — that sameness is what
+    makes fast failover bit-identical.
     """
 
     def __init__(
@@ -190,6 +260,8 @@ class BackupPlanStore:
         self._policy = policy or RoutingPolicy()
         self._protection = protection
         self._plans: dict[int, dict[Point, BackupPlan]] = {}
+        # point -> keys (cid, protected point) of the plans touching it.
+        self._holders: dict[Point, set[tuple[int, Point]]] = {}
         self.stats = PlanStats()
         # Observation only (duck-typed repro.obs.trace.Tracer): lookups
         # emit plan.hit / plan.stale / plan.miss events.
@@ -254,34 +326,53 @@ class BackupPlanStore:
         membership churn or a changed live route can never leave a plan
         for a link the call no longer crosses).  ``ranked(route, k)``
         picks up to ``k`` protected links, most important first; the
-        default is point order.  Every ``(conference, point)`` pair is
-        then routed in one fault-overlay call to the routing kernel,
-        conference under ``faults | {point}``, and the plans are stored
-        in route order, then link rank.  Returns the number of plans
-        stored.
+        default is point order.  Each ``(conference, point)`` pair is
+        planned under ``faults | {point}``: on a unique-path network a
+        negative verdict is read from the wiring, and every remaining
+        pair is routed in one fault-overlay call to the routing kernel.
+        The plans are stored in route order, then link rank.  Returns
+        the number of plans stored.
         """
         base = frozenset(faults) if faults else _NO_FAULTS
         k = self._protection
+        net, tap_policy = self._network, self._policy.tap_policy
         conferences: list[Conference] = []
         points: list[Point] = []
+        outcomes: "list[Route | UnroutableError | None]" = []
         for route in routes:
-            self._plans.pop(route.conference.conference_id, None)
+            conference = route.conference
+            self._drop(conference.conference_id)
             for point in ranked(route, k) if ranked else sorted(route.links)[:k]:
-                conferences.append(route.conference)
+                conferences.append(conference)
                 points.append(point)
+                outcomes.append(
+                    _wired_verdict(net, conference.members, chain(base, (point,)), tap_policy)
+                )
         if not points:
             return 0
-        outcomes = _route_batch(
-            self._network, conferences, self._policy, base, [(p,) for p in points]
-        )
+        pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        if pending:
+            routed = _route_batch(
+                net,
+                [conferences[i] for i in pending],
+                self._policy,
+                base,
+                [(points[i],) for i in pending],
+            )
+            for i, outcome in zip(pending, routed):
+                error = outcome.error
+                outcomes[i] = error if isinstance(error, UnroutableError) else outcome.unwrap()
         for conference, point, outcome in zip(conferences, points, outcomes):
-            if isinstance(outcome.error, UnroutableError):
-                entry = _pack_route(outcome.error)
+            if isinstance(outcome, UnroutableError):
                 self.stats.unroutable += 1
-            else:
-                entry = _pack_route(outcome.unwrap())
-            self._plans.setdefault(conference.conference_id, {})[point] = BackupPlan(
-                members=conference.members, point=point, base_faults=base, entry=entry
+            self._store(
+                conference.conference_id,
+                BackupPlan(
+                    members=conference.members,
+                    point=point,
+                    base_faults=base,
+                    entry=_pack_route(outcome),
+                ),
             )
             self.stats.computed += 1
         return len(points)
@@ -326,7 +417,7 @@ class BackupPlanStore:
 
         Returns the number of plans removed; unknown ids are a no-op.
         """
-        removed = len(self._plans.pop(conference_id, ()))
+        removed = self._drop(conference_id)
         self.stats.invalidated += removed
         return removed
 
@@ -340,25 +431,20 @@ class BackupPlanStore:
         and the most-loaded-first ranking that chose it — are stale).
         Plans elsewhere survive, so a hitless in-block join replans
         nothing but the conferences actually sharing the graft.
-        Returns the affected conference ids, for targeted re-planning.
+        Returns the affected conference ids, in plan-insertion order,
+        for targeted re-planning.  A point index finds the affected plans,
+        so the plans elsewhere are never read.
         """
-        touched = frozenset(links)
-        if not touched:
-            return []
-        affected: list[int] = []
-        for cid in list(self._plans):
+        doomed: dict[int, set[Point]] = {}
+        for link in frozenset(links):
+            for cid, point in self._holders.get(link, ()):
+                doomed.setdefault(cid, set()).add(point)
+        affected = [cid for cid in self._plans if cid in doomed] if doomed else []
+        for cid in affected:
             plans = self._plans[cid]
-            doomed = [
-                point
-                for point, plan in plans.items()
-                if point in touched or _body_crosses(plan.entry, touched)
-            ]
-            if not doomed:
-                continue
-            for point in doomed:
-                del plans[point]
-            self.stats.invalidated += len(doomed)
-            affected.append(cid)
+            for point in doomed[cid]:
+                self._unindex(cid, plans.pop(point))
+            self.stats.invalidated += len(doomed[cid])
             if not plans:
                 del self._plans[cid]
         return affected
@@ -366,6 +452,36 @@ class BackupPlanStore:
     def clear(self) -> None:
         """Drop every plan (stats are kept)."""
         self._plans.clear()
+        self._holders.clear()
+
+    # -- the point index ---------------------------------------------------
+
+    def _store(self, cid: int, plan: BackupPlan) -> None:
+        """Keep ``plan`` as ``cid``'s plan for its point, indexed by the
+        points it touches."""
+        plans = self._plans.setdefault(cid, {})
+        old = plans.get(plan.point)
+        if old is not None:
+            self._unindex(cid, old)
+        plans[plan.point] = plan
+        key = (cid, plan.point)
+        for point in _touches(plan):
+            self._holders.setdefault(point, set()).add(key)
+
+    def _unindex(self, cid: int, plan: BackupPlan) -> None:
+        key = (cid, plan.point)
+        for point in _touches(plan):
+            holders = self._holders[point]
+            holders.discard(key)
+            if not holders:
+                del self._holders[point]
+
+    def _drop(self, cid: int) -> int:
+        """Remove every plan of ``cid``; returns how many there were."""
+        plans = self._plans.pop(cid, {})
+        for plan in plans.values():
+            self._unindex(cid, plan)
+        return len(plans)
 
     def _trace(self, name: str, cid: int, point: Point) -> None:
         if self.tracer is not None:

@@ -75,7 +75,8 @@ def count_paths(net: MultistageNetwork, source: int, dest: int) -> int:
     """Number of distinct input->output paths from port ``source`` to ``dest``.
 
     Banyan networks have exactly one for every (source, dest) pair; the
-    property checker uses this directly.
+    property tests hold :func:`~repro.topology.properties.is_banyan`
+    against this pairwise count.
     """
     check_port(source, net.n_ports, "source")
     check_port(dest, net.n_ports, "dest")

@@ -28,7 +28,8 @@ Coordinates
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 import numpy as np
 
@@ -248,6 +249,51 @@ class MultistageNetwork:
                 tab[s, :, i] = pre_inv[base + i]
         tab.setflags(write=False)
         return tab
+
+    # -- path structure (bitsets, built on first use) --------------------
+
+    @cached_property
+    def _ancestors(self) -> "tuple[tuple[int, ...], ...]":
+        """``[t][r]``: bitset of the inputs that reach point ``(t, r)``."""
+        level = tuple(1 << r for r in range(self._n_ports))
+        out = [level]
+        for sides in self.predecessor_table.tolist():
+            level = tuple(reduce(or_, [level[p] for p in preds]) for preds in sides)
+            out.append(level)
+        return tuple(out)
+
+    @cached_property
+    def _unique_paths(self) -> bool:
+        """At most one path joins any input to any point.
+
+        True iff at every point the ancestor sets of its predecessors are
+        pairwise disjoint (by induction over the levels).
+        """
+        anc = self._ancestors
+        for t, sides in enumerate(self.predecessor_table.tolist()):
+            for preds in sides:
+                seen = 0
+                for p in preds:
+                    if anc[t][p] & seen:
+                        return False
+                    seen |= anc[t][p]
+        return True
+
+    @cached_property
+    def _cones(self) -> "tuple[tuple[int, ...], ...]":
+        """``[t][r]``: the points ``(t + d, r')`` that ``(t, r)`` reaches,
+        as a bitset with bit ``d * n_ports + r'`` (the point itself is bit
+        ``r``)."""
+        n = self._n_ports
+        level = tuple(1 << r for r in range(n))
+        out = [level]
+        for sides in reversed(self.successor_table.tolist()):
+            level = tuple(
+                (reduce(or_, [level[s] for s in succ]) << n) | (1 << r)
+                for r, succ in enumerate(sides)
+            )
+            out.append(level)
+        return tuple(reversed(out))
 
     # -- whole-network derived structure --------------------------------
 

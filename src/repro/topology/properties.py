@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.topology.graph import count_paths, forward_cone
+from repro.topology.graph import forward_cone
 from repro.topology.network import MultistageNetwork
 
 __all__ = [
@@ -38,10 +38,13 @@ def is_banyan(net: MultistageNetwork) -> bool:
 
     The banyan property is what makes conference conflict multiplicity a
     *routing-independent* quantity for two-member conferences: the link
-    set joining two ports is forced.
+    set joining two ports is forced.  It is read as *unique paths* (at
+    most one path from any input to any point) plus *full access* (every
+    input reaches every output), both from the network's ancestor
+    bitsets — the tables backup planning screens negative plans with.
     """
-    n = net.n_ports
-    return all(count_paths(net, s, d) == 1 for s in range(n) for d in range(n))
+    everyone = (1 << net.n_ports) - 1
+    return net._unique_paths and all(inputs == everyone for inputs in net._ancestors[-1])
 
 
 def is_buddy(net: MultistageNetwork) -> bool:

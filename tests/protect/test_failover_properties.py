@@ -27,9 +27,12 @@ pytestmark = pytest.mark.tier1
 
 N_PORTS = 16
 POLICY = RoutingPolicy()
-#: extra-stage-cube has relay slack, so most plans route; plain
-#: indirect-binary-cube has none, so its plans are mostly negative.
-NETS = {name: build(name, N_PORTS) for name in ("extra-stage-cube", "indirect-binary-cube")}
+#: extra-stage-cube has relay slack, so most plans route (the kernel
+#: plans them); plain indirect-binary-cube and omega have unique paths,
+#: so their plans are mostly negative (read from the wiring).
+NETS = {
+    name: build(name, N_PORTS) for name in ("extra-stage-cube", "indirect-binary-cube", "omega")
+}
 UNIVERSES = {name: fault_universe(net) for name, net in NETS.items()}
 UNIVERSE = UNIVERSES["extra-stage-cube"]
 
@@ -50,8 +53,9 @@ def base_faults(data, topology):
 
 @pytest.mark.parametrize("topology", sorted(NETS, reverse=True))
 class TestBitIdentity:
-    """The kernel's fault overlay (the store's planner) against
-    ``route_conference`` (the reactive router), plan by plan."""
+    """The store's planner (the wiring screen, then the kernel's fault
+    overlay) against ``route_conference`` (the reactive router), plan by
+    plan."""
 
     @settings(max_examples=60, deadline=None)
     @given(members=members_strategy, data=st.data())
@@ -71,10 +75,11 @@ class TestBitIdentity:
             assert status == "hit"
             try:
                 expected = router(net, conf, faults)
-            except UnroutableError:
+            except UnroutableError as reactive:
                 assert isinstance(payload, UnroutableError), (
                     f"plan for {point} routed but reactive says unroutable"
                 )
+                assert payload.args == reactive.args, f"plan for {point} names another port"
             else:
                 assert payload == expected, f"plan for {point} diverged"
 

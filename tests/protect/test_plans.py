@@ -1,5 +1,7 @@
 """Unit tests for the backup-plan store (lifecycle, stats, footprint)."""
 
+import random
+
 import pytest
 
 from repro.core.conference import Conference
@@ -274,3 +276,69 @@ class TestControllerIntegration:
         assert healing.plan_store.policy == network.policy
         assert healing.protection == 1
         assert SelfHealingController(network, rng=0).plan_store is None
+
+
+def scan_invalidate(plans, links):
+    """The pre-index ``invalidate_links``: scan every conference's plans
+    in insertion order.  ``plans`` is ``{cid: {point: plan}}``, mutated."""
+    touched = frozenset(links)
+    affected = []
+    removed = 0
+    for cid in list(plans):
+        doomed = [
+            point
+            for point, plan in plans[cid].items()
+            if point in touched
+            or (not plan.unroutable and any(
+                (t, row) in touched
+                for t in range(1, len(plan.entry[0]))
+                for row in plan.entry[0][t]
+            ))
+        ]
+        if not doomed:
+            continue
+        for point in doomed:
+            del plans[cid][point]
+        removed += len(doomed)
+        affected.append(cid)
+        if not plans[cid]:
+            del plans[cid]
+    return affected, removed
+
+
+class TestInvalidateLinks:
+    """The point index against the full scan it replaced: same affected
+    ids in the same order, same ``invalidated`` count, same survivors."""
+
+    @pytest.mark.parametrize("topology", ("extra-stage-cube", "indirect-binary-cube"))
+    def test_index_matches_full_scan(self, topology):
+        rng = random.Random(5)
+        s, router = store(topology, protection=3)
+        net = s.network
+        points = [(t, r) for t in range(net.n_stages + 1) for r in range(N_PORTS)]
+        model: dict = {}
+        for _ in range(300):
+            op = rng.random()
+            if op < 0.4:
+                cids = rng.sample(range(8), rng.randint(1, 3))
+                routes = [
+                    router(Conference.of(rng.sample(range(N_PORTS), rng.randint(2, 5)), cid))
+                    for cid in cids
+                ]
+                s.protect(routes, frozenset())
+                for cid in cids:
+                    model.pop(cid, None)
+                for cid in cids:
+                    model[cid] = s.plans_of(cid)
+            elif op < 0.5:
+                cid = rng.randrange(8)
+                assert s.invalidate(cid) == len(model.pop(cid, {}))
+            else:
+                links = rng.sample(points, rng.randint(1, 6))
+                before = s.stats.invalidated
+                expected, removed = scan_invalidate(model, links)
+                assert s.invalidate_links(links) == expected
+                assert s.stats.invalidated - before == removed
+            assert len(s) == sum(len(plans) for plans in model.values())
+            for cid in range(8):
+                assert s.plans_of(cid) == model.get(cid, {})

@@ -4,7 +4,8 @@ Every bit-sliced kernel call (one chunk of a ``route_batch``) is counted
 by wrapping ``repro.core.batch._kernel``.  Backup planning makes one
 ``BackupPlanStore.protect`` call per admission, per resize and per
 re-protect, and each is one overlay batch: a re-protect plans every
-live conference's F backups in ``ceil(K*F/chunk)`` kernel calls.  A
+live conference's F backups in ``ceil(K*F/chunk)`` kernel calls.  On a
+unique-path fabric the negative plans never reach the kernel.  A
 tick whose batch holds first resizes of distinct sessions routes all
 of them in its prime pass: with no binding pins, the churn engine and
 the fault-free reference routes consume primed routes and call the
@@ -19,6 +20,7 @@ from repro.core import batch as batch_mod
 from repro.core.conference import Conference
 from repro.core.healing import SelfHealingController
 from repro.core.network import ConferenceNetwork
+from repro.core.routing import UnroutableError, route_conference
 from repro.protect.plans import BackupPlanStore
 from repro.serve.service import FabricService
 from repro.sim.engine import EventLoop
@@ -108,6 +110,41 @@ def test_one_plan_call_per_admission_resize_and_reprotect(kernel_calls, monkeypa
     ctrl.apply_fault(loop, idle)
     ctrl.apply_repair(loop, idle)
     assert planned == [([0, 1], 1), ([0, 1], 1)]
+
+
+def test_banyan_plans_make_no_kernel_call(kernel_calls, monkeypatch):
+    """On a unique-path fabric every plan here is negative, and negative
+    plans are read from the wiring: admission, resize and re-protect
+    plan without a kernel call, and each plan is still the reactive
+    router's verdict under ``base | {point}``."""
+    planned: list[int] = []  # kernel calls per protect
+    protect = BackupPlanStore.protect
+
+    def counted(self, routes, *args, **kwargs):
+        before = len(kernel_calls)
+        stored = protect(self, routes, *args, **kwargs)
+        planned.append(len(kernel_calls) - before)
+        return stored
+
+    monkeypatch.setattr(BackupPlanStore, "protect", counted)
+    network = ConferenceNetwork.build("indirect-binary-cube", N_PORTS, dilation=N_PORTS)
+    ctrl = SelfHealingController(network, protection=2)
+    ctrl.try_join(Conference.of([0, 5, 9], 0))
+    ctrl.try_join(Conference.of([1, 3, 12], 1))
+    ctrl.resize(0, (0, 5, 9, 13))
+    ctrl.apply_fault(EventLoop(), idle_link(network, ctrl))
+    assert planned == [0, 0, 0, 0]
+    store = ctrl.plan_store
+    assert len(store) == 4
+    for cid in ctrl.live_conferences:
+        conference = ctrl.route_of(cid).conference
+        for point, plan in store.plans_of(cid).items():
+            assert plan.unroutable and plan.members == conference.members
+            with pytest.raises(UnroutableError) as reactive:
+                route_conference(
+                    network.topology, conference, network.policy, plan.base_faults | {point}
+                )
+            assert plan.entry.args == reactive.value.args
 
 
 @pytest.mark.parametrize("with_fault", (False, True))

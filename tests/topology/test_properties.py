@@ -1,7 +1,10 @@
 """Tests for structural property checkers and digests."""
 
 
-from repro.topology.builders import build
+import pytest
+
+from repro.topology.builders import TOPOLOGY_BUILDERS, build
+from repro.topology.graph import count_paths
 from repro.topology.network import MultistageNetwork, Stage
 from repro.topology.permutations import identity, perfect_shuffle
 from repro.topology.properties import (
@@ -33,6 +36,34 @@ class TestNegativeCases:
     def test_single_stage_shuffle_lacks_access(self):
         net = MultistageNetwork(8, [Stage(perfect_shuffle(8), identity(8))])
         assert not has_full_access(net)
+
+
+def banyan_by_paths(net: MultistageNetwork) -> bool:
+    """The pairwise definition: exactly one path for every input/output pair."""
+    n = net.n_ports
+    return all(count_paths(net, s, d) == 1 for s in range(n) for d in range(n))
+
+
+class TestBanyanDefinition:
+    """``is_banyan`` reads unique paths + full access off the ancestor
+    bitsets; it must agree with the pairwise path count everywhere."""
+
+    @pytest.mark.parametrize("n_ports", (8, 16, 32))
+    @pytest.mark.parametrize("name", sorted(TOPOLOGY_BUILDERS))
+    def test_registry_matches_pairwise_count(self, name, n_ports):
+        net = build(name, n_ports)
+        assert is_banyan(net) == banyan_by_paths(net)
+
+    @pytest.mark.parametrize("stages", (1, 2, 3))
+    def test_degenerate_matches_pairwise_count(self, stages):
+        net = degenerate_network(8, stages)
+        assert is_banyan(net) == banyan_by_paths(net)
+        assert not is_banyan(net)
+
+    def test_unique_paths_without_full_access_is_not_banyan(self):
+        net = MultistageNetwork(8, [Stage(perfect_shuffle(8), identity(8))])
+        assert net._unique_paths
+        assert not is_banyan(net) and not banyan_by_paths(net)
 
 
 class TestPairingBits:

@@ -200,12 +200,20 @@ def w1(out: Path) -> None:
 
 @check
 def failover(out: Path) -> None:
-    """Protected (F=2) recovery never exceeds reactive (F=0), client view unchanged."""
+    """Protected (F=2) recovery never exceeds reactive (F=0), client view
+    unchanged, on both planning paths: the indirect binary cube (unique
+    paths, so negative plans are read from the wiring) and the extra-stage
+    cube (redundant paths, so every plan is routed by the kernel)."""
+    for topology in ("indirect-binary-cube", "extra-stage-cube"):
+        failover_drill(out, topology)
+
+
+def failover_drill(out: Path, topology: str) -> None:
     for f in ("0", "2"):
-        cli(out, f"drill-f{f}.txt", "cluster", "--ports", "16", "--shards", "4",
-            "--conferences", "120", "--kill-at", "10", "--faults", "--protection", f,
-            "--json", f"drill-f{f}.json")
-    f0, f2 = load(out / "drill-f0.json"), load(out / "drill-f2.json")
+        cli(out, f"drill-{topology}-f{f}.txt", "cluster", "--topology", topology,
+            "--ports", "16", "--shards", "4", "--conferences", "120", "--kill-at", "10",
+            "--faults", "--protection", f, "--json", f"drill-{topology}-f{f}.json")
+    f0, f2 = (load(out / f"drill-{topology}-f{f}.json") for f in ("0", "2"))
     r0, r2 = f0["recovery"], f2["recovery"]
     assert r2["recovery_ticks_mean"] <= r0["recovery_ticks_mean"], (r2, r0)
     assert r2["recovery_ticks_p95"] <= r0["recovery_ticks_p95"], (r2, r0)
@@ -216,7 +224,7 @@ def failover(out: Path) -> None:
     for key in ("conferences", "ticks", "lost_sessions", "session_counts",
                 "killed_shard", "kill_tick", "consistency"):
         assert f0[key] == f2[key], (key, f0[key], f2[key])
-    print("protected drill: mean", r2["recovery_ticks_mean"],
+    print(f"protected {topology} drill: mean", r2["recovery_ticks_mean"],
           "vs reactive", r0["recovery_ticks_mean"], "with", r2["plan_hits"], "plan hits")
 
 
