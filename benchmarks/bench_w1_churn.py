@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from _common import emit
 
-from repro.core.churn import extend_route, join_member, leave_member
+from repro.core.churn import extend_route, prune_route
 from repro.core.conference import Conference
 from repro.core.healing import RetryPolicy
 from repro.core.network import ConferenceNetwork
@@ -71,8 +71,8 @@ def zipf_churn_ops(seed=SEED):
                 break
             port = outside[int(rng.integers(len(outside)))]
             for kind, fn, target in (
-                ("join", join_member, port),
-                ("leave", leave_member, port),
+                ("join", extend_route, port),
+                ("leave", prune_route, port),
             ):
                 before = route
                 churn = fn(net, before, target)

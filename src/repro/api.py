@@ -31,13 +31,10 @@ from typing import Any, Protocol, runtime_checkable
 from repro.core.admission import AdmissionController, AdmissionDenied
 from repro.core.batch import BatchRouteOutcome, route_batch
 from repro.core.churn import (
-    ChurnLimitExceeded,
     ChurnPolicy,
     ChurnResult,
     apply_churn,
     extend_route,
-    join_member,
-    leave_member,
     prune_route,
 )
 from repro.core.conference import Conference, ConferenceSet
@@ -103,7 +100,7 @@ from repro.workloads.churn import (
 
 #: Version of the public surface (bumped on any additive change; the
 #: library version tracks releases, this tracks the API contract).
-API_VERSION = "4.0"
+API_VERSION = "5.0"
 
 
 @runtime_checkable
@@ -155,14 +152,11 @@ __all__ = [
     "route_batch",
     "BatchRouteOutcome",
     # incremental membership churn
-    "ChurnLimitExceeded",
     "ChurnPolicy",
     "ChurnResult",
     "apply_churn",
     "extend_route",
     "prune_route",
-    "join_member",
-    "leave_member",
     # churn workload timelines
     "ChurnEvent",
     "flash_crowd",

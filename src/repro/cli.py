@@ -99,6 +99,23 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type for an integer >= ``low``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        if not re.fullmatch(r"-?[0-9]+", text) or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+#: Service-command integer flags: counts, sizes and budgets are >= 1,
+#: except ``--protection`` and ``--drift-limit``, which may be 0.
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
+
+
 def _listen_address(text: str) -> tuple[str, int]:
     """``--listen [HOST]:PORT`` as ``(host, port)``; HOST defaults to 127.0.0.1.
 
@@ -148,7 +165,7 @@ def _add_churn_flags(cmd: argparse.ArgumentParser) -> None:
     )
     cmd.add_argument(
         "--drift-limit",
-        type=int,
+        type=_nonnegative_int,
         default=None,
         metavar="LINKS",
         help="conflict-multiplicity drift (extra links vs a from-scratch "
@@ -161,7 +178,7 @@ def _add_workload_flags(
     cmd: argparse.ArgumentParser, *, conferences: int, mean_size: bool = True
 ) -> None:
     """The seeded churn workload of the bench-style commands."""
-    cmd.add_argument("--conferences", type=int, default=conferences)
+    cmd.add_argument("--conferences", type=_positive_int, default=conferences)
     cmd.add_argument("--seed", type=int, default=0)
     cmd.add_argument("--arrival-rate", type=float, default=4.0, help="mean conference opens per tick")
     if mean_size:
@@ -172,13 +189,13 @@ def _add_workload_flags(
 
 def _add_queue_flags(cmd: argparse.ArgumentParser, *, max_batch: int = 64) -> None:
     """Admission-queue bound, shedding policy and per-tick batch size."""
-    cmd.add_argument("--queue-capacity", type=int, default=256)
+    cmd.add_argument("--queue-capacity", type=_positive_int, default=256)
     cmd.add_argument(
         "--shed-policy",
         default="reject-newest",
         choices=sorted(p.value for p in ShedPolicy),
     )
-    cmd.add_argument("--max-batch", type=int, default=max_batch)
+    cmd.add_argument("--max-batch", type=_positive_int, default=max_batch)
 
 
 def _add_healing_flags(
@@ -187,7 +204,7 @@ def _add_healing_flags(
     """The retry budget and the backup-plan budget F."""
     cmd.add_argument("--retries", type=int, default=retries, help="retry budget (0 disables retries)")
     cmd.add_argument(
-        "--protection", type=int, default=0, metavar="F",
+        "--protection", type=_nonnegative_int, default=0, metavar="F",
         help="backup plans per conference on every shard (0 = reactive)"
         if per_shard
         else "backup plans per conference (0 = reactive reroute only)",
@@ -287,21 +304,21 @@ def _add_perf_flags(cmd: argparse.ArgumentParser) -> None:
     )
     cmd.add_argument(
         "--lanes",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="L",
         help="buffered model: lanes per inter-stage link (default 1)",
     )
     cmd.add_argument(
         "--buffer-depth",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="FLITS",
         help="buffered model: per-lane FIFO depth in flits (default 4)",
     )
     cmd.add_argument(
         "--flits",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="F",
         help="buffered model: flits per packet (default 4)",
@@ -314,7 +331,7 @@ def _add_perf_flags(cmd: argparse.ArgumentParser) -> None:
     )
     cmd.add_argument(
         "--cycles-per-tick",
-        type=int,
+        type=_positive_int,
         default=64,
         metavar="N",
         help="buffered model: fabric cycles simulated per service tick "
@@ -469,9 +486,9 @@ def _add_fabric_flags(
         cmd.add_argument("--ports", type=int, default=ports)
     else:
         cmd.add_argument("--ports", type=int, default=ports, help="ports per shard fabric")
-        cmd.add_argument("--shards", type=int, default=shards)
+        cmd.add_argument("--shards", type=_positive_int, default=shards)
     if dilation is not None:
-        cmd.add_argument("--dilation", type=int, default=dilation)
+        cmd.add_argument("--dilation", type=_positive_int, default=dilation)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -667,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         cluster, faults_help="also fire seeded per-shard link-fault timelines underneath"
     )
     _add_healing_flags(cluster, per_shard=True)
-    cluster.add_argument("--migration-budget", type=int, default=8, help="moves started per tick")
+    cluster.add_argument("--migration-budget", type=_positive_int, default=8, help="moves started per tick")
     cluster.add_argument("--json", metavar="PATH", help="write the report as JSON (shared result schema)")
     _add_churn_flags(cluster)
     _add_perf_flags(cluster)
@@ -680,13 +697,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fabric_flags(bench_cluster, shards=2)
     bench_cluster.add_argument(
-        "--dilation", type=int, default=None,
+        "--dilation", type=_positive_int, default=None,
         help="links per stage hop (default: one per port, so capacity never denies)",
     )
     _add_workload_flags(bench_cluster, conferences=200)
     _add_queue_flags(bench_cluster, max_batch=256)
     _add_healing_flags(bench_cluster, retries=0, per_shard=True)
-    bench_cluster.add_argument("--migration-budget", type=int, default=8, help="moves started per tick")
+    bench_cluster.add_argument("--migration-budget", type=_positive_int, default=8, help="moves started per tick")
     bench_cluster.add_argument("--json", metavar="PATH", help="write the full report as JSON (shared result schema)")
     bench_cluster.add_argument(
         "--invariant-json",
@@ -706,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fabric_flags(slo_cmd, ports=32, dilation=4)
     _add_workload_flags(slo_cmd, conferences=200)
-    slo_cmd.add_argument("--queue-capacity", type=int, default=256)
+    slo_cmd.add_argument("--queue-capacity", type=_positive_int, default=256)
     _add_healing_flags(slo_cmd)
     _add_fault_flags(slo_cmd)
     slo_cmd.add_argument("--json", metavar="PATH", help="write the SLO report as JSON (shared result schema)")

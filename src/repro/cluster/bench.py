@@ -36,19 +36,11 @@ from typing import TYPE_CHECKING, Any
 from repro.cluster.controller import ClusterService, ShardState
 from repro.cluster.directory import EntryState
 from repro.core.network import ConferenceNetwork
-from repro.serve.backpressure import ShedPolicy
 from repro.serve.bench import _recovery, _Workload
 from repro.serve.protocol import ServiceResponse
 from repro.sim.faults import generate_fault_timeline
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.core.churn import ChurnPolicy
-    from repro.core.healing import RetryPolicy
-    from repro.obs.flight import FlightRecorder
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.slo import SLOEvaluator
-    from repro.obs.trace import Tracer
-    from repro.perfmodel.model import PerfModelConfig
     from repro.sim.faults import FaultProcessConfig
 
 __all__ = ["ClusterBenchReport", "run_cluster_bench"]
@@ -187,22 +179,12 @@ def run_cluster_bench(
     max_size: "int | None" = None,
     mean_hold_ticks: float = 20.0,
     resize_prob: float = 0.0,
-    queue_capacity: int = 256,
-    shed_policy: "ShedPolicy | str" = ShedPolicy.REJECT_NEWEST,
-    max_batch: int = 256,
-    churn: "ChurnPolicy | None" = None,
-    retry: "RetryPolicy | None" = None,
-    migration_budget: int = 8,
     fault_process: "FaultProcessConfig | None" = None,
     kill_shard_at: "int | None" = None,
     add_shard_at: "int | None" = None,
-    protection: int = 0,
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-    slo: "SLOEvaluator | None" = None,
-    flight: "FlightRecorder | None" = None,
-    capacity_model: str = "abstract",
-    perf: "PerfModelConfig | None" = None,
+    queue_capacity: int = 256,
+    max_batch: int = 256,
+    **knobs: Any,
 ) -> ClusterBenchReport:
     """Run a seeded churn workload against a fresh cluster.
 
@@ -212,11 +194,12 @@ def run_cluster_bench(
     ``kill_shard_at`` fails the busiest shard at that tick (the failover
     drill); ``add_shard_at`` scales a fresh shard in and rebalances;
     ``fault_process`` attaches an independent per-shard fault timeline.
-    ``protection`` (plan budget F, default 0 = reactive) arms every
-    shard fabric with precomputed backup plans; the report's
-    ``recovery`` block folds all shards' recovery-tick samples and plan
-    counters into one distribution.  Protection never enters the
-    invariant fields — decisions are bit-identical with or without it.
+    Every other keyword goes to :class:`~repro.cluster.controller.ClusterService`
+    and through it to each shard fabric (the bench defaults to
+    ``queue_capacity=256`` and ``max_batch=256``).  With ``protection=F``
+    the report's ``recovery`` block folds all shards' recovery-tick
+    samples and plan counters into one distribution; protection never
+    enters the invariant fields.
     """
     work = _Workload(
         seed, ports, conferences=conferences, arrival_rate=arrival_rate, mean_size=mean_size,
@@ -230,10 +213,8 @@ def run_cluster_bench(
         return ConferenceNetwork.build(topology, ports, dilation=dil)
 
     cluster = ClusterService(
-        factory, shards=shards, retry=retry, rng=work.service_rng, protection=protection,
-        tracer=tracer, metrics=metrics, slo=slo, flight=flight, queue_capacity=queue_capacity,
-        shed_policy=shed_policy, max_batch=max_batch, migration_budget=migration_budget,
-        churn=churn, capacity_model=capacity_model, perf=perf,
+        factory, shards=shards, rng=work.service_rng, queue_capacity=queue_capacity,
+        max_batch=max_batch, **knobs,
     )
     injectors = []
     if fault_process is not None:
@@ -308,9 +289,7 @@ def run_cluster_bench(
     consistency = cluster.check_consistency()
     before = cluster.stats.ticks
     counts = cluster.shutdown()
-    peak = max(
-        (s.service.queue.stats.peak_depth for s in cluster.shards.values()), default=0
-    )
+    queues = [s.service.queue for s in cluster.shards.values()]
     return ClusterBenchReport(
         topology=topology,
         n_ports=ports,
@@ -327,10 +306,8 @@ def run_cluster_bench(
         added_shard=added_shard,
         rebalance_fraction=rebalance_fraction,
         queue_capacity=queue_capacity,
-        shed_policy=str(
-            shed_policy.value if isinstance(shed_policy, ShedPolicy) else shed_policy
-        ),
-        peak_queue_depth=peak,
+        shed_policy=queues[0].policy.value,
+        peak_queue_depth=max(q.stats.peak_depth for q in queues),
         lost_sessions=cluster.stats.lost_sessions,
         protection=cluster.protection,
         recovery=_recovery([

@@ -44,9 +44,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.cluster.directory import DirectoryEntry, EntryState, SessionDirectory
 from repro.cluster.placement import place_shard, rank_shards
 from repro.cluster.rebalance import MigrationQueue, Move, RebalancePlan, plan_rebalance
-from repro.core.churn import ChurnPolicy
 from repro.perfmodel.capacity import DeliveryModel
-from repro.serve.backpressure import ShedPolicy
 from repro.serve.protocol import Priority, RequestKind, ServiceResponse
 from repro.serve.service import TICK, FabricService, _SLOFeed
 from repro.util.rng import ensure_rng
@@ -54,13 +52,13 @@ from repro.util.rng import ensure_rng
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
 
+    from repro.core.churn import ChurnPolicy
     from repro.core.healing import RetryPolicy
     from repro.core.network import ConferenceNetwork
     from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.slo import SLOEvaluator
     from repro.obs.trace import Tracer
-    from repro.perfmodel.model import PerfModelConfig
     from repro.serve.batcher import BatchReport
     from repro.sim.faults import FaultInjector, FaultTransition
 
@@ -175,10 +173,12 @@ class ClusterService:
     ``network_factory`` builds one fresh
     :class:`~repro.core.network.ConferenceNetwork` per shard (called
     with the shard id); the cluster starts with ``shards`` fabrics named
-    ``shard-0`` … ``shard-{k-1}``, each of weight 1.0.  All other
-    configuration is keyword-only and applied uniformly to every shard
-    fabric.  ``migration_budget`` caps the cross-shard moves *started*
-    per tick.
+    ``shard-0`` … ``shard-{k-1}``, each of weight 1.0.  ``migration_budget``
+    caps the cross-shard moves *started* per tick.  Every other keyword
+    is a :class:`~repro.serve.service.FabricService` keyword, applied
+    uniformly to every shard fabric (``retry`` and ``tracer`` included;
+    the metrics registry, SLO evaluator and flight recorder stay at the
+    cluster level).
     """
 
     def __init__(
@@ -188,35 +188,19 @@ class ClusterService:
         shards: int = 2,
         retry: "RetryPolicy | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        protection: int = 0,
-        churn: "ChurnPolicy | None" = None,
         tracer: "Tracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
         slo: "SLOEvaluator | None" = None,
         flight: "FlightRecorder | None" = None,
-        queue_capacity: int = 1024,
-        shed_policy: "ShedPolicy | str" = ShedPolicy.REJECT_NEWEST,
-        max_batch: int = 64,
         migration_budget: int = 8,
-        capacity_model: str = "abstract",
-        perf: "PerfModelConfig | None" = None,
+        **fabric: Any,
     ):
         if shards < 1:
             raise ValueError("a cluster needs at least one shard")
         self._factory = network_factory
         # Every shard fabric is built from these (FabricService validates
         # them); the cluster keeps the metrics registry to itself.
-        self._fabric_knobs = dict(
-            retry=retry,
-            protection=protection,
-            churn=churn,
-            tracer=tracer,
-            queue_capacity=queue_capacity,
-            shed_policy=shed_policy,
-            max_batch=max_batch,
-            capacity_model=capacity_model,
-            perf=perf,
-        )
+        self._fabric_knobs = dict(fabric, retry=retry, tracer=tracer)
         self._rng = ensure_rng(rng)
         self.tracer = tracer
         self._metrics = metrics
@@ -273,19 +257,25 @@ class ClusterService:
         return self._state
 
     @property
+    def _fabric(self) -> FabricService:
+        """Any shard's fabric: every shard is built from the same keywords,
+        and the shard table is never emptied."""
+        return next(iter(self._shards.values())).service
+
+    @property
     def protection(self) -> int:
         """Backup-plan budget F applied uniformly to every shard fabric."""
-        return self._fabric_knobs["protection"]
+        return self._fabric.protection
 
     @property
     def churn_policy(self) -> "ChurnPolicy":
         """The membership-churn policy applied uniformly to every shard."""
-        return self._fabric_knobs["churn"] or ChurnPolicy()
+        return self._fabric.churn_policy
 
     @property
     def capacity_model(self) -> str:
         """``"abstract"`` or ``"buffered"``, applied uniformly to shards."""
-        return self._fabric_knobs["capacity_model"]
+        return self._fabric.capacity_model
 
     def delivery_summary(self) -> "dict[str, Any] | None":
         """Cluster-wide buffered-delivery block (``None`` in abstract mode).
@@ -297,7 +287,7 @@ class ClusterService:
         """
         if self.capacity_model != "buffered":
             return None
-        merged = DeliveryModel(self._fabric_knobs["perf"])
+        merged = DeliveryModel(self._fabric.delivery.config)
         for shard_id in sorted(self._shards):
             model = self._shards[shard_id].service.delivery
             if model is None:

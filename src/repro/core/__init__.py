@@ -7,13 +7,10 @@ from repro.core.admission import (
     place_aligned,
 )
 from repro.core.churn import (
-    ChurnLimitExceeded,
     ChurnPolicy,
     ChurnResult,
     apply_churn,
     extend_route,
-    join_member,
-    leave_member,
     prune_route,
 )
 from repro.core.conference import Conference, ConferenceSet
@@ -35,7 +32,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDenied",
     "BuddyAllocator",
-    "ChurnLimitExceeded",
     "ChurnPolicy",
     "ChurnResult",
     "Conference",
@@ -57,8 +53,6 @@ __all__ = [
     "combine_at_level",
     "delivered_members",
     "extend_route",
-    "join_member",
-    "leave_member",
     "prune_route",
     "link_loads",
     "place_aligned",

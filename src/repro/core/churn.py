@@ -34,8 +34,7 @@ fabric reprograms only ``links_added | links_removed`` links, whereas a
 full reroute reinstalls the whole tree (every link of the old and new
 routes is touched — see :attr:`ChurnResult.links_touched`).  Full
 reroute remains available as :func:`apply_churn` and is the explicit
-fallback when an incremental step would exceed ``max_taps_moved`` or
-``drift_limit``.
+fallback when an incremental extend would exceed ``drift_limit``.
 
 Engine
 ------
@@ -65,28 +64,12 @@ from repro.core.routing import Route, RoutingPolicy, _check_taps, route_conferen
 from repro.topology.network import MultistageNetwork, Point
 
 __all__ = [
-    "ChurnLimitExceeded",
     "ChurnPolicy",
     "ChurnResult",
     "apply_churn",
     "extend_route",
-    "join_member",
-    "leave_member",
     "prune_route",
 ]
-
-
-class ChurnLimitExceeded(RuntimeError):
-    """An incremental step violated a churn limit and ``fallback="raise"``.
-
-    Raised instead of silently rerouting when the caller asked for hard
-    limits (``max_taps_moved`` / ``drift_limit``) with no fallback; the
-    ``reason`` attribute carries the machine-readable trigger.
-    """
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -96,22 +79,15 @@ class ChurnPolicy:
     ``incremental`` routes joins/leaves through
     :func:`extend_route`/:func:`prune_route`; when false every change is
     a full reroute (the pre-1.6 behavior, kept as an ablation arm).
-    ``max_taps_moved`` and ``drift_limit`` demote an incremental step to
-    the ``fallback`` (``"reroute"`` or ``"raise"``) when it would move
-    more taps than allowed or leave the route holding more than
-    ``drift_limit`` surplus links over a fresh routing.
+    ``drift_limit`` demotes an incremental join to a full reroute when
+    it would leave the route holding more than ``drift_limit`` surplus
+    links over a fresh routing.
     """
 
     incremental: bool = True
-    max_taps_moved: "int | None" = None
     drift_limit: "int | None" = None
-    fallback: str = "reroute"
 
     def __post_init__(self) -> None:
-        if self.fallback not in ("reroute", "raise"):
-            raise ValueError(f"unknown churn fallback {self.fallback!r}")
-        if self.max_taps_moved is not None and self.max_taps_moved < 0:
-            raise ValueError("max_taps_moved must be >= 0")
         if self.drift_limit is not None and self.drift_limit < 0:
             raise ValueError("drift_limit must be >= 0")
 
@@ -216,11 +192,12 @@ def _diff(
         for port in sorted(continuing)
         if before.taps[port] != after.taps[port]
     }
+    old, new = before.links, after.links
     return ChurnResult(
         before=before,
         after=after,
-        links_added=after.links - before.links,
-        links_removed=before.links - after.links,
+        links_added=new - old,
+        links_removed=old - new,
         taps_moved=taps_moved,
         mode=mode,
         drift_links=drift_links,
@@ -236,7 +213,7 @@ def _churn_step(
     policy: RoutingPolicy,
     faults: "frozenset | None",
     router: "Callable[[Conference], Route]",
-    limits: ChurnPolicy,
+    drift_limit: "int | None",
 ) -> ChurnResult:
     """One incremental membership change, kernel first.
 
@@ -245,8 +222,8 @@ def _churn_step(
     ``ValueError`` for an out-of-range member); it is also the
     full-reroute result, so no path routes twice.  The pinned kernel
     call runs only when some pin lies deeper than its member's natural
-    tap — the only way a pin can bind.  ``limits`` supplies
-    ``max_taps_moved``, ``drift_limit`` and ``fallback``.
+    tap — the only way a pin can bind.  A result holding more than
+    ``drift_limit`` surplus links is demoted to the full reroute.
     """
     conference = Conference.of(members, conference_id=route.conference.conference_id)
     natural = router(conference)
@@ -259,19 +236,12 @@ def _churn_step(
         dead = frozenset(faults) if faults else frozenset()
         after = _route_batch(net, [conference], policy, dead, None, [pins])[0].unwrap()
     _check_taps(net, after)
-    result = _diff(
-        route, after, mode="incremental", drift_links=after.n_links - natural.n_links
-    )
-    trigger = None
-    if limits.max_taps_moved is not None and len(result.taps_moved) > limits.max_taps_moved:
-        trigger = f"taps-moved:{len(result.taps_moved)}>{limits.max_taps_moved}"
-    elif limits.drift_limit is not None and result.drift_links > limits.drift_limit:
-        trigger = f"drift:{result.drift_links}>{limits.drift_limit}"
-    if trigger is None:
-        return result
-    if limits.fallback == "raise":
-        raise ChurnLimitExceeded(trigger)
-    return _diff(route, natural, mode="full-reroute", fallback_reason=trigger)
+    drift = after.n_links - natural.n_links
+    if drift_limit is not None and drift > drift_limit:
+        return _diff(
+            route, natural, mode="full-reroute", fallback_reason=f"drift:{drift}>{drift_limit}"
+        )
+    return _diff(route, after, mode="incremental", drift_links=drift)
 
 
 def apply_churn(
@@ -300,9 +270,7 @@ def extend_route(
     *,
     policy: "RoutingPolicy | None" = None,
     faults: "frozenset | None" = None,
-    max_taps_moved: "int | None" = None,
     drift_limit: "int | None" = None,
-    fallback: str = "reroute",
 ) -> ChurnResult:
     """Grow a live route in place to include the joining port(s).
 
@@ -310,14 +278,11 @@ def extend_route(
     their signal into the existing tree: continuing members keep their
     current tap whenever the full new combination still arrives there
     (always true for in-block joins on the cube, which are therefore
-    hitless and purely additive).  Falls back to a full reroute — or
-    raises :class:`ChurnLimitExceeded` with ``fallback="raise"`` — when
-    the step would move more than ``max_taps_moved`` taps or accrue
-    more than ``drift_limit`` surplus links.
+    hitless and purely additive).  Falls back to a full reroute when
+    the step would accrue more than ``drift_limit`` surplus links; a
+    negative ``drift_limit`` raises ``ValueError`` before any routing.
     """
-    limits = ChurnPolicy(
-        max_taps_moved=max_taps_moved, drift_limit=drift_limit, fallback=fallback
-    )
+    ChurnPolicy(drift_limit=drift_limit)  # validates the limit
     policy = policy or RoutingPolicy()
     ports = _ports_tuple(port)
     conference = route.conference
@@ -328,7 +293,7 @@ def extend_route(
     return _churn_step(
         net, route, members, dict(route.taps), policy, faults,
         lambda conf: route_conference(net, conf, policy, faults),
-        limits,
+        drift_limit,
     )
 
 
@@ -339,9 +304,6 @@ def prune_route(
     *,
     policy: "RoutingPolicy | None" = None,
     faults: "frozenset | None" = None,
-    max_taps_moved: "int | None" = None,
-    drift_limit: "int | None" = None,
-    fallback: str = "reroute",
 ) -> ChurnResult:
     """Shrink a live route in place, dropping the leaving port(s).
 
@@ -350,12 +312,9 @@ def prune_route(
     complete — reclaiming any depth the leaver forced, which is what
     makes ``prune_route(extend_route(r, p), p)`` restore ``r`` exactly.
     An in-block leave keeps every surviving tap in place (hitless).
-    The change is applied as a delta; limits behave as in
-    :func:`extend_route`.
+    The change is applied as a delta.  A leave pins no tap, so it never
+    drifts and takes no ``drift_limit``.
     """
-    limits = ChurnPolicy(
-        max_taps_moved=max_taps_moved, drift_limit=drift_limit, fallback=fallback
-    )
     policy = policy or RoutingPolicy()
     ports = _ports_tuple(port)
     conference = route.conference
@@ -369,43 +328,5 @@ def prune_route(
     return _churn_step(
         net, route, remaining, {}, policy, faults,
         lambda conf: route_conference(net, conf, policy, faults),
-        limits,
-    )
-
-
-def join_member(
-    net: MultistageNetwork,
-    route: Route,
-    port: "int | Iterable[int]",
-    *,
-    policy: "RoutingPolicy | None" = None,
-    faults: "frozenset | None" = None,
-    max_taps_moved: "int | None" = None,
-    drift_limit: "int | None" = None,
-    fallback: str = "reroute",
-) -> ChurnResult:
-    """Add member(s) to a live conference through the incremental path."""
-    return extend_route(
-        net, route, port,
-        policy=policy, faults=faults,
-        max_taps_moved=max_taps_moved, drift_limit=drift_limit, fallback=fallback,
-    )
-
-
-def leave_member(
-    net: MultistageNetwork,
-    route: Route,
-    port: "int | Iterable[int]",
-    *,
-    policy: "RoutingPolicy | None" = None,
-    faults: "frozenset | None" = None,
-    max_taps_moved: "int | None" = None,
-    drift_limit: "int | None" = None,
-    fallback: str = "reroute",
-) -> ChurnResult:
-    """Remove member(s) from a live conference (at least one must stay)."""
-    return prune_route(
-        net, route, port,
-        policy=policy, faults=faults,
-        max_taps_moved=max_taps_moved, drift_limit=drift_limit, fallback=fallback,
+        None,
     )

@@ -470,11 +470,9 @@ class SelfHealingController:
         policy-limit fallbacks reroute from scratch (``mode`` says
         which path ran).  Raises :class:`AdmissionDenied` (and leaves
         the old route live) when a wanted port is taken or capacity
-        refuses the added links,
+        refuses the added links, and
         :class:`~repro.core.routing.UnroutableError` when no surviving
-        route exists for the new membership, and
-        :class:`~repro.core.churn.ChurnLimitExceeded` when a limit
-        trips under ``fallback="raise"``.
+        route exists for the new membership.
         """
         old = self._inner.route_of(conference_id)
         conference = Conference.of(members, conference_id=conference_id)
@@ -530,7 +528,7 @@ class SelfHealingController:
             self._network.topology, old, conference.members,
             {} if left else dict(old.taps), self._network.policy, faults,
             lambda conf: self._route(conf, faults),
-            policy,
+            policy.drift_limit,
         )
 
     # -- retrying admission (arrivals) -------------------------------------

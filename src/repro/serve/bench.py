@@ -21,10 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.churn import ChurnPolicy
-from repro.core.healing import RetryPolicy
 from repro.core.network import ConferenceNetwork
-from repro.serve.backpressure import ShedPolicy
 from repro.serve.protocol import ServiceResponse
 from repro.serve.service import FabricService
 from repro.serve.session import SessionState
@@ -35,12 +32,6 @@ from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from collections.abc import Sequence
-
-    from repro.obs.flight import FlightRecorder
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.slo import SLOEvaluator
-    from repro.obs.trace import Tracer
-    from repro.perfmodel.model import PerfModelConfig
 
 __all__ = ["ServeBenchReport", "run_serve_bench"]
 
@@ -278,19 +269,9 @@ def run_serve_bench(
     max_size: "int | None" = None,
     mean_hold_ticks: float = 20.0,
     resize_prob: float = 0.0,
-    queue_capacity: int = 256,
-    shed_policy: "ShedPolicy | str" = ShedPolicy.REJECT_NEWEST,
-    max_batch: int = 64,
-    churn: "ChurnPolicy | None" = None,
-    retry: "RetryPolicy | None" = None,
     fault_process: "FaultProcessConfig | None" = None,
-    protection: int = 0,
-    tracer: "Tracer | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-    slo: "SLOEvaluator | None" = None,
-    flight: "FlightRecorder | None" = None,
-    capacity_model: str = "abstract",
-    perf: "PerfModelConfig | None" = None,
+    queue_capacity: int = 256,
+    **fabric: Any,
 ) -> ServeBenchReport:
     """Run a seeded churn workload against a fresh service.
 
@@ -301,10 +282,11 @@ def run_serve_bench(
     per-tick chance of one random live session growing or shrinking by a
     member.  With ``fault_process`` set, a timeline generated generously
     past the expected run length fires underneath the workload.
-    ``protection`` (plan budget F, default 0 = reactive) precomputes
-    per-link backup plans so fault-driven failovers switch in O(1); the
-    report's ``recovery`` block carries the resulting recovery-tick
-    distribution and plan hit/miss/stale counters.
+    Every other keyword is a :class:`~repro.serve.service.FabricService`
+    keyword and configures the service (the bench only lowers the
+    default ``queue_capacity`` to 256).  With ``protection=F`` the
+    report's ``recovery`` block carries the recovery-tick distribution
+    and plan hit/miss/stale counters.
     """
     if isinstance(network, int):
         # A conference-capable default fabric (``dilation`` is ignored
@@ -316,10 +298,7 @@ def run_serve_bench(
         max_size=max_size, mean_hold_ticks=mean_hold_ticks, resize_prob=resize_prob,
     )
     service = FabricService(
-        network, retry=retry, rng=work.service_rng, protection=protection, tracer=tracer,
-        metrics=metrics, slo=slo, flight=flight, queue_capacity=queue_capacity,
-        shed_policy=shed_policy, max_batch=max_batch, churn=churn,
-        capacity_model=capacity_model, perf=perf,
+        network, rng=work.service_rng, queue_capacity=queue_capacity, **fabric
     )
     injector = None
     if fault_process is not None:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.admission import AdmissionDenied
-from repro.core.churn import ChurnLimitExceeded, ChurnPolicy
+from repro.core.churn import ChurnPolicy
 from repro.core.conference import Conference
 from repro.core.healing import RetryPolicy, SelfHealingController
 from repro.core.network import ConferenceNetwork
@@ -231,7 +231,10 @@ class FabricService:
     full reroute as the configured fallback — and the applied
     response's ``detail`` carries the disruption diff.
     ``perf`` configures the ``capacity_model="buffered"`` overlay and is
-    refused in abstract mode, where nothing would read it.
+    refused in abstract mode, where nothing would read it.  This is the
+    one declaration of per-fabric configuration: ``ClusterService``,
+    ``run_serve_bench`` and ``run_cluster_bench`` forward every keyword
+    they do not own here.
     """
 
     def __init__(
@@ -674,7 +677,7 @@ class FabricService:
         ports = set(request.members)
         try:
             churn = self._healing.resize(session.conference_id, sorted(wanted), now=self.now)
-        except (AdmissionDenied, UnroutableError, ChurnLimitExceeded) as exc:
+        except (AdmissionDenied, UnroutableError) as exc:
             return self._refuse(request, "rejected", getattr(exc, "reason", "fault"), batch_seq)
         if request.kind == RequestKind.JOIN:
             for port in sorted(ports):

@@ -7,6 +7,7 @@ the same change (CI's ``public-api`` job runs this file plus
 ``tools/check_public_api.py`` to enforce the pairing).
 """
 
+import importlib.util
 import inspect
 import subprocess
 import sys
@@ -46,6 +47,39 @@ class TestManifest:
         docs = (REPO / "docs" / "api.md").read_text()
         missing = [name for name in api.__all__ if f"`{name}`" not in docs]
         assert not missing, f"docs/api.md does not mention: {missing}"
+
+
+class TestCheckTool:
+    """``tools/check_public_api.py`` also fails when a version bump leaves
+    the docs or the package version behind."""
+
+    @staticmethod
+    def _main():
+        spec = importlib.util.spec_from_file_location(
+            "check_public_api", REPO / "tools" / "check_public_api.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        return tool.main()
+
+    def test_passes_at_head(self):
+        assert self._main() == 0
+
+    def test_fails_when_the_docs_state_another_version(self, monkeypatch, capsys):
+        documented = api.API_VERSION
+        monkeypatch.setattr(api, "API_VERSION", "9.0")
+        monkeypatch.setattr(repro, "__version__", "9.0.0")
+        assert self._main() == 1
+        err = capsys.readouterr().err
+        assert f"docs/api.md states API {documented}, not 9.0" in err
+        assert "not a release" not in err
+
+    def test_fails_when_the_package_is_not_a_release_of_the_api(self, monkeypatch, capsys):
+        monkeypatch.setattr(repro, "__version__", "50.0.0")
+        assert self._main() == 1
+        err = capsys.readouterr().err
+        assert "is not a release of API" in err
+        assert "docs/api.md" not in err
 
 
 class TestResultContract:
@@ -88,6 +122,29 @@ class TestResultContract:
             result_to_dict(object())
 
 
+#: Every keyword the forwarders pass to each fabric: an off-default value
+#: and its read-back.  ``FabricService`` exposes no batcher, so
+#: ``max_batch`` is read from the private one.
+_FABRIC_KEYWORDS = {
+    "retry": (api.RetryPolicy(max_retries=2), lambda f: f.healing.retry_policy),
+    "tracer": (api.Tracer(), lambda f: f.tracer),
+    "protection": (1, lambda f: f.protection),
+    "churn": (api.ChurnPolicy(incremental=False, drift_limit=3), lambda f: f.churn_policy),
+    "queue_capacity": (7, lambda f: f.queue.capacity),
+    "shed_policy": (api.ShedPolicy.SHED_LARGEST, lambda f: f.queue.policy),
+    "max_batch": (5, lambda f: f._batcher.max_batch),
+    "capacity_model": ("buffered", lambda f: f.capacity_model),
+    "perf": (api.PerfModelConfig(lanes=2), lambda f: f.delivery.config),
+}
+
+#: The three forwarders, each building two fabrics (one for the serve bench).
+_FORWARDERS = {
+    "cluster": lambda **kw: api.ClusterService(lambda _id: _network(), shards=2, **kw),
+    "serve_bench": lambda **kw: api.run_serve_bench(16, conferences=2, **kw),
+    "cluster_bench": lambda **kw: api.run_cluster_bench(conferences=2, **kw),
+}
+
+
 class TestConstructorConvention:
     # Satellite of the 1.1 redesign: every controller-level constructor
     # spells its collaborators the same way, keyword-only.
@@ -108,14 +165,12 @@ class TestConstructorConvention:
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
 
     # Satellite of the 1.6 redesign: every churn entry point takes its
-    # configuration (policy, fallback, limits) keyword-only.
+    # configuration (policy, faults, limit) keyword-only.
     @pytest.mark.parametrize(
         "fn, expected",
         [
-            (api.extend_route, ["policy", "fallback", "max_taps_moved", "drift_limit"]),
-            (api.prune_route, ["policy", "fallback", "max_taps_moved", "drift_limit"]),
-            (api.join_member, ["policy", "fallback", "max_taps_moved", "drift_limit"]),
-            (api.leave_member, ["policy", "fallback", "max_taps_moved", "drift_limit"]),
+            (api.extend_route, ["policy", "faults", "drift_limit"]),
+            (api.prune_route, ["policy", "faults"]),
             (api.apply_churn, ["policy", "faults"]),
         ],
     )
@@ -124,6 +179,27 @@ class TestConstructorConvention:
         for name in expected:
             assert name in params, f"{fn.__name__} lacks {name}="
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+
+    # Since 5.0 FabricService is the one declaration of per-fabric
+    # configuration; the cluster and both benches forward to it (an
+    # unknown keyword still fails there: see REMOVED_KEYWORDS).
+    @pytest.mark.parametrize("keyword", sorted(_FABRIC_KEYWORDS))
+    @pytest.mark.parametrize("owner", sorted(_FORWARDERS))
+    def test_forwarded_keyword_reaches_every_fabric(self, monkeypatch, owner, keyword):
+        built = []
+        init = api.FabricService.__init__
+
+        def record(fabric, *args, **kwargs):
+            init(fabric, *args, **kwargs)
+            built.append(fabric)
+
+        monkeypatch.setattr(api.FabricService, "__init__", record)
+        value, read = _FABRIC_KEYWORDS[keyword]
+        extra = {"capacity_model": "buffered"} if keyword == "perf" else {}
+        _FORWARDERS[owner](**{keyword: value}, **extra)
+        assert len(built) == (1 if owner == "serve_bench" else 2)
+        for fabric in built:
+            assert read(fabric) == value
 
 
 def _network():
@@ -214,8 +290,42 @@ class TestRemovedIn20:
         assert params == ["self", "routes", "faults", "ranked"]
 
     def test_versions(self):
-        assert api.API_VERSION == "4.0"
-        assert repro.__version__ == "4.0.0"
+        assert api.API_VERSION == "5.0"
+        assert repro.__version__ == "5.0.0"
+
+
+class TestRemovedIn50:
+    """The churn knobs and aliases the 5.0 API dropped fail loudly."""
+
+    @pytest.mark.parametrize("keyword", ["max_taps_moved", "fallback"])
+    def test_policy_keyword_gone(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            api.ChurnPolicy(**{keyword: 0})
+
+    @pytest.mark.parametrize(
+        "entry, keyword",
+        [
+            (api.extend_route, "max_taps_moved"),
+            (api.extend_route, "fallback"),
+            (api.prune_route, "max_taps_moved"),
+            (api.prune_route, "fallback"),
+            (api.prune_route, "drift_limit"),
+        ],
+    )
+    def test_entry_keyword_gone(self, entry, keyword):
+        net, route, _ = _churn_inputs()
+        with pytest.raises(TypeError, match=keyword):
+            entry(net, route, 2, **{keyword: 0})
+
+    @pytest.mark.parametrize("name", ["ChurnLimitExceeded", "join_member", "leave_member"])
+    def test_name_gone(self, name):
+        import repro.core
+        import repro.core.churn
+
+        with pytest.raises(AttributeError, match="no attribute"):
+            getattr(repro, name)
+        assert not hasattr(repro.core, name)
+        assert not hasattr(repro.core.churn, name)
 
 
 class TestDeprecations:

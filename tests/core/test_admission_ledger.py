@@ -10,7 +10,7 @@ exact message the per-link walk has always produced.
 import pytest
 
 from repro.core.admission import AdmissionController, AdmissionDenied
-from repro.core.churn import join_member
+from repro.core.churn import extend_route
 from repro.core.conference import Conference
 from repro.core.network import ConferenceNetwork
 from repro.util.rng import ensure_rng
@@ -114,7 +114,7 @@ class TestPinnedCapacityDenial:
 
     def test_apply_churn(self):
         ctl = loaded([62, 63])
-        churn = join_member(ctl.network.topology, ctl.route_of(3), [30, 39, 48, 57])
+        churn = extend_route(ctl.network.topology, ctl.route_of(3), [30, 39, 48, 57])
         assert churn.mode == "incremental"
         assert len(full_links(ctl, churn.links_added)) > 1
         assert_denied(ctl, lambda: ctl.apply_churn(churn), "link (2, 39) at load 3/3")

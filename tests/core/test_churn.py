@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.churn import apply_churn, join_member, leave_member
+from repro.core.churn import apply_churn, extend_route, prune_route
 from repro.core.conference import Conference
 from repro.core.routing import route_conference
 from repro.topology.builders import PAPER_TOPOLOGIES, build
@@ -17,7 +17,7 @@ class TestJoin:
         """Growing inside the enclosing block keeps everyone's tap."""
         net = build("indirect-binary-cube", 16)
         route = route_conference(net, Conference.of([0, 3]))  # block {0..3}
-        result = join_member(net, route, 1)
+        result = extend_route(net, route, 1)
         assert result.hitless
         assert result.after.conference.members == (0, 1, 3)
         assert not result.links_removed  # the old tree is a subtree
@@ -25,7 +25,7 @@ class TestJoin:
     def test_block_growing_join_moves_every_tap_on_cube(self):
         net = build("indirect-binary-cube", 16)
         route = route_conference(net, Conference.of([0, 1]))  # block {0,1}, K=1
-        result = join_member(net, route, 8)  # grows the block to {0..15}
+        result = extend_route(net, route, 8)  # grows the block to {0..15}
         assert set(result.taps_moved) == {0, 1}
         for old, new in result.taps_moved.values():
             assert new > old
@@ -34,12 +34,12 @@ class TestJoin:
         net = build("omega", 16)
         route = route_conference(net, Conference.of([0, 1]))
         with pytest.raises(ValueError, match="already a member"):
-            join_member(net, route, 1)
+            extend_route(net, route, 1)
 
     def test_diff_is_consistent(self):
         net = build("baseline", 16)
         route = route_conference(net, Conference.of([2, 9]))
-        result = join_member(net, route, 13)
+        result = extend_route(net, route, 13)
         assert result.links_added == result.after.links - result.before.links
         assert result.links_removed == result.before.links - result.after.links
         assert result.reconfigured_links == len(result.links_added) + len(result.links_removed)
@@ -49,7 +49,7 @@ class TestLeave:
     def test_leave_shrinks_route(self):
         net = build("indirect-binary-cube", 16)
         route = route_conference(net, Conference.of([0, 1, 8]))
-        result = leave_member(net, route, 8)
+        result = prune_route(net, route, 8)
         assert result.after.conference.members == (0, 1)
         assert result.after.depth < result.before.depth
         assert result.links_removed and not result.links_added
@@ -58,13 +58,13 @@ class TestLeave:
         net = build("omega", 16)
         route = route_conference(net, Conference.of([0, 1]))
         with pytest.raises(ValueError, match="not a member"):
-            leave_member(net, route, 5)
+            prune_route(net, route, 5)
 
     def test_leave_last_member_rejected(self):
         net = build("omega", 16)
         route = route_conference(net, Conference.of([4]))
         with pytest.raises(ValueError, match="last member"):
-            leave_member(net, route, 4)
+            prune_route(net, route, 4)
 
 
 class TestChurnInvariants:
@@ -79,8 +79,8 @@ class TestChurnInvariants:
         route = route_conference(net, Conference.of(members))
         outsiders = sorted(set(range(16)) - set(members))
         newcomer = data.draw(st.sampled_from(outsiders))
-        joined = join_member(net, route, newcomer)
-        left = leave_member(net, joined.after, newcomer)
+        joined = extend_route(net, route, newcomer)
+        left = prune_route(net, joined.after, newcomer)
         assert left.after.links == route.links
         assert left.after.taps == route.taps
 
@@ -93,7 +93,7 @@ class TestChurnInvariants:
         net = build(name, 16)
         route = route_conference(net, Conference.of(members))
         newcomer = min(set(range(16)) - set(members))
-        result = join_member(net, route, newcomer)
+        result = extend_route(net, route, newcomer)
         full = result.after.conference.full_mask
         for port, t in result.after.taps.items():
             assert result.after.mask_at(t, port) == full

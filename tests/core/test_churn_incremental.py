@@ -3,23 +3,15 @@
 Complements ``test_churn.py`` (the membership-change API contract) with
 the 1.6 guarantees: an extended route is always a valid conference
 routing, extend-then-prune restores the original link set exactly, and
-the disruption limits (``max_taps_moved``, ``drift_limit``) demote to
-an explicit full reroute — or raise — instead of silently violating the
-bound.
+``drift_limit`` demotes a join to an explicit full reroute instead of
+silently violating the bound.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.churn import (
-    ChurnLimitExceeded,
-    ChurnPolicy,
-    extend_route,
-    join_member,
-    leave_member,
-    prune_route,
-)
+from repro.core.churn import ChurnPolicy, extend_route, prune_route
 from repro.core.conference import Conference
 from repro.core.routing import RoutingPolicy, delivered_members, route_conference
 from repro.topology.builders import PAPER_TOPOLOGIES, build
@@ -127,83 +119,32 @@ class TestDrift:
         assert result.fallback_reason == "drift:1>0"
         assert result.drift_links == 0  # the reroute shed the pins
 
-    def test_drift_limit_raise_fallback(self):
-        net, healed = self._healed()
-        with pytest.raises(ChurnLimitExceeded) as excinfo:
-            extend_route(net, healed, 10, drift_limit=0, fallback="raise")
-        assert excinfo.value.reason == "drift:1>0"
-
 
 class TestLimits:
-    def test_max_taps_moved_demotes_block_growing_join(self):
-        net = build("indirect-binary-cube", N)
-        route = route_conference(net, Conference.of([0, 1]))
-        result = extend_route(net, route, 8, max_taps_moved=0)
-        assert result.mode == "full-reroute"
-        assert result.fallback_reason == "taps-moved:2>0"
-        # The fallback still lands on the correct grown route.
-        assert result.after.levels == route_conference(
-            net, Conference.of([0, 1, 8])
-        ).levels
-
-    def test_max_taps_moved_raise_fallback(self):
-        net = build("indirect-binary-cube", N)
-        route = route_conference(net, Conference.of([0, 1]))
-        with pytest.raises(ChurnLimitExceeded, match="taps-moved"):
-            extend_route(net, route, 8, max_taps_moved=0, fallback="raise")
-
     def test_hitless_join_passes_any_limit(self):
         net = build("indirect-binary-cube", N)
         route = route_conference(net, Conference.of([0, 3]))
-        result = join_member(net, route, 1, max_taps_moved=0, drift_limit=0)
+        result = extend_route(net, route, 1, drift_limit=0)
         assert result.mode == "incremental"
         assert result.hitless
 
-    def test_unknown_fallback_rejected(self):
+    # A bad limit is rejected on entry, before any routing, whether or
+    # not the step would ever reach it (an in-block join accrues no
+    # drift, so no limit trips on it).
+    def test_negative_drift_limit_rejected_on_join(self):
         net = build("indirect-binary-cube", N)
         route = route_conference(net, Conference.of([0, 1]))
-        with pytest.raises(ValueError, match="fallback"):
-            extend_route(net, route, 8, max_taps_moved=0, fallback="explode")
-
-    # Bad limits are rejected on entry, before any routing, whether or
-    # not the step would ever reach them (an in-block join moves no tap
-    # and accrues no drift, so no limit trips on it).
-    BAD_LIMITS = (
-        ({"fallback": "bogus"}, "fallback"),
-        ({"max_taps_moved": -1}, "max_taps_moved"),
-        ({"drift_limit": -5}, "drift_limit"),
-    )
-
-    @pytest.mark.parametrize("entry", (extend_route, join_member))
-    @pytest.mark.parametrize("kwargs, field", BAD_LIMITS)
-    def test_bad_limits_rejected_on_join(self, entry, kwargs, field):
-        net = build("indirect-binary-cube", N)
-        route = route_conference(net, Conference.of([0, 1]))
-        with pytest.raises(ValueError, match=field):
-            entry(net, route, 2, **kwargs)
-
-    @pytest.mark.parametrize("entry", (prune_route, leave_member))
-    @pytest.mark.parametrize("kwargs, field", BAD_LIMITS)
-    def test_bad_limits_rejected_on_leave(self, entry, kwargs, field):
-        net = build("indirect-binary-cube", N)
-        route = route_conference(net, Conference.of([0, 1, 2]))
-        with pytest.raises(ValueError, match=field):
-            entry(net, route, 2, **kwargs)
+        with pytest.raises(ValueError, match="drift_limit"):
+            extend_route(net, route, 2, drift_limit=-5)
 
 
 class TestChurnPolicy:
     def test_defaults(self):
         policy = ChurnPolicy()
         assert policy.incremental
-        assert policy.max_taps_moved is None
         assert policy.drift_limit is None
-        assert policy.fallback == "reroute"
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="fallback"):
-            ChurnPolicy(fallback="explode")
-        with pytest.raises(ValueError, match="max_taps_moved"):
-            ChurnPolicy(max_taps_moved=-1)
         with pytest.raises(ValueError, match="drift_limit"):
             ChurnPolicy(drift_limit=-1)
 

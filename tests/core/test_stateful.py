@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.admission import AdmissionController, AdmissionDenied, BuddyAllocator
-from repro.core.churn import join_member, leave_member
+from repro.core.churn import extend_route, prune_route
 from repro.core.conference import Conference
 from repro.core.network import ConferenceNetwork
 
@@ -127,12 +127,12 @@ class AdmissionMachine(RuleBasedStateMachine):
             free = self._free_ports()
             if not free:
                 return
-            result = join_member(self.network.topology, route, data.draw(st.sampled_from(free)))
+            result = extend_route(self.network.topology, route, data.draw(st.sampled_from(free)))
         else:
             if len(route.conference.members) < 2:
                 return
             port = data.draw(st.sampled_from(route.conference.members))
-            result = leave_member(self.network.topology, route, port)
+            result = prune_route(self.network.topology, route, port)
         try:
             self.ctl.apply_churn(result)
         except AdmissionDenied as denial:

@@ -223,6 +223,38 @@ class TestInputValidation:
         for load in ("0", "0.6", "1"):
             assert build_parser().parse_args([command, "--load", load]).load == float(load)
 
+    @pytest.mark.parametrize("argv", [
+        ["bench-serve", "--drift-limit", "-1"],
+        ["bench-serve", "--protection", "-1"],
+        ["bench-serve", "--max-batch", "0"],
+        ["bench-serve", "--queue-capacity", "0"],
+        ["bench-serve", "--conferences", "0"],
+        ["bench-serve", "--capacity-model", "buffered", "--lanes", "0"],
+        ["bench-serve", "--buffer-depth", "0"],
+        ["bench-serve", "--flits", "0"],
+        ["bench-serve", "--cycles-per-tick", "0"],
+        ["bench-serve", "--max-batch", "many"],
+        ["bench-serve", "--dilation", "0"],
+        ["bench-cluster", "--shards", "0"],
+        ["bench-cluster", "--dilation", "0"],
+        ["bench-cluster", "--migration-budget", "-1"],
+        ["cluster", "--migration-budget", "0"],
+        ["slo", "--queue-capacity", "0"],
+    ], ids=" ".join)
+    def test_out_of_range_integer_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
+    def test_integer_bounds_are_inclusive(self):
+        args = build_parser().parse_args([
+            "bench-cluster", "--protection", "0", "--drift-limit", "0", "--shards", "1",
+            "--max-batch", "1", "--queue-capacity", "1", "--migration-budget", "1",
+        ])
+        assert (args.protection, args.drift_limit, args.shards) == (0, 0, 1)
+        assert (args.max_batch, args.queue_capacity, args.migration_budget) == (1, 1, 1)
+
 
 def _documented_commands():
     """Every ``conference-net ...`` line in the docs' fenced code blocks."""

@@ -151,11 +151,11 @@ class TestRadixIntegration:
             assert route.mask_at(t, r) == 1
 
     def test_churn_on_radix_network(self):
-        from repro.core.churn import join_member
+        from repro.core.churn import extend_route
 
         net = radix_cube(64, 4)
         route = route_conference(net, Conference.of([0, 1]))
-        result = join_member(net, route, 2)  # stays inside the digit block
+        result = extend_route(net, route, 2)  # stays inside the digit block
         assert result.hitless
 
     def test_faults_on_radix_network(self):

@@ -8,6 +8,9 @@ Checks, in order:
 2. Every surface name resolves identically through ``repro`` and
    ``repro.api`` (the facade really is the route).
 3. ``docs/api.md`` mentions every surface name in backticks.
+4. ``docs/api.md`` states the current version ("currently **X**") as
+   ``api.API_VERSION``, and ``repro.__version__`` is a release of that
+   API (it starts with ``API_VERSION + "."``).
 
 Run from the repository root::
 
@@ -20,6 +23,7 @@ same commit.
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -68,6 +72,16 @@ def main() -> int:
         missing = [name for name in current if f"`{name}`" not in docs]
         if missing:
             failures.append(f"docs/api.md does not mention: {missing}")
+        stated = re.search(r"currently \*\*([^*]+)\*\*", docs)
+        if stated is None or stated[1] != api.API_VERSION:
+            failures.append(
+                f"docs/api.md states API {stated[1] if stated else 'no version'}, "
+                f"not {api.API_VERSION}"
+            )
+    if not repro.__version__.startswith(api.API_VERSION + "."):
+        failures.append(
+            f"repro.__version__ {repro.__version__} is not a release of API {api.API_VERSION}"
+        )
 
     if failures:
         for failure in failures:
