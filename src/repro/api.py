@@ -100,7 +100,7 @@ from repro.workloads.churn import (
 
 #: Version of the public surface (bumped on any additive change; the
 #: library version tracks releases, this tracks the API contract).
-API_VERSION = "5.0"
+API_VERSION = "5.1"
 
 
 @runtime_checkable

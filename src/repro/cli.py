@@ -75,6 +75,7 @@ from repro.serve.backpressure import ShedPolicy
 from repro.sim.faults import FaultProcessConfig
 from repro.sim.scenarios import blocking_vs_dilation
 from repro.topology.builders import PAPER_TOPOLOGIES, TOPOLOGY_BUILDERS, build
+from repro.util.validation import check_network_size
 from repro.workloads.generators import uniform_partition
 
 __all__ = ["main", "build_parser"]
@@ -82,6 +83,19 @@ __all__ = ["main", "build_parser"]
 
 def _ports_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
+
+
+def _network_size(text: str) -> int:
+    """``--ports``: a power of two >= 2, the rule of every (binary) topology builder."""
+    try:
+        check_network_size(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a power of two >= 2, got {text!r}") from None
+    return int(text)
+
+
+def _network_sizes(text: str) -> list[int]:
+    return [_network_size(x) for x in text.split(",") if x]
 
 
 def _floats_list(text: str) -> list[float]:
@@ -483,9 +497,9 @@ def _add_fabric_flags(
     """``--topology``/``--ports``, plus ``--shards``/``--dilation`` when given defaults."""
     cmd.add_argument("--topology", default=topology, choices=sorted(TOPOLOGY_BUILDERS))
     if shards is None:
-        cmd.add_argument("--ports", type=int, default=ports)
+        cmd.add_argument("--ports", type=_network_size, default=ports)
     else:
-        cmd.add_argument("--ports", type=int, default=ports, help="ports per shard fabric")
+        cmd.add_argument("--ports", type=_network_size, default=ports, help="ports per shard fabric")
         cmd.add_argument("--shards", type=_positive_int, default=shards)
     if dilation is not None:
         cmd.add_argument("--dilation", type=_positive_int, default=dilation)
@@ -517,10 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--no-relay", action="store_true", help="disable the output-mux relay")
 
     worst = sub.add_parser("worstcase", help="per-stage worst-case multiplicity per topology")
-    worst.add_argument("--ports", type=int, default=16)
+    worst.add_argument("--ports", type=_network_size, default=16)
 
     cost = sub.add_parser("cost", help="hardware cost comparison table")
-    cost.add_argument("--ports", type=_ports_list, default=[16, 64, 256], metavar="N1,N2,...")
+    cost.add_argument("--ports", type=_network_sizes, default=[16, 64, 256], metavar="N1,N2,...")
 
     blocking = sub.add_parser("blocking", help="blocking probability vs link dilation")
     _add_fabric_flags(blocking, topology="omega", ports=64)
@@ -539,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="conference survivability under random link faults"
     )
     _add_fabric_flags(faults, ports=32)
-    faults.add_argument("--count", type=int, default=4, help="number of dead links")
+    faults.add_argument("--count", type=_nonnegative_int, default=4, help="number of dead links")
     faults.add_argument("--load", type=_fraction, default=0.6)
     faults.add_argument("--seed", type=int, default=0)
     faults.add_argument(
@@ -584,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="random-load: F1-style dilation sweep; worstcase: randomized search",
     )
     _add_fabric_flags(sweep, ports=64)
-    sweep.add_argument("--trials", type=int, default=100)
+    sweep.add_argument("--trials", type=_positive_int, default=100)
     sweep.add_argument(
         "--workers",
         type=int,

@@ -20,7 +20,6 @@ network's dilation.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -162,15 +161,16 @@ class AdmissionController:
 
     The ledger is one flat int64 array with a cell per point of the
     network grid: link ``(t, r)`` is cell ``t * N + r`` (level-0 cells
-    are injections and stay zero).  A route books, checks and releases
-    its links as one fancy-indexed array operation.
+    are injections and stay zero), the encoding of
+    :attr:`~repro.core.routing.Route.cells`.  A route books, checks and
+    releases its links as one fancy-indexed array operation.
     """
 
     def __init__(self, network: ConferenceNetwork, *, tracer=None):
         self._network = network
         self._n_rows, self._n_stages = n_rows, n_stages = network.n_ports, network.n_stages
         self._load = np.zeros((n_stages + 1) * n_rows, dtype=np.int64)
-        self._level_base = np.arange(1, n_stages + 1, dtype=np.int64) * n_rows
+        self._mark = np.zeros(len(self._load), dtype=bool)  # all False between uses
         self._routes: dict[int, Route] = {}
         self._ports_in_use: set[int] = set()
         # Observation only (duck-typed repro.obs.trace.Tracer): ledger
@@ -259,7 +259,7 @@ class AdmissionController:
         if clash:
             self._trace_deny(conference.conference_id, "ports")
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        cells = self._route_cells(route)
+        cells = route.cells
         self._check_capacity(conference.conference_id, cells, lambda: route.links)
         self._load[cells] += 1
         self._routes[conference.conference_id] = route
@@ -270,25 +270,22 @@ class AdmissionController:
             )
         return route
 
-    def _route_cells(self, route: Route) -> np.ndarray:
-        """Ledger cells of a route's links, read straight off its levels."""
-        levels = route.levels[1:]
-        counts = list(map(len, levels))
-        rows = np.fromiter(chain.from_iterable(levels), dtype=np.int64, count=sum(counts))
-        return rows + self._level_base[: len(counts)].repeat(counts)
-
     def _busiest_links(self, route: Route, k: int) -> list[Point]:
         """Up to ``k`` of ``route``'s links, most-loaded first, ties in point
         order: one gather over the ledger for the route's cells (a cell's
         order is its point's order)."""
-        cells = self._route_cells(route)
+        cells = route.cells
         top = cells[np.lexsort((cells, -self._load[cells]))[:k]]
         return [divmod(cell, self._n_rows) for cell in top.tolist()]
 
-    def _link_cells(self, links: "frozenset[Point]") -> np.ndarray:
-        """Ledger cells of an explicit link set (a churn or swap diff)."""
-        n_rows = self._n_rows
-        return np.array([level * n_rows + row for level, row in links], dtype=np.int64)
+    def _minus(self, cells: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """``cells`` minus ``other`` (routes' cells), by marking the grid:
+        a few array operations where ``np.setdiff1d`` would sort."""
+        mark = self._mark
+        mark[other] = True
+        out = cells[~mark[cells]]
+        mark[other] = False
+        return out
 
     def _trace_deny(self, cid: int, reason: str) -> None:
         if self.tracer is not None:
@@ -331,32 +328,35 @@ class AdmissionController:
         untouched and the old route stays live.
         """
         old = self.route_of(conference_id)
-        old_links, new_links = old.links, new_route.links
-        added, released = new_links - old_links, old_links - new_links
-        self._swing(conference_id, old, new_route, added, released)
+        added, released = self._swing(
+            conference_id, old, new_route, lambda: new_route.links - old.links
+        )
         if self.tracer is not None:
             self.tracer.event(
-                "admission.replace", cid=conference_id, added=len(added), released=len(released)
+                "admission.replace", cid=conference_id, added=added, released=released
             )
         return new_route
 
     def _swing(
-        self, cid: int, old: Route, new: Route, added: frozenset, released: frozenset
-    ) -> None:
-        """Move a live conference from ``old`` to ``new`` by a link diff: the
-        ports ``new`` adds must be free and the ``added`` links have spare
-        channels (else :class:`AdmissionDenied`, ledger untouched)."""
+        self, cid: int, old: Route, new: Route, added_links: "Callable[[], frozenset[Point]]"
+    ) -> "tuple[int, int]":
+        """Move a live conference from ``old`` to ``new`` by the diff of their
+        cells: the ports ``new`` adds must be free and the links it adds
+        have spare channels (else :class:`AdmissionDenied`, ledger
+        untouched; ``added_links()`` names the first full link).  Returns
+        the numbers of links added and released."""
         clash = self._port_clash(new.conference.members) - old.conference.member_set
         if clash:
             self._trace_deny(cid, "ports")
             raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        added_cells = self._link_cells(added)
-        self._check_capacity(cid, added_cells, lambda: added)
-        self._load[added_cells] += 1
-        self._load[self._link_cells(released)] -= 1
+        added, released = self._minus(new.cells, old.cells), self._minus(old.cells, new.cells)
+        self._check_capacity(cid, added, added_links)
+        self._load[added] += 1
+        self._load[released] -= 1
         self._routes[cid] = new
         self._ports_in_use.difference_update(old.conference.members)
         self._ports_in_use.update(new.conference.members)
+        return len(added), len(released)
 
     def apply_churn(self, churn: "ChurnResult") -> Route:
         """Apply a membership change as a delta against the ledger.
@@ -378,7 +378,7 @@ class AdmissionController:
                 f"stale churn result for conference {cid}: "
                 "not computed against the live route"
             )
-        self._swing(cid, old, churn.after, churn.links_added, churn.links_removed)
+        self._swing(cid, old, churn.after, lambda: churn.links_added)
         if self.tracer is not None:
             self.tracer.event(
                 "admission.churn",
@@ -396,7 +396,7 @@ class AdmissionController:
             route = self._routes.pop(conference_id)
         except KeyError:
             raise KeyError(f"no live conference with id {conference_id}") from None
-        self._load[self._route_cells(route)] -= 1
+        self._load[route.cells] -= 1
         self._ports_in_use.difference_update(route.conference.members)
         if self.tracer is not None:
             self.tracer.event("admission.leave", cid=conference_id)

@@ -70,7 +70,7 @@ memory stays flat however large the batch.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -82,10 +82,8 @@ from repro.core.routing import (
     Route,
     RoutingPolicy,
     TapPolicy,
-    UnroutableError,
     _carried_masks,
     _check_taps,
-    _pack_route,
     _prune,
     _unroutable,
 )
@@ -220,27 +218,6 @@ def _pruned(net: MultistageNetwork, outcome: BatchRouteOutcome) -> BatchRouteOut
     pruned = Route(conf, route.n_ports, route.n_stages, tuple(levels), route.taps)
     _check_taps(net, pruned)
     return BatchRouteOutcome(conf, route=pruned)
-
-
-def _prime_routes(
-    net: MultistageNetwork,
-    conferences: Iterable[Conference],
-    policy: RoutingPolicy,
-    faults: frozenset,
-    store: "Callable[[tuple, tuple | UnroutableError], None]",
-) -> None:
-    """Route ahead of a sequential walk in one :func:`route_batch` call.
-
-    Each distinct ``(members, faults)`` key is routed and its packed body
-    handed to ``store``; out-of-range members are skipped (the sequential
-    path raises the same ``ValueError``).
-    """
-    todo: dict[tuple, Conference] = {}
-    for conf in conferences:
-        todo.setdefault((conf.members, faults), conf)
-    for key, outcome in zip(todo, route_batch(net, list(todo.values()), policy, faults or None)):
-        if outcome.ok or isinstance(outcome.error, UnroutableError):
-            store(key, _pack_route(outcome.route if outcome.ok else outcome.error))
 
 
 def _slots(sizes: "list[int]") -> "tuple[list[int], list[int]]":

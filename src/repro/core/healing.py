@@ -46,11 +46,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.admission import AdmissionController, AdmissionDenied
-from repro.core.batch import _prime_routes
+from repro.core.batch import BatchRouteOutcome, route_batch
 from repro.core.churn import ChurnPolicy, ChurnResult, _churn_step, _diff
 from repro.core.conference import Conference, ConferenceSet
 from repro.core.network import ConferenceNetwork
-from repro.core.routing import Route, UnroutableError, _unpack_route
+from repro.core.routing import Route, UnroutableError
 from repro.obs.metrics import DEFAULT_OCCUPANCY_BUCKETS
 from repro.protect.plans import BackupPlanStore
 
@@ -199,8 +199,8 @@ class SelfHealingController:
     :meth:`resize`: by default membership changes go through the
     incremental engine (:func:`~repro.core.churn.extend_route` /
     :func:`~repro.core.churn.prune_route`) and are booked as exact
-    deltas, with full reroute as the policy's fallback when tap or
-    drift limits are exceeded; ``ChurnPolicy(incremental=False)``
+    deltas, with full reroute as the fallback when a join would exceed
+    the policy's ``drift_limit``; ``ChurnPolicy(incremental=False)``
     restores the pre-1.6 reroute-everything behaviour.
 
     ``tracer`` / ``metrics`` attach observability (see :mod:`repro.obs`):
@@ -247,10 +247,10 @@ class SelfHealingController:
         self._metrics = metrics
         self._drop_spans: dict[int, int] = {}  # cid -> open conference.drop span
         self._rng = ensure_rng(rng)
-        # Routes precomputed by the columnar kernel for an imminent
-        # sequential walk, keyed ``(members, fault set)`` and consumed
+        # Outcomes precomputed by the columnar kernel for an imminent
+        # sequential walk, keyed ``(conference, fault set)`` and consumed
         # (popped) by ``_route`` — see ``prime_batch``.
-        self._primed: dict[tuple, "tuple | UnroutableError"] = {}
+        self._primed: dict[tuple, BatchRouteOutcome] = {}
         self._faults: set[Point] = set()
         self._healthy: dict[int, Route] = {}  # cid -> fault-free reference route
         self._degraded: set[int] = set()
@@ -328,9 +328,9 @@ class SelfHealingController:
         for a degraded one (see :meth:`prime_batch`).
         """
         if self._primed:
-            entry = self._primed.pop((conference.members, frozenset(faults)), None)
-            if entry is not None:
-                return _unpack_route(entry, conference, self._network.topology)
+            outcome = self._primed.pop((conference, frozenset(faults)), None)
+            if outcome is not None:
+                return outcome.unwrap()
         return self._network.route(conference, faults=faults or None)
 
     def prime_batch(
@@ -343,11 +343,12 @@ class SelfHealingController:
 
         One columnar :func:`~repro.core.batch.route_batch` call resolves
         every conference under ``faults`` (default: the current fault
-        set); the results are parked where :meth:`_route` looks first,
-        so the sequential decision walk that follows consumes them
-        one-for-one instead of routing per conference.  Decisions are
-        untouched — the kernel's results are byte-identical to the
-        per-object path — only the work moves.  With
+        set); each outcome is parked under ``(conference, fault set)``
+        where :meth:`_route` looks first, so the sequential decision
+        walk that follows consumes them one-for-one instead of routing
+        per conference (a parked error re-raises as a fresh copy).
+        Decisions are untouched — the kernel's results are
+        byte-identical to the per-object path — only the work moves.  With
         ``include_healthy``, the fault-free reference routes that
         :meth:`try_join` also needs under a live fault set are primed
         too.
@@ -362,10 +363,8 @@ class SelfHealingController:
             fault_sets.append(frozenset())
         self._primed.clear()  # entries are single-shot; drop leftovers
         for fs in fault_sets:
-            _prime_routes(
-                self._network.topology, confs, self._network.policy, fs,
-                self._primed.__setitem__,
-            )
+            for outcome in route_batch(self._network.topology, confs, self._network.policy, fs):
+                self._primed[outcome.conference, fs] = outcome
 
     def link_load(self, link: Point) -> int:
         """Current channel load on one inter-stage link."""
@@ -624,10 +623,11 @@ class SelfHealingController:
         self._stats.record_link_failed(loop.now, point)
         self._count("repro_fault_transitions_total", kind="fail")
         faults = frozenset(self._faults)
+        level, row = point
         affected = [
             cid
             for cid in sorted(self._inner.live_conferences)
-            if point in self._inner.route_of(cid).points
+            if row in self._inner.route_of(cid).levels[level]
         ]
         if self._plans is None:
             # Reactive healing reroutes every affected conference: do the
@@ -729,7 +729,7 @@ class SelfHealingController:
     def _swap(self, cid: int, old: Route, new: Route, now: "float | None" = None) -> bool:
         """Apply one ladder step; returns False when capacity refuses it."""
         tr = self.tracer
-        added = new.links - old.links
+        added = len(self._inner._minus(new.cells, old.cells))
         if not added:
             # Pure output-mux re-selection (plus possibly releasing
             # links): the hitless rung, it can never be denied.
@@ -750,7 +750,8 @@ class SelfHealingController:
                 tr.span_close(sid, t=now, status="denied")
             self._count("repro_heals_total", action="reroute-denied")
             return False
-        touched = len(added) + len(old.links - new.links)
+        # Released = old - (new - added): the same diff counts both ways.
+        touched = 2 * added + old.n_links - new.n_links
         if sid is not None:
             tr.span_close(sid, t=now, status="ok", links_touched=touched)
         self._stats.record_reroute(touched)

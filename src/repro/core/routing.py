@@ -42,6 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain
+
+import numpy as np
 
 from repro.core.conference import Conference
 from repro.obs.metrics import timed
@@ -97,8 +101,21 @@ class _LinkAccounting:
     """Link accounting read from ``levels``/``taps``: the one definition
     :class:`Route` and :class:`~repro.core.groupcast.GroupRoute` share."""
 
+    n_ports: int
     levels: "tuple[dict[int, int], ...]"
     taps: "dict[int, int]"
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """:attr:`links` as one read-only int64 array, link ``(t, r)`` as
+        the ledger cell ``t * n_ports + r`` in ``levels`` order; built on
+        first use and cached on the instance."""
+        levels, n = self.levels[1:], self.n_ports
+        counts = list(map(len, levels))
+        rows = np.fromiter(chain.from_iterable(levels), dtype=np.int64, count=sum(counts))
+        cells = rows + np.arange(n, n * len(self.levels), n, dtype=np.int64).repeat(counts)
+        cells.flags.writeable = False
+        return cells
 
     @property
     def links(self) -> frozenset[Point]:
@@ -197,25 +214,6 @@ def _unroutable(port: int, tap_policy: TapPolicy) -> UnroutableError:
         err = UnroutableError(f"no surviving level combines the full conference on row {port}")
     err.port = port
     return err
-
-
-def _pack_route(outcome: "Route | UnroutableError") -> "tuple | UnroutableError":
-    """The stored body of a routing outcome: ``(levels, taps)``, or a copy of
-    its :class:`UnroutableError`.  Caches and plan stores keep bodies by
-    membership; :func:`_unpack_route` re-wraps one around a conference."""
-    if isinstance(outcome, UnroutableError):
-        return UnroutableError(*outcome.args)
-    return (outcome.levels, dict(outcome.taps))
-
-
-def _unpack_route(
-    entry: "tuple | UnroutableError", conference: Conference, net: MultistageNetwork
-) -> Route:
-    """Rebuild a stored body around ``conference``; a stored error re-raises."""
-    if isinstance(entry, UnroutableError):
-        raise UnroutableError(*entry.args)
-    levels, taps = entry
-    return Route(conference, net.n_ports, net.n_stages, levels, taps)
 
 
 def delivered_members(

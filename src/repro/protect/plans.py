@@ -54,8 +54,9 @@ first ``protect`` call (:class:`~repro.topology.network.MultistageNetwork`'s
 ``_ancestors`` / ``_cones``); ``tests/protect/test_negative_screen.py``
 holds every screened verdict against the kernel.
 
-Memory is the price: each positive plan stores one ``(levels, taps)``
-route body, so a store holds at most ``live conferences × F`` plans.
+Memory is the price: each positive plan stores its backup
+:class:`~repro.core.routing.Route`, so a store holds at most
+``live conferences × F`` plans.
 :meth:`BackupPlanStore.footprint` reports the realized cost for the
 memory-vs-F tradeoff table in ``benchmarks/results/``.
 """
@@ -73,8 +74,6 @@ from repro.core.routing import (
     RoutingPolicy,
     TapPolicy,
     UnroutableError,
-    _pack_route,
-    _unpack_route,
     _unroutable,
 )
 from repro.topology.network import MultistageNetwork, Point
@@ -120,8 +119,7 @@ def _touches(plan: "BackupPlan") -> "set[Point]":
     and every link its stored backup route crosses."""
     points = {plan.point}
     if not plan.unroutable:
-        levels = plan.entry[0]
-        points.update((t, row) for t in range(1, len(levels)) for row in levels[t])
+        points.update(plan.entry.links)
     return points
 
 @dataclass
@@ -188,18 +186,17 @@ class PlanStats:
 class BackupPlan:
     """One precomputed failover routing for ``(conference, point)``.
 
-    ``entry`` is either a ``(levels, taps)`` route body — the same
-    storage shape primed routes use — or an :class:`UnroutableError`
-    recording that the conference cannot survive ``point``'s death (a
-    negative plan).  ``base_faults`` is the fault set in force when the
-    plan was cut; the plan covers exactly the fault set
-    ``base_faults | {point}`` and no other.
+    ``entry`` is either the backup :class:`~repro.core.routing.Route`
+    itself or an :class:`UnroutableError` recording that the conference
+    cannot survive ``point``'s death (a negative plan).  ``base_faults``
+    is the fault set in force when the plan was cut; the plan covers
+    exactly the fault set ``base_faults | {point}`` and no other.
     """
 
     members: tuple[int, ...]
     point: Point
     base_faults: frozenset[Point]
-    entry: "tuple | UnroutableError" = field(repr=False)
+    entry: "Route | UnroutableError" = field(repr=False)
 
     @property
     def unroutable(self) -> bool:
@@ -220,8 +217,7 @@ class BackupPlan:
         assignments across all levels plus the per-member taps."""
         if self.unroutable:
             return 0
-        levels, taps = self.entry
-        return sum(len(level) for level in levels) + len(taps)
+        return sum(map(len, self.entry.levels)) + len(self.entry.taps)
 
 
 class BackupPlanStore:
@@ -371,7 +367,7 @@ class BackupPlanStore:
                     members=conference.members,
                     point=point,
                     base_faults=base,
-                    entry=_pack_route(outcome),
+                    entry=outcome,
                 ),
             )
             self.stats.computed += 1
@@ -385,10 +381,11 @@ class BackupPlanStore:
         Returns ``(status, payload)`` where status is:
 
         * ``"hit"`` — a valid plan covers the fault; payload is the
-          stored :class:`~repro.core.routing.Route` (rebuilt around the
-          requesting conference) or, for a negative plan, the recorded
-          :class:`UnroutableError` — either way identical to what the
-          reactive path would compute;
+          stored :class:`~repro.core.routing.Route` (the plan is keyed
+          by conference id and covers only the same members, so its
+          conference is the requester's) or, for a negative plan, a
+          fresh copy of the recorded :class:`UnroutableError` — either
+          way identical to what the reactive path would compute;
         * ``"stale"`` — a plan exists but its base fault set or
           membership no longer matches (overlapping fault, churn);
           payload is ``None`` and the caller must fall back;
@@ -410,7 +407,7 @@ class BackupPlanStore:
         self._trace("plan.hit", cid, point)
         if plan.unroutable:
             return "hit", UnroutableError(*plan.entry.args)
-        return "hit", _unpack_route(plan.entry, conference, self._network)
+        return "hit", plan.entry
 
     def invalidate(self, conference_id: int) -> int:
         """Drop every plan of one conference (leave/close/drop).

@@ -227,8 +227,8 @@ class FabricService:
     switch sessions to stored backup plans in O(1) inside the same tick,
     with decisions bit-identical to the reactive service.  ``churn`` (a
     :class:`~repro.core.churn.ChurnPolicy`) governs how ``join`` /
-    ``leave`` reshape live routes — incrementally by default, with
-    full reroute as the configured fallback — and the applied
+    ``leave`` reshape live routes — incrementally by default, with a
+    full reroute when a join would exceed its ``drift_limit`` — and the applied
     response's ``detail`` carries the disruption diff.
     ``perf`` configures the ``capacity_model="buffered"`` overlay and is
     refused in abstract mode, where nothing would read it.  This is the

@@ -54,13 +54,16 @@ class TestCheckTool:
     the docs or the package version behind."""
 
     @staticmethod
-    def _main():
+    def _tool():
         spec = importlib.util.spec_from_file_location(
             "check_public_api", REPO / "tools" / "check_public_api.py"
         )
         tool = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tool)
-        return tool.main()
+        return tool
+
+    def _main(self):
+        return self._tool().main()
 
     def test_passes_at_head(self):
         assert self._main() == 0
@@ -80,6 +83,21 @@ class TestCheckTool:
         err = capsys.readouterr().err
         assert "is not a release of API" in err
         assert "docs/api.md" not in err
+
+    def test_fails_when_pyproject_declares_another_version(self, tmp_path, capsys):
+        pyproject = (REPO / "pyproject.toml").read_text()
+        assert f'version = "{repro.__version__}"' in pyproject
+        stale = tmp_path / "pyproject.toml"
+        stale.write_text(
+            pyproject.replace(f'version = "{repro.__version__}"', 'version = "5.0.0"')
+        )
+        tool = self._tool()
+        tool.PYPROJECT = stale
+        assert tool.main() == 1
+        err = capsys.readouterr().err
+        want = f"pyproject.toml declares version 5.0.0, not repro.__version__ {repro.__version__}"
+        assert want in err
+        assert "not a release" not in err and "docs/api.md" not in err
 
 
 class TestResultContract:
@@ -290,8 +308,8 @@ class TestRemovedIn20:
         assert params == ["self", "routes", "faults", "ranked"]
 
     def test_versions(self):
-        assert api.API_VERSION == "5.0"
-        assert repro.__version__ == "5.0.0"
+        assert api.API_VERSION == "5.1"
+        assert repro.__version__ == "5.1.0"
 
 
 class TestRemovedIn50:

@@ -89,8 +89,8 @@ class TestPrimeBatch:
             ("extra-stage-cube", (0, 1), "route"),
             # The unique-path cube has no way around (1, 0): a negative entry.
             ("indirect-binary-cube", (0, 1), "unroutable"),
-            # Out-of-range members are never parked; the join raises itself.
-            ("extra-stage-cube", (0, 99), None),
+            # An out-of-range member parks its ValueError, re-raised on the join.
+            ("extra-stage-cube", (0, 99), "error"),
         ],
     )
     def test_primed_join_matches_unprimed(self, topology, members, parked):
@@ -100,9 +100,16 @@ class TestPrimeBatch:
             conference = Conference.of(members, 0)
             if prime:
                 healing.prime_batch([conference])
-                entry = healing._primed.get((conference.members, frozenset({(1, 0)})))
-                kind = entry and ("unroutable" if isinstance(entry, UnroutableError) else "route")
+                primed = healing._primed[conference, frozenset({(1, 0)})]
+                kind = (
+                    "route" if primed.ok
+                    else "unroutable" if isinstance(primed.error, UnroutableError)
+                    else "error"
+                )
                 assert kind == parked
+                # Keyed by the conference itself: its members under another id miss.
+                other = Conference.of(members, 1)
+                assert (other, frozenset({(1, 0)})) not in healing._primed
             try:
                 outcome = repr(healing.try_join(conference))
             except AdmissionDenied as denial:

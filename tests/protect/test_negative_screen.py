@@ -120,7 +120,7 @@ def test_protect_routes_only_what_the_screen_leaves(name, monkeypatch):
             if expected.ok:
                 positive += 1
                 assert not plan.unroutable
-                assert plan.entry == (expected.route.levels, expected.route.taps)
+                assert plan.entry == expected.route
             else:
                 assert plan.unroutable and plan.entry.args == expected.error.args
         assert planned == (positive if is_banyan(net) else len(links))

@@ -291,8 +291,8 @@ def scan_invalidate(plans, links):
             if point in touched
             or (not plan.unroutable and any(
                 (t, row) in touched
-                for t in range(1, len(plan.entry[0]))
-                for row in plan.entry[0][t]
+                for t in range(1, len(plan.entry.levels))
+                for row in plan.entry.levels[t]
             ))
         ]
         if not doomed:

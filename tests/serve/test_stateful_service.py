@@ -42,7 +42,7 @@ from repro import (
     ShedPolicy,
 )
 from repro.core.batch import stage_occupancy
-from repro.core.routing import UnroutableError, _pack_route, route_conference
+from repro.core.routing import UnroutableError, route_conference
 
 N_PORTS = 16
 N_STAGES = 4
@@ -216,10 +216,8 @@ class FabricServiceMachine(RuleBasedStateMachine):
                 if plan.base_faults != faults:
                     continue
                 try:
-                    expected = _pack_route(
-                        route_conference(
-                            network.topology, conference, network.policy, faults | {point}
-                        )
+                    expected = route_conference(
+                        network.topology, conference, network.policy, faults | {point}
                     )
                 except UnroutableError as exc:
                     assert plan.unroutable

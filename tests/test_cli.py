@@ -240,6 +240,14 @@ class TestInputValidation:
         ["bench-cluster", "--migration-budget", "-1"],
         ["cluster", "--migration-budget", "0"],
         ["slo", "--queue-capacity", "0"],
+        ["sweep", "--trials", "0"],
+        ["faults", "--count", "-1"],
+        ["show", "--ports", "12"],
+        ["show", "--ports", "0"],
+        ["worstcase", "--ports", "3"],
+        ["cost", "--ports", "16,12"],
+        ["bench-cluster", "--ports", "6"],
+        ["serve", "--ports", "sixteen"],
     ], ids=" ".join)
     def test_out_of_range_integer_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
@@ -254,6 +262,12 @@ class TestInputValidation:
         ])
         assert (args.protection, args.drift_limit, args.shards) == (0, 0, 1)
         assert (args.max_batch, args.queue_capacity, args.migration_budget) == (1, 1, 1)
+        assert build_parser().parse_args(["faults", "--count", "0"]).count == 0
+        assert build_parser().parse_args(["sweep", "--trials", "1"]).trials == 1
+
+    def test_network_sizes_are_powers_of_two(self):
+        assert build_parser().parse_args(["show", "--ports", "2"]).ports == 2
+        assert build_parser().parse_args(["cost", "--ports", "2,1024"]).ports == [2, 1024]
 
 
 def _documented_commands():

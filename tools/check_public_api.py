@@ -11,6 +11,8 @@ Checks, in order:
 4. ``docs/api.md`` states the current version ("currently **X**") as
    ``api.API_VERSION``, and ``repro.__version__`` is a release of that
    API (it starts with ``API_VERSION + "."``).
+5. ``pyproject.toml``'s ``[project] version`` equals
+   ``repro.__version__`` (read with a regex: no TOML parser on 3.10).
 
 Run from the repository root::
 
@@ -30,6 +32,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 MANIFEST = REPO / "tests" / "api" / "public_api_manifest.txt"
 DOCS = REPO / "docs" / "api.md"
+PYPROJECT = REPO / "pyproject.toml"
 
 
 def main() -> int:
@@ -81,6 +84,13 @@ def main() -> int:
     if not repro.__version__.startswith(api.API_VERSION + "."):
         failures.append(
             f"repro.__version__ {repro.__version__} is not a release of API {api.API_VERSION}"
+        )
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", PYPROJECT.read_text(), re.M | re.S)
+    declared = project and re.search(r'^version\s*=\s*"([^"]*)"', project[1], re.M)
+    if not declared or declared[1] != repro.__version__:
+        failures.append(
+            f"pyproject.toml declares version {declared[1] if declared else 'none'}, "
+            f"not repro.__version__ {repro.__version__}"
         )
 
     if failures:
