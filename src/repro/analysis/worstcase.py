@@ -67,7 +67,7 @@ def cube_adversarial_set(n_ports: int, level: "int | None" = None) -> Conference
     """Disjoint conferences meeting the bound on the cube at ``level``.
 
     For a link entering level ``t`` (default the worst level,
-    ``floor(n/2)``), builds ``2**min(t, n-t)`` two-member conferences all
+    ``max(1, floor(n/2))``), builds ``2**min(t, n-t)`` two-member conferences all
     of whose routes traverse link ``(t, 0)``:
 
     * ``{i, i << t}`` for ``i = 1 .. 2**min(t, n-t) - 1``: member ``i``
@@ -80,7 +80,7 @@ def cube_adversarial_set(n_ports: int, level: "int | None" = None) -> Conference
     """
     n = check_network_size(n_ports)
     if level is None:
-        level = n // 2
+        level = max(1, n // 2)
     if not 1 <= level <= n:
         raise ValueError(f"level must be in [1, {n}], got {level}")
     m = min(level, n - level)

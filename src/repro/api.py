@@ -39,7 +39,7 @@ from repro.core.churn import (
 )
 from repro.core.conference import Conference, ConferenceSet
 from repro.core.conflict import ConflictReport, analyze_conflicts
-from repro.core.healing import RetryPolicy, SelfHealingController, SubmitOutcome
+from repro.core.healing import RetryPolicy, SelfHealingController
 from repro.core.network import ConferenceNetwork, RealizationResult
 from repro.cluster.bench import ClusterBenchReport, run_cluster_bench
 from repro.cluster.controller import ClusterService, ClusterStats, ShardInfo, ShardState
@@ -73,7 +73,7 @@ from repro.perfmodel.model import (
     simulate_delivery,
 )
 from repro.perfmodel.report import PerfReport
-from repro.protect.plans import BackupPlan, BackupPlanStore, PlanStats
+from repro.protect.plans import BackupPlan, BackupPlanStore
 from repro.serve.backpressure import AdmissionQueue, ShedPolicy
 from repro.serve.bench import ServeBenchReport, run_serve_bench
 from repro.serve.protocol import Priority, ServiceResponse, SessionRequest
@@ -100,7 +100,7 @@ from repro.workloads.churn import (
 
 #: Version of the public surface (bumped on any additive change; the
 #: library version tracks releases, this tracks the API contract).
-API_VERSION = "5.1"
+API_VERSION = "6.0"
 
 
 @runtime_checkable
@@ -112,7 +112,6 @@ class Result(Protocol):
     machine-readable cause), and ``as_dict`` returns a JSON-ready view
     whose ``"kind"`` key names the concrete result type.
     :class:`~repro.core.network.RealizationResult`,
-    :class:`~repro.core.healing.SubmitOutcome`,
     :class:`~repro.serve.protocol.ServiceResponse`, and
     :class:`~repro.serve.bench.ServeBenchReport` all conform; the test
     suite checks conformance with ``isinstance(x, Result)``.
@@ -173,11 +172,9 @@ __all__ = [
     "AdmissionDenied",
     "RetryPolicy",
     "SelfHealingController",
-    "SubmitOutcome",
     # protection (precomputed fast failover)
     "BackupPlan",
     "BackupPlanStore",
-    "PlanStats",
     # faults & simulation clock
     "EventLoop",
     "FaultInjector",

@@ -36,6 +36,7 @@ without the flags.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 import time
@@ -94,22 +95,38 @@ def _network_size(text: str) -> int:
     return int(text)
 
 
-def _network_sizes(text: str) -> list[int]:
-    return [_network_size(x) for x in text.split(",") if x]
+def _list_of(parse):
+    """An argparse type for a comma-separated list, each entry checked by ``parse``."""
+
+    def parse_list(text: str) -> list:
+        return [parse(x) for x in text.split(",") if x]
+
+    return parse_list
 
 
-def _floats_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+_network_sizes = _list_of(_network_size)
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return float("nan")
 
 
 def _fraction(text: str) -> float:
-    """``--load``: a port fraction in [0, 1]; anything else is a usage error."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
+    """A fraction in [0, 1] (``--load``, ``--resize-prob``); anything else is a usage error."""
+    value = _float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"expected a fraction in [0, 1], got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """A finite number > 0 (durations, rates, means); anything else is a usage error."""
+    value = _float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
 
 
@@ -194,11 +211,17 @@ def _add_workload_flags(
     """The seeded churn workload of the bench-style commands."""
     cmd.add_argument("--conferences", type=_positive_int, default=conferences)
     cmd.add_argument("--seed", type=int, default=0)
-    cmd.add_argument("--arrival-rate", type=float, default=4.0, help="mean conference opens per tick")
+    cmd.add_argument(
+        "--arrival-rate", type=_positive_float, default=4.0, help="mean conference opens per tick"
+    )
     if mean_size:
         cmd.add_argument("--mean-size", type=float, default=4.0, help="mean conference size (ports)")
-    cmd.add_argument("--mean-hold", type=float, default=20.0, help="mean session lifetime (ticks)")
-    cmd.add_argument("--resize-prob", type=float, default=0.2, help="per-tick chance of one join/leave")
+    cmd.add_argument(
+        "--mean-hold", type=_positive_float, default=20.0, help="mean session lifetime (ticks)"
+    )
+    cmd.add_argument(
+        "--resize-prob", type=_fraction, default=0.2, help="per-tick chance of one join/leave"
+    )
 
 
 def _add_queue_flags(cmd: argparse.ArgumentParser, *, max_batch: int = 64) -> None:
@@ -232,8 +255,17 @@ def _add_fault_flags(
 ) -> None:
     """Opt-in seeded link faults with their per-link MTTF/MTTR."""
     cmd.add_argument("--faults", action="store_true", help=faults_help)
-    cmd.add_argument("--mttf", type=float, default=400.0, help="mean time to failure per link")
-    cmd.add_argument("--mttr", type=float, default=5.0, help="mean time to repair per link")
+    _add_mttf_mttr(cmd, mttf=400.0, mttr=5.0)
+
+
+def _add_mttf_mttr(cmd: argparse.ArgumentParser, *, mttf: float, mttr: float) -> None:
+    """The per-link mean time to failure and to repair."""
+    cmd.add_argument(
+        "--mttf", type=_positive_float, default=mttf, help="mean time to failure per link"
+    )
+    cmd.add_argument(
+        "--mttr", type=_positive_float, default=mttr, help="mean time to repair per link"
+    )
 
 
 def _retry_policy(args: argparse.Namespace, **overrides) -> "RetryPolicy | None":
@@ -538,8 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     blocking = sub.add_parser("blocking", help="blocking probability vs link dilation")
     _add_fabric_flags(blocking, topology="omega", ports=64)
-    blocking.add_argument("--dilations", type=_ports_list, default=[1, 2, 4, 8], metavar="D1,D2,...")
-    blocking.add_argument("--duration", type=float, default=1000.0)
+    blocking.add_argument(
+        "--dilations", type=_list_of(_positive_int), default=[1, 2, 4, 8], metavar="D1,D2,..."
+    )
+    blocking.add_argument("--duration", type=_positive_float, default=1000.0)
     blocking.add_argument("--seed", type=int, default=0)
 
     schedule = sub.add_parser(
@@ -574,9 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="live fault injection: availability over time with self-healing",
     )
     _add_fabric_flags(avail, topology="extra-stage-cube", ports=32)
-    avail.add_argument("--duration", type=float, default=1500.0)
-    avail.add_argument("--mttf", type=float, default=1500.0, help="mean time to failure per link")
-    avail.add_argument("--mttr", type=float, default=30.0, help="mean time to repair per link")
+    avail.add_argument("--duration", type=_positive_float, default=1500.0)
+    _add_mttf_mttr(avail, mttf=1500.0, mttr=30.0)
     avail.add_argument("--load", type=_fraction, default=0.6, help="steady population port load")
     _add_healing_flags(avail, retries=10)
     avail.add_argument("--seed", type=int, default=0)
@@ -601,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=_positive_int, default=100)
     sweep.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="process-pool width; omit for the in-process serial engine "
@@ -609,14 +642,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--chunk-size",
-        type=int,
+        type=_positive_int,
         default=None,
         help="trials per submitted batch (result-invariant; default ~4 chunks/worker)",
     )
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
         "--loads",
-        type=_floats_list,
+        type=_list_of(_fraction),
         default=[0.25, 0.5, 0.75, 1.0],
         metavar="L1,L2,...",
         help="offered loads for the random-load sweep",
@@ -626,7 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="uniform",
         choices=("uniform", "clustered", "interleaved"),
     )
-    sweep.add_argument("--pool-size", type=int, default=64, help="worstcase: pairs seeded per trial")
+    sweep.add_argument(
+        "--pool-size", type=_positive_int, default=64, help="worstcase: pairs seeded per trial"
+    )
     sweep.add_argument("--json", metavar="PATH", help="also write the full records as JSON")
     _add_telemetry_flags(sweep)
 
@@ -635,13 +670,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a live fault-injection scenario and export its trace/metrics",
     )
     _add_fabric_flags(trace, topology="extra-stage-cube", dilation=4)
-    trace.add_argument("--duration", type=float, default=300.0)
-    trace.add_argument("--mttf", type=float, default=200.0, help="mean time to failure per link")
-    trace.add_argument("--mttr", type=float, default=10.0, help="mean time to repair per link")
+    trace.add_argument("--duration", type=_positive_float, default=300.0)
+    _add_mttf_mttr(trace, mttf=200.0, mttr=10.0)
     trace.add_argument("--retries", type=int, default=5, help="retry budget (0 disables retries)")
     trace.add_argument("--seed", type=int, default=0)
     trace.add_argument(
-        "--capacity", type=int, default=65536, help="trace ring-buffer capacity (records)"
+        "--capacity", type=_positive_int, default=65536, help="trace ring-buffer capacity (records)"
     )
     trace.add_argument("--out", metavar="PATH", help="write the trace as JSON Lines")
     trace.add_argument(
@@ -775,8 +809,9 @@ def _cmd_worstcase(args: argparse.Namespace) -> int:
     profiles["cube/baseline law"] = stage_profile_law(n)
     profiles["omega upper bound"] = stage_profile_law(n, topology="omega")
     print(render_stage_profile(profiles, title=f"worst-case multiplicity per link level, N={args.ports}"))
-    adv = cube_adversarial_set(args.ports)
-    print(f"\ncube adversarial witness (level {n // 2}): "
+    level = max(1, n // 2)
+    adv = cube_adversarial_set(args.ports, level)
+    print(f"\ncube adversarial witness (level {level}): "
           f"{[list(c.members) for c in adv]}")
     return 0
 

@@ -292,8 +292,7 @@ class ClusterService:
             model = self._shards[shard_id].service.delivery
             if model is None:
                 continue
-            merged.merge_summary(model.summary())
-            merged.merge_histogram(model)
+            merged.merge(model)
         summary = merged.summary()
         summary["shards"] = sum(
             1 for s in self._shards.values() if s.service.delivery is not None

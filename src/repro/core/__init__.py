@@ -16,7 +16,7 @@ from repro.core.churn import (
 from repro.core.conference import Conference, ConferenceSet
 from repro.core.conflict import ConflictReport, analyze_conflicts, link_loads
 from repro.core.groupcast import GroupConnection, GroupRoute, route_group
-from repro.core.healing import RetryPolicy, SelfHealingController, SubmitOutcome
+from repro.core.healing import RetryPolicy, SelfHealingController
 from repro.core.network import ConferenceNetwork, RealizationResult
 from repro.core.routing import (
     Route,
@@ -45,7 +45,6 @@ __all__ = [
     "Route",
     "RoutingPolicy",
     "SelfHealingController",
-    "SubmitOutcome",
     "TapPolicy",
     "UnroutableError",
     "analyze_conflicts",

@@ -43,7 +43,7 @@ The controller is deliberately loop-agnostic: it only ever calls
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.admission import AdmissionController, AdmissionDenied
 from repro.core.batch import BatchRouteOutcome, route_batch
@@ -70,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.sim.engine import EventLoop
     from repro.sim.faults import FaultTransition
 
-__all__ = ["RetryPolicy", "SelfHealingController", "SubmitOutcome"]
+__all__ = ["RetryPolicy", "SelfHealingController"]
 
 
 @dataclass(frozen=True)
@@ -105,51 +105,6 @@ class RetryPolicy:
         if self.jitter and rng is not None:
             base *= 1.0 + self.jitter * float(rng.random())
         return base
-
-
-@dataclass(frozen=True)
-class SubmitOutcome:
-    """The synchronous verdict of one :meth:`SelfHealingController.submit`.
-
-    Implements the shared result contract of :data:`repro.api.Result`
-    (``ok`` / ``reason`` / ``as_dict``).  ``status`` is one of:
-
-    * ``"admitted"`` — the call is up right now; ``route`` is set.
-    * ``"queued"`` — admission was denied but retries are scheduled; the
-      terminal outcome arrives through the submit callbacks.
-    * ``"lost"`` — denied with no retry budget; ``reason`` carries the
-      denial reason (``"ports"``, ``"capacity"``, ``"fault"``, or
-      ``"retry-exhausted"``).
-    """
-
-    status: str
-    conference_id: int
-    route: "Route | None" = None
-    reason: "str | None" = None
-
-    @property
-    def ok(self) -> bool:
-        """True when the conference was admitted immediately."""
-        return self.status == "admitted"
-
-    @property
-    def pending(self) -> bool:
-        """True when the outcome will arrive later via callbacks."""
-        return self.status == "queued"
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def as_dict(self) -> dict[str, Any]:
-        """A JSON-ready view (the shared result-serializer contract)."""
-        return {
-            "kind": "submit_outcome",
-            "ok": self.ok,
-            "status": self.status,
-            "conference_id": self.conference_id,
-            "reason": self.reason,
-            "links": self.route.n_links if self.route is not None else None,
-        }
 
 
 #: Help strings of the controller's counter families (attached on first use).
@@ -538,17 +493,18 @@ class SelfHealingController:
         conference: Conference,
         on_admitted: "Callable[[EventLoop, Route], None] | None" = None,
         on_lost: "LostListener | None" = None,
-    ) -> SubmitOutcome:
+    ) -> None:
         """Admit now or enqueue retries.
 
-        Returns a :class:`SubmitOutcome` describing the synchronous
-        verdict — ``admitted`` (with the route), ``queued`` (retries are
-        scheduled; the terminal outcome arrives via the callbacks), or
-        ``lost`` (denied with no retry budget).
+        The verdict reaches the caller through the callbacks:
+        ``on_admitted(loop, route)`` once the call is up (now or on a
+        retry), ``on_lost(loop, conference, reason)`` when it is denied
+        with no retry budget (``reason`` is the denial reason, or
+        ``"retry-exhausted"``).
         """
-        return self._attempt_submit(loop, conference, on_admitted, on_lost, attempt=0)
+        self._attempt_submit(loop, conference, on_admitted, on_lost, attempt=0)
 
-    def _attempt_submit(self, loop, conference, on_admitted, on_lost, attempt):
+    def _attempt_submit(self, loop, conference, on_admitted, on_lost, attempt) -> None:
         cid = conference.conference_id
         try:
             route = self.try_join(conference, now=loop.now)
@@ -557,28 +513,27 @@ class SelfHealingController:
                 self._trace_lost(loop, conference, denial.reason)
                 if on_lost:
                     on_lost(loop, conference, denial.reason)
-                return SubmitOutcome("lost", cid, reason=denial.reason)
+                return
             if attempt >= self._retry.max_retries:
                 self._stats.retries_exhausted += 1
                 self._count("repro_retries_total", outcome="exhausted")
                 self._trace_lost(loop, conference, "retry-exhausted")
                 if on_lost:
                     on_lost(loop, conference, "retry-exhausted")
-                return SubmitOutcome("lost", cid, reason="retry-exhausted")
+                return
             self._schedule_retry(
                 loop,
                 attempt,
                 lambda lp: self._attempt_submit(lp, conference, on_admitted, on_lost, attempt + 1),
                 cid=cid,
             )
-            return SubmitOutcome("queued", cid, reason=denial.reason)
+            return
         if attempt > 0:
             self._stats.retries_succeeded += 1
             self._count("repro_retries_total", outcome="succeeded")
         if on_admitted:
             on_admitted(loop, route)
         self._observe(loop.now)
-        return SubmitOutcome("admitted", cid, route=route)
 
     def _schedule_retry(self, loop, attempt: int, action, cid: "int | None" = None) -> None:
         self._stats.retries_scheduled += 1

@@ -33,8 +33,7 @@ class RealizationResult:
     """Routes plus their conflict and hardware-delivery reports.
 
     Implements the shared result contract of :data:`repro.api.Result`:
-    ``ok`` / ``reason`` / ``as_dict`` — the same shape healing
-    :class:`~repro.core.healing.SubmitOutcome` values and
+    ``ok`` / ``reason`` / ``as_dict`` — the same shape
     :class:`~repro.serve.protocol.ServiceResponse` responses expose, so
     one serializer (``repro.report.serialize.result_to_dict``) renders
     all of them.

@@ -9,9 +9,9 @@ The metrics registry (PR 3) answers "what happened"; this module answers
   relative error: for any observation ``v`` with ``low <= v <= high``,
   the reported quantile ``q`` satisfies ``v <= q < v * growth``.  The
   whole structure is plain dicts under the hood: :meth:`snapshot` /
-  :meth:`merge` compose across parallel workers exactly like the
-  registry's, and merging is commutative (windows are keyed by absolute
-  window index, counts add), so any merge order renders identically.
+  :meth:`merge` fold one histogram into another, and merging is
+  commutative (windows are keyed by absolute window index, counts add),
+  so any merge order renders identically.
 * :class:`SLOSpec` — a declarative objective: a good-event ratio target
   (``availability``-style) or a latency bound (good when the observed
   value is ``<= threshold``), with an error budget ``1 - objective`` and
@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
@@ -299,19 +299,6 @@ class SLOSpec:
         """The error budget: tolerable bad fraction, ``1 - objective``."""
         return 1.0 - self.objective
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "objective": self.objective,
-            "kind": self.kind,
-            "threshold": self.threshold,
-            "description": self.description,
-            "windows": [
-                {"ticks": w.ticks, "factor": w.factor, "severity": w.severity}
-                for w in self.windows
-            ],
-        }
-
 
 def default_serve_slos(
     *,
@@ -377,9 +364,8 @@ class SLOEvaluator:
     burn rates sum the frames covering each :class:`BurnWindow`.  Call
     :meth:`record` / :meth:`observe` from instrumentation sites (all
     gated on ``slo is not None``), then :meth:`evaluate` once per tick.
-    The evaluator is snapshot/merge-compatible with the parallel
-    workers: :meth:`snapshot` is plain picklable data and :meth:`merge`
-    is commutative.
+    One evaluator watches one service: a cluster keeps a single
+    evaluator at its front and its shards run without one.
     """
 
     def __init__(
@@ -556,46 +542,7 @@ class SLOEvaluator:
             raise ValueError(f"SLO {name!r} is not a latency objective")
         return state.hist.percentiles()
 
-    # -- snapshot / merge / export -----------------------------------------
-
-    def snapshot(self) -> dict:
-        """Picklable counts + histograms, keyed by sorted spec name."""
-        return {
-            "frame": self._frame,
-            "specs": [self._specs[n].spec.as_dict() for n in sorted(self._specs)],
-            "counts": {
-                name: {wid: list(c) for wid, c in sorted(self._specs[name].counts.items())}
-                for name in sorted(self._specs)
-            },
-            "hists": {
-                name: self._specs[name].hist.snapshot()
-                for name in sorted(self._specs)
-                if self._specs[name].hist is not None
-            },
-        }
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a worker evaluator's :meth:`snapshot` into this one.
-
-        Commutative: frames are keyed by absolute window index and
-        counts add, so shuffled merge orders produce byte-identical
-        :meth:`to_json` output (the determinism regression test).
-        """
-        if snapshot["frame"] != self._frame:
-            raise ValueError("cannot merge evaluators with different frame widths")
-        names = [spec["name"] for spec in snapshot["specs"]]
-        if names != sorted(self._specs):
-            raise ValueError("cannot merge evaluators with different spec sets")
-        for name, frames in snapshot["counts"].items():
-            state = self._specs[name]
-            for wid, (good, bad) in frames.items():
-                frame = state.counts.setdefault(int(wid), [0, 0])
-                frame[0] += good
-                frame[1] += bad
-            if state.counts:
-                self._trim(state, max(state.counts))
-        for name, hist in snapshot["hists"].items():
-            self._specs[name].hist.merge(hist)
+    # -- export ------------------------------------------------------------
 
     def to_json(self, indent: "int | None" = None) -> str:
         """The last evaluation (or an empty shell) as deterministic JSON."""
@@ -612,9 +559,3 @@ class SLOEvaluator:
             fh.write(self.to_json(indent=indent))
             fh.write("\n")
 
-
-def merge_snapshots(base: SLOEvaluator, snapshots: "Sequence[dict]") -> SLOEvaluator:
-    """Fold worker snapshots into ``base`` (order-independent) and return it."""
-    for snap in snapshots:
-        base.merge(snap)
-    return base

@@ -132,27 +132,23 @@ class DeliveryModel:
             "peak_lane_occupancy": self.peak_lane_occupancy,
         }
 
-    def merge_summary(self, other: dict[str, Any]) -> None:
-        """Fold a shard's :meth:`summary` into this aggregate.
+    def merge(self, other: "DeliveryModel") -> None:
+        """Fold another model's aggregates into this one.
 
         The cluster layer keeps one :class:`DeliveryModel` per shard and
-        merges their summaries into a cluster-wide delivery block; counts
-        add, percentiles cannot be merged from summaries and are taken
-        from the per-shard histograms via :meth:`merge_histogram`.
+        merges them into a cluster-wide delivery block: counts add, the
+        peak is the larger one, and the latency histograms merge
+        commutatively, so the result does not depend on merge order.
         """
-        self.ticks += other["ticks"]
-        self.idle_ticks += other["idle_ticks"]
-        self.offered_packets += other["offered_packets"]
-        self.delivered_packets += other["delivered_packets"]
-        self.undelivered_packets += other["undelivered_packets"]
-        self.offered_flits += other["offered_flits"]
-        self.delivered_flits += other["delivered_flits"]
-        for cause, count in other["stalls"].items():
+        self.ticks += other.ticks
+        self.idle_ticks += other.idle_ticks
+        self.offered_packets += other.offered_packets
+        self.delivered_packets += other.delivered_packets
+        self.undelivered_packets += other.undelivered_packets
+        self.offered_flits += other.offered_flits
+        self.delivered_flits += other.delivered_flits
+        for cause, count in other.stalls.items():
             self.stalls[cause] = self.stalls.get(cause, 0) + count
-        if other["peak_lane_occupancy"] > self.peak_lane_occupancy:
-            self.peak_lane_occupancy = other["peak_lane_occupancy"]
-
-    def merge_histogram(self, other: "DeliveryModel") -> None:
-        """Fold another model's latency histogram into this one
-        (commutative, order-independent across shards)."""
+        if other.peak_lane_occupancy > self.peak_lane_occupancy:
+            self.peak_lane_occupancy = other.peak_lane_occupancy
         self._latency.merge(other._latency.snapshot())

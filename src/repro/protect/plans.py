@@ -78,7 +78,7 @@ from repro.core.routing import (
 )
 from repro.topology.network import MultistageNetwork, Point
 
-__all__ = ["BackupPlan", "PlanStats", "BackupPlanStore"]
+__all__ = ["BackupPlan", "BackupPlanStore"]
 
 _NO_FAULTS: frozenset[Point] = frozenset()
 
@@ -121,65 +121,6 @@ def _touches(plan: "BackupPlan") -> "set[Point]":
     if not plan.unroutable:
         points.update(plan.entry.links)
     return points
-
-@dataclass
-class PlanStats:
-    """Accounting of one :class:`BackupPlanStore`.
-
-    ``hits`` / ``stale`` / ``misses`` classify failover lookups (a hit
-    includes negative plans — knowing a drop is unavoidable is also a
-    fast path); ``computed`` / ``unroutable`` / ``invalidated`` track
-    the plan population itself.
-    """
-
-    computed: int = 0
-    unroutable: int = 0  # negative plans among ``computed``
-    hits: int = 0
-    misses: int = 0
-    stale: int = 0
-    invalidated: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total failover lookups served."""
-        return self.hits + self.misses + self.stale
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from a valid plan (0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def merge(self, other: "PlanStats") -> "PlanStats":
-        """The combined accounting of two stores, as a new instance."""
-        return PlanStats(
-            computed=self.computed + other.computed,
-            unroutable=self.unroutable + other.unroutable,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            stale=self.stale + other.stale,
-            invalidated=self.invalidated + other.invalidated,
-        )
-
-    @classmethod
-    def merged(cls, many: "Iterable[PlanStats]") -> "PlanStats":
-        """Fold any number of per-store stats into one total."""
-        total = cls()
-        for stats in many:
-            total = total.merge(stats)
-        return total
-
-    def as_dict(self) -> dict:
-        """A plain-dict view (picklable; includes the derived fields)."""
-        return {
-            "computed": self.computed,
-            "unroutable": self.unroutable,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale": self.stale,
-            "invalidated": self.invalidated,
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-        }
 
 
 @dataclass(frozen=True)
@@ -258,7 +199,6 @@ class BackupPlanStore:
         self._plans: dict[int, dict[Point, BackupPlan]] = {}
         # point -> keys (cid, protected point) of the plans touching it.
         self._holders: dict[Point, set[tuple[int, Point]]] = {}
-        self.stats = PlanStats()
         # Observation only (duck-typed repro.obs.trace.Tracer): lookups
         # emit plan.hit / plan.stale / plan.miss events.
         self.tracer = tracer
@@ -359,8 +299,6 @@ class BackupPlanStore:
                 error = outcome.error
                 outcomes[i] = error if isinstance(error, UnroutableError) else outcome.unwrap()
         for conference, point, outcome in zip(conferences, points, outcomes):
-            if isinstance(outcome, UnroutableError):
-                self.stats.unroutable += 1
             self._store(
                 conference.conference_id,
                 BackupPlan(
@@ -370,7 +308,6 @@ class BackupPlanStore:
                     entry=outcome,
                 ),
             )
-            self.stats.computed += 1
         return len(points)
 
     def lookup(
@@ -396,14 +333,11 @@ class BackupPlanStore:
         faults = frozenset(faults)
         plan = self._plans.get(cid, {}).get(point)
         if plan is None:
-            self.stats.misses += 1
             self._trace("plan.miss", cid, point)
             return "miss", None
         if not plan.covers(conference.members, faults):
-            self.stats.stale += 1
             self._trace("plan.stale", cid, point)
             return "stale", None
-        self.stats.hits += 1
         self._trace("plan.hit", cid, point)
         if plan.unroutable:
             return "hit", UnroutableError(*plan.entry.args)
@@ -414,11 +348,9 @@ class BackupPlanStore:
 
         Returns the number of plans removed; unknown ids are a no-op.
         """
-        removed = self._drop(conference_id)
-        self.stats.invalidated += removed
-        return removed
+        return self._drop(conference_id)
 
-    def invalidate_links(self, links: "Iterable[Point]") -> list[int]:
+    def invalidate_links(self, links: "Iterable[Point]") -> None:
         """Drop exactly the plans that touch any of ``links``.
 
         The scoped form of :meth:`invalidate` used by membership churn:
@@ -428,26 +360,22 @@ class BackupPlanStore:
         and the most-loaded-first ranking that chose it — are stale).
         Plans elsewhere survive, so a hitless in-block join replans
         nothing but the conferences actually sharing the graft.
-        Returns the affected conference ids, in plan-insertion order,
-        for targeted re-planning.  A point index finds the affected plans,
-        so the plans elsewhere are never read.
+        A point index finds the affected plans, so the plans elsewhere
+        are never read.
         """
         doomed: dict[int, set[Point]] = {}
         for link in frozenset(links):
             for cid, point in self._holders.get(link, ()):
                 doomed.setdefault(cid, set()).add(point)
-        affected = [cid for cid in self._plans if cid in doomed] if doomed else []
-        for cid in affected:
+        for cid, points in doomed.items():
             plans = self._plans[cid]
-            for point in doomed[cid]:
+            for point in points:
                 self._unindex(cid, plans.pop(point))
-            self.stats.invalidated += len(doomed[cid])
             if not plans:
                 del self._plans[cid]
-        return affected
 
     def clear(self) -> None:
-        """Drop every plan (stats are kept)."""
+        """Drop every plan."""
         self._plans.clear()
         self._holders.clear()
 

@@ -62,7 +62,7 @@ def result_to_dict(result: Any) -> dict[str, Any]:
     """Serialize any :data:`repro.api.Result` conformer, uniformly.
 
     The one place operation verdicts become JSON: realization results,
-    healing submit outcomes, service responses, and bench reports all
+    service responses, and bench reports all
     pass through here (the CLI's ``--json`` paths use this), so every
     verdict carries the same envelope — ``kind`` discriminator, schema
     version, ``ok``, and ``reason``.  Nested payload objects with their

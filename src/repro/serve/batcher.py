@@ -94,7 +94,7 @@ class Batcher:
         batch: list[SessionRequest],
         handler: "Callable[[SessionRequest, int], ServiceResponse]",
         now: float,
-    ) -> "tuple[BatchReport, list[ServiceResponse]]":
+    ) -> BatchReport:
         """Run one admission pass over ``batch``.
 
         ``handler`` maps each request (plus the batch sequence number)
@@ -103,10 +103,8 @@ class Batcher:
         seq = self._seq
         self._seq += 1
         report = BatchReport(seq=seq, time=now, size=len(batch))
-        responses: list[ServiceResponse] = []
         for request in batch:
             response = handler(request, seq)
             report.outcomes[response.status] += 1
             report.latencies.append(response.latency)
-            responses.append(response)
-        return report, responses
+        return report

@@ -9,8 +9,7 @@ later — by a :class:`ServiceResponse`.
 Responses implement the shared result contract (``ok`` / ``reason`` /
 ``as_dict``) declared by :data:`repro.api.Result`, so the CLI renders
 them through the same serializer as
-:class:`~repro.core.network.RealizationResult` and healing
-:class:`~repro.core.healing.SubmitOutcome` values.
+:class:`~repro.core.network.RealizationResult`.
 """
 
 from __future__ import annotations

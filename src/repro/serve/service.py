@@ -533,7 +533,7 @@ class FabricService:
         if self.tracer is not None and batch:
             sid = self.tracer.span_open("serve.batch", t=self.now, size=len(batch))
         self._prime_batch(batch)
-        report, _ = self._batcher.execute(batch, self._handle, self.now)
+        report = self._batcher.execute(batch, self._handle, self.now)
         if sid is not None:
             self.tracer.span_close(
                 sid, t=self.now, admitted=report.admitted, outcomes=dict(report.outcomes)

@@ -10,15 +10,13 @@ Subscribers — chiefly the
 :class:`~repro.core.healing.SelfHealingController` — react to each
 transition while conferences are live.
 
-Two timeline sources, one execution path:
-
-* **scripted** — an explicit sequence of :class:`FaultTransition`
-  records, used by tests and by experiments that must subject several
-  designs to the *identical* fault process; and
-* **stochastic** — :func:`generate_fault_timeline` pre-draws an
-  alternating exponential time-to-failure / time-to-repair renewal
-  process per link (one spawned RNG stream each, so the timeline is a
-  pure function of the seed) and feeds it through the scripted path.
+The injector replays one source, an explicit sequence of
+:class:`FaultTransition` records: a test's hand-written script, or the
+stochastic timeline :func:`generate_fault_timeline` pre-draws (an
+alternating exponential time-to-failure / time-to-repair renewal
+process per link, one spawned RNG stream each, so the timeline is a
+pure function of the seed).  Experiments that must subject several
+designs to the *identical* fault process pass each the same timeline.
 
 Pre-generating the stochastic timeline is what makes the engine's
 determinism contract trivial to keep: the fault process can never be
@@ -123,11 +121,10 @@ FaultListener = Callable[[EventLoop, FaultTransition], None]
 class FaultInjector:
     """Replays a fault timeline on the event loop as live network state.
 
-    Construct either from an explicit ``script`` (any iterable of
-    :class:`FaultTransition`) or from a stochastic ``process`` plus
-    ``horizon``/``seed`` (pre-generated via
-    :func:`generate_fault_timeline`).  The timeline must be consistent:
-    per point, strictly alternating fail/repair starting with a fail.
+    ``script`` is any iterable of :class:`FaultTransition` (a stochastic
+    one comes from :func:`generate_fault_timeline`).  The timeline must
+    be consistent: per point, strictly alternating fail/repair starting
+    with a fail.
 
     Subscribers registered with :meth:`subscribe` are invoked *after*
     the injector's own fault-set update, in registration order, for
@@ -138,18 +135,9 @@ class FaultInjector:
     def __init__(
         self,
         net: MultistageNetwork,
-        script: "Iterable[FaultTransition] | None" = None,
-        process: "FaultProcessConfig | None" = None,
-        horizon: "float | None" = None,
-        seed: "int | np.random.Generator | None" = None,
+        script: Iterable[FaultTransition],
         tracer=None,
     ):
-        if script is not None and process is not None:
-            raise ValueError("pass either a script or a stochastic process, not both")
-        if script is None:
-            if horizon is None:
-                raise ValueError("stochastic fault injection needs a horizon to pre-generate")
-            script = generate_fault_timeline(net, process, horizon, seed)
         self._net = net
         self._timeline = self._validate(script)
         self._current: set[Point] = set()

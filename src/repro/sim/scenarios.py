@@ -73,25 +73,18 @@ def run_availability(
     relay_enabled: bool = True,
     config: "TrafficConfig | None" = None,
     process: "FaultProcessConfig | None" = None,
-    script: "tuple[FaultTransition, ...] | list[FaultTransition] | None" = None,
     retry: "RetryPolicy | None" = None,
     duration: float = 1000.0,
     seed: int = 0,
-    protection: int = 0,
     tracer=None,
     metrics=None,
 ) -> AvailabilityRun:
     """One live availability run: traffic + fault injection + self-healing.
 
-    The fault timeline is either the explicit ``script`` (pass the same
-    timeline to several runs to subject different designs to the
-    *identical* fault process) or pre-generated from ``process`` and the
-    seed.  Traffic, fault, and retry-jitter randomness come from three
+    The fault timeline is pre-generated from ``process`` and the seed.
+    Traffic, fault, and retry-jitter randomness come from three
     independent child streams of ``seed``, so the whole run — every
     transition, retry, and metric — is exactly reproducible.
-    ``protection`` (plan budget F) precomputes per-link backup routings
-    so protected failovers are O(1) — decisions stay bit-identical to
-    the reactive run, only the recovery-tick accounting moves.
     ``tracer`` / ``metrics`` (see :mod:`repro.obs`) observe the run
     without perturbing it.
     """
@@ -101,10 +94,7 @@ def run_availability(
     network = ConferenceNetwork.build(
         topology, n_ports, dilation=dilation, relay_enabled=relay_enabled
     )
-    if script is None:
-        script = generate_fault_timeline(
-            network.topology, process or FaultProcessConfig(), duration, seed=fault_rng
-        )
+    timeline = generate_fault_timeline(network.topology, process, duration, seed=fault_rng)
     if tracer is not None:
         tracer.event(
             "experiment.run",
@@ -117,11 +107,10 @@ def run_availability(
         network,
         retry=retry,
         rng=jitter_rng,
-        protection=protection,
         tracer=tracer,
         metrics=metrics,
     )
-    injector = FaultInjector(network.topology, script=script, tracer=tracer)
+    injector = FaultInjector(network.topology, script=timeline, tracer=tracer)
     healing.attach(injector)
     source = ResilientTrafficSource(healing, config, seed=traffic_rng)
     loop = EventLoop(tracer=tracer)
@@ -132,7 +121,7 @@ def run_availability(
     return AvailabilityRun(
         traffic=source.stats,
         availability=healing.stats,
-        timeline=tuple(script),
+        timeline=timeline,
     )
 
 

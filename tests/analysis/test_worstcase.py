@@ -41,6 +41,19 @@ class TestAdversarialConstruction:
         routes = [route_conference(net, c) for c in cs]
         assert analyze_conflicts(routes).max_multiplicity == max_multiplicity_bound(6)
 
+    @pytest.mark.parametrize("n_ports", [4, 8, 16, 32, 64])
+    def test_default_level_is_half_the_stages(self, n_ports):
+        n = n_ports.bit_length() - 1
+        assert list(cube_adversarial_set(n_ports)) == list(cube_adversarial_set(n_ports, n // 2))
+
+    def test_one_stage_cube_defaults_to_level_one(self):
+        cs = cube_adversarial_set(2)
+        assert [list(c.members) for c in cs] == [[0, 1]]
+        assert list(cs) == list(cube_adversarial_set(2, 1))
+        net = build("indirect-binary-cube", 2)
+        routes = [route_conference(net, c) for c in cs]
+        assert analyze_conflicts(routes).max_multiplicity == max_multiplicity_bound(1)
+
     def test_set_is_valid_and_pairwise_disjoint(self):
         cs = cube_adversarial_set(32)  # ConferenceSet validates on build
         assert all(c.size == 2 for c in cs)

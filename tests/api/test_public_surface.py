@@ -102,7 +102,6 @@ class TestCheckTool:
 
 class TestResultContract:
     def test_conformers(self):
-        from repro.core.healing import SubmitOutcome
         from repro.core.network import ConferenceNetwork
         from repro.serve.bench import run_serve_bench
         from repro.serve.protocol import ServiceResponse
@@ -111,9 +110,8 @@ class TestResultContract:
         realization = net.realize([[0, 1, 2]])
         conformers = [
             realization,
-            SubmitOutcome("admitted", 0),
-            SubmitOutcome("lost", 1, reason="ports"),
             ServiceResponse(ok=True, status="admitted", kind="open", request_id=0),
+            ServiceResponse(ok=False, status="rejected", kind="open", request_id=1, reason="ports"),
             run_serve_bench(16, conferences=5, seed=0),
         ]
         for value in conformers:
@@ -124,11 +122,13 @@ class TestResultContract:
                 assert value.reason is None
 
     def test_shared_serializer_stamps_the_envelope(self):
-        from repro.core.healing import SubmitOutcome
         from repro.report.serialize import result_to_dict
+        from repro.serve.protocol import ServiceResponse
 
-        payload = result_to_dict(SubmitOutcome("lost", 3, reason="capacity"))
-        assert payload["kind"] == "submit_outcome"
+        payload = result_to_dict(
+            ServiceResponse(ok=False, status="rejected", kind="open", request_id=3, reason="capacity")
+        )
+        assert payload["kind"] == "service_response"
         assert payload["ok"] is False
         assert payload["reason"] == "capacity"
         assert payload["schema"] == 1
@@ -308,8 +308,8 @@ class TestRemovedIn20:
         assert params == ["self", "routes", "faults", "ranked"]
 
     def test_versions(self):
-        assert api.API_VERSION == "5.1"
-        assert repro.__version__ == "5.1.0"
+        assert api.API_VERSION == "6.0"
+        assert repro.__version__ == "6.0.0"
 
 
 class TestRemovedIn50:
@@ -344,6 +344,66 @@ class TestRemovedIn50:
             getattr(repro, name)
         assert not hasattr(repro.core, name)
         assert not hasattr(repro.core.churn, name)
+
+
+class TestRemovedIn60:
+    """The tallies, verdicts and merge paths the 6.0 API dropped fail loudly."""
+
+    @pytest.mark.parametrize("name", ["PlanStats", "SubmitOutcome"])
+    def test_name_gone(self, name):
+        import repro.core.healing
+        import repro.protect.plans
+
+        with pytest.raises(ImportError):
+            exec(f"from repro import {name}", {})
+        assert not hasattr(repro.protect.plans, name)
+        assert not hasattr(repro.core.healing, name)
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (api.SLOEvaluator, "merge"),
+            (api.SLOEvaluator, "snapshot"),
+            (api.SLOSpec, "as_dict"),
+            (api.DeliveryModel, "merge_summary"),
+            (api.DeliveryModel, "merge_histogram"),
+        ],
+    )
+    def test_removed_attribute_is_gone(self, owner, name):
+        assert not hasattr(owner, name)
+
+    def test_merge_snapshots_is_gone(self):
+        import repro.obs.slo
+
+        assert not hasattr(repro.obs.slo, "merge_snapshots")
+
+    def test_plan_store_keeps_no_stats(self):
+        store = api.BackupPlanStore(api.build("extra-stage-cube", 8))
+        assert not hasattr(store, "stats")
+        assert store.invalidate_links([(1, 0)]) is None
+
+    @pytest.mark.parametrize("keyword", ["process", "horizon", "seed"])
+    def test_fault_injector_takes_only_a_script(self, keyword):
+        net = api.build("indirect-binary-cube", 8)
+        with pytest.raises(TypeError, match=keyword):
+            api.FaultInjector(net, **{keyword: None})
+
+    @pytest.mark.parametrize("keyword", ["script", "protection"])
+    def test_run_availability_keyword_gone(self, keyword):
+        from repro.sim.scenarios import run_availability
+
+        with pytest.raises(TypeError, match=keyword):
+            run_availability("indirect-binary-cube", 8, duration=10.0, **{keyword: None})
+
+    def test_submit_returns_nothing(self):
+        healing = api.SelfHealingController(api.ConferenceNetwork.build("omega", 8), rng=0)
+        assert healing.submit(api.EventLoop(), api.Conference.of([0, 1], 0)) is None
+        assert healing.live_conferences == (0,)
+
+    def test_batcher_execute_returns_the_report(self):
+        from repro.serve.batcher import BatchReport, Batcher
+
+        assert isinstance(Batcher().execute([], lambda request, seq: None, 0.0), BatchReport)
 
 
 class TestDeprecations:

@@ -297,16 +297,19 @@ class TestRetries:
         retry = RetryPolicy(max_retries=10, base_delay=1.0, backoff=1.0, jitter=0.0)
         healing = controller(retry=retry)
         healing.try_join(Conference.of([0, 1], 0))
-        admitted = []
+        admitted, lost = [], []
         loop = EventLoop()
         loop.schedule(2.5, lambda lp: healing.leave(0, now=lp.now))
-        result = healing.submit(
+        healing.submit(
             loop,
             Conference.of([1, 2], 1),
             on_admitted=lambda lp, route: admitted.append(lp.now),
+            on_lost=lambda lp, conf, cause: lost.append(cause),
         )
-        assert not result and result.pending  # ports clash right now, retrying
-        assert result.reason == "ports"
+        # Ports clash right now: neither verdict yet, a retry is queued.
+        assert admitted == [] and lost == []
+        assert healing.live_conferences == (0,)
+        assert healing.stats.retries_scheduled == 1
         loop.run(until=20.0)
         assert admitted == [3.0]
         assert healing.live_conferences == (1,)
@@ -317,20 +320,24 @@ class TestRetries:
         healing.try_join(Conference.of([0, 1], 0))
         lost = []
         loop = EventLoop()
-        outcome = healing.submit(
+        healing.submit(
             loop,
             Conference.of([1, 2], 1),
             on_lost=lambda lp, conf, cause: lost.append(cause),
         )
         assert lost == ["ports"]
-        assert (outcome.ok, outcome.status, outcome.reason) == (False, "lost", "ports")
+        assert healing.live_conferences == (0,)
+        assert healing.stats.retries_scheduled == 0
 
     def test_submit_admits_immediately_when_clear(self):
         healing = controller()
         loop = EventLoop()
-        outcome = healing.submit(loop, Conference.of([0, 1], 0))
-        assert outcome.ok and outcome.route is not None
-        assert outcome.as_dict()["ok"] is True
+        routes = []
+        healing.submit(
+            loop, Conference.of([0, 1], 0), on_admitted=lambda lp, route: routes.append(route)
+        )
+        assert [route.conference.conference_id for route in routes] == [0]
+        assert healing.route_of(0) == routes[0]
         assert healing.live_conferences == (0,)
 
 

@@ -1,4 +1,4 @@
-"""The SLO engine: histograms, burn rates, alert states, merge determinism."""
+"""The SLO engine: histograms, burn rates, alert states."""
 
 import json
 import math
@@ -16,7 +16,6 @@ from repro.obs.slo import (
     WindowedHistogram,
     default_serve_slos,
     log_bucket_edges,
-    merge_snapshots,
 )
 
 pytestmark = [pytest.mark.tier1, pytest.mark.parallel]
@@ -294,50 +293,3 @@ class TestSLOEvaluator:
         assert doc["t"] is None
         assert slo.last is None
 
-
-class TestMergeDeterminism:
-    """Satellite: shuffled merge order must render byte-identically."""
-
-    @staticmethod
-    def _worker(seed):
-        slo = SLOEvaluator(frame=5.0)
-        rng = random.Random(seed)
-        for t in range(60):
-            now = float(t)
-            slo.record(
-                "availability",
-                good=rng.randrange(50, 150),
-                bad=rng.randrange(0, 3),
-                now=now,
-            )
-            slo.observe("admission_latency", rng.uniform(0.5, 30.0), now=now)
-            slo.observe("recovery", rng.uniform(0.25, 8.0), now=now)
-            slo.record("shed_rate", good=rng.randrange(10, 90), now=now)
-        return slo.snapshot()
-
-    def test_shuffled_merge_orders_render_identically(self):
-        snapshots = [self._worker(seed) for seed in range(6)]
-        renders = set()
-        for order_seed in range(8):
-            order = list(range(len(snapshots)))
-            random.Random(order_seed).shuffle(order)
-            merged = merge_snapshots(
-                SLOEvaluator(frame=5.0), [snapshots[i] for i in order]
-            )
-            merged.evaluate(59.0)
-            renders.add(merged.to_json(indent=2))
-        assert len(renders) == 1
-
-    def test_merge_rejects_mismatched_shapes(self):
-        snap = self._worker(0)
-        with pytest.raises(ValueError):
-            SLOEvaluator(frame=7.0).merge(snap)
-        with pytest.raises(ValueError):
-            SLOEvaluator([_ratio_spec()], frame=5.0).merge(snap)
-
-    def test_merged_counts_equal_summed_workers(self):
-        snapshots = [self._worker(seed) for seed in range(3)]
-        merged = merge_snapshots(SLOEvaluator(frame=5.0), snapshots)
-        status = merged.evaluate(59.0)["slos"]["admission_latency"]
-        # 60 observations per worker, all within the longest window.
-        assert status["observations"] == 180

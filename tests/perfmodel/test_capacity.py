@@ -89,8 +89,7 @@ class TestDeliveryModel:
         b.on_tick(routes)
         merged = DeliveryModel()
         for shard in (a, b):
-            merged.merge_summary(shard.summary())
-            merged.merge_histogram(shard)
+            merged.merge(shard)
         assert merged.ticks == 3
         assert merged.offered_packets == a.offered_packets + b.offered_packets
         assert merged.delivered_packets == a.delivered_packets + b.delivered_packets

@@ -1,4 +1,4 @@
-"""Unit tests for the backup-plan store (lifecycle, stats, footprint)."""
+"""Unit tests for the backup-plan store (lifecycle, lookups, footprint)."""
 
 import random
 
@@ -8,7 +8,7 @@ from repro.core.conference import Conference
 from repro.core.healing import SelfHealingController
 from repro.core.network import ConferenceNetwork
 from repro.core.routing import RoutingPolicy, UnroutableError, route_conference
-from repro.protect.plans import BackupPlanStore, PlanStats
+from repro.protect.plans import BackupPlanStore
 from repro.sim.engine import EventLoop
 from repro.topology.builders import build
 
@@ -26,30 +26,6 @@ def store(topology="extra-stage-cube", protection=2, tracer=None):
         return route_conference(net, conference, policy, faults=faults)
 
     return s, router
-
-
-class TestPlanStats:
-    def test_lookup_classification_and_hit_rate(self):
-        stats = PlanStats(hits=3, misses=1, stale=1)
-        assert stats.lookups == 5
-        assert stats.hit_rate == 0.6
-
-    def test_unused_store_has_zero_hit_rate(self):
-        assert PlanStats().hit_rate == 0.0
-
-    def test_merge_and_merged(self):
-        a = PlanStats(computed=2, unroutable=1, hits=1)
-        b = PlanStats(computed=3, misses=2, invalidated=4)
-        both = a.merge(b)
-        assert (both.computed, both.unroutable, both.hits) == (5, 1, 1)
-        assert (both.misses, both.invalidated) == (2, 4)
-        total = PlanStats.merged([a, b, PlanStats(stale=7)])
-        assert total.stale == 7 and total.computed == 5
-
-    def test_as_dict_includes_derived_fields(self):
-        payload = PlanStats(hits=1, misses=1).as_dict()
-        assert payload["lookups"] == 2
-        assert payload["hit_rate"] == 0.5
 
 
 class TestStoreLifecycle:
@@ -72,7 +48,7 @@ class TestStoreLifecycle:
         stored = s.protect([route], frozenset())
         assert stored == min(2, len(route.links))
         assert s.protected_points(1) <= route.links
-        assert s.stats.computed == stored
+        assert len(s) == stored
 
     def test_budget_larger_than_route_plans_every_link(self):
         s, router = store(protection=10_000)
@@ -133,7 +109,7 @@ class TestStoreLifecycle:
         extra = (route.n_stages, N_PORTS - 1)
         status, payload = s.lookup(conf, point, frozenset({point, extra}))
         assert status == "stale" and payload is None
-        assert s.stats.stale == 1
+        assert point in s.protected_points(6)  # a stale plan is kept
 
     def test_membership_churn_reports_stale(self):
         s, router = store(protection=64)
@@ -174,7 +150,6 @@ class TestStoreLifecycle:
         assert n > 0
         assert s.invalidate(11) == n
         assert len(s) == 0 and s.plans_of(11) == {}
-        assert s.stats.invalidated == n
         assert s.invalidate(11) == 0  # unknown id is a no-op
 
     def test_footprint_grows_with_protection(self):
@@ -280,9 +255,9 @@ class TestControllerIntegration:
 
 def scan_invalidate(plans, links):
     """The pre-index ``invalidate_links``: scan every conference's plans
-    in insertion order.  ``plans`` is ``{cid: {point: plan}}``, mutated."""
+    in insertion order.  ``plans`` is ``{cid: {point: plan}}``, mutated;
+    returns the number of plans removed."""
     touched = frozenset(links)
-    affected = []
     removed = 0
     for cid in list(plans):
         doomed = [
@@ -300,15 +275,14 @@ def scan_invalidate(plans, links):
         for point in doomed:
             del plans[cid][point]
         removed += len(doomed)
-        affected.append(cid)
         if not plans[cid]:
             del plans[cid]
-    return affected, removed
+    return removed
 
 
 class TestInvalidateLinks:
-    """The point index against the full scan it replaced: same affected
-    ids in the same order, same ``invalidated`` count, same survivors."""
+    """The point index against the full scan it replaced: same number
+    of plans removed, same survivors."""
 
     @pytest.mark.parametrize("topology", ("extra-stage-cube", "indirect-binary-cube"))
     def test_index_matches_full_scan(self, topology):
@@ -335,10 +309,10 @@ class TestInvalidateLinks:
                 assert s.invalidate(cid) == len(model.pop(cid, {}))
             else:
                 links = rng.sample(points, rng.randint(1, 6))
-                before = s.stats.invalidated
-                expected, removed = scan_invalidate(model, links)
-                assert s.invalidate_links(links) == expected
-                assert s.stats.invalidated - before == removed
+                before = len(s)
+                removed = scan_invalidate(model, links)
+                assert s.invalidate_links(links) is None
+                assert before - len(s) == removed
             assert len(s) == sum(len(plans) for plans in model.values())
             for cid in range(8):
                 assert s.plans_of(cid) == model.get(cid, {})

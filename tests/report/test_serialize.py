@@ -123,9 +123,11 @@ class TestResultToDict:
             result_to_dict(_FakeResult({"row": [1, object()]}))
 
     def test_real_verdicts_pass_through(self):
-        from repro.core.healing import SubmitOutcome
+        from repro.serve.protocol import ServiceResponse
 
-        data = result_to_dict(SubmitOutcome("lost", 3, reason="capacity"))
+        data = result_to_dict(
+            ServiceResponse(ok=False, status="rejected", kind="open", request_id=3, reason="capacity")
+        )
         json.dumps(data)
         assert data["ok"] is False and data["schema"] == SCHEMA_VERSION
 

@@ -33,18 +33,24 @@ class TestBatcher:
     def test_execute_aggregates_outcomes_and_latencies(self):
         b = Batcher(max_batch=8)
         batch = [open_req(rid) for rid in range(3)]
-        report, responses = b.execute(batch, admit_all, now=5.0)
+        responses = []
+
+        def handler(request, seq):
+            responses.append(admit_all(request, seq))
+            return responses[-1]
+
+        report = b.execute(batch, handler, now=5.0)
         assert report.seq == 0 and report.size == 3
         assert report.outcomes["admitted"] == 3
         assert report.admitted == 3
-        assert len(responses) == 3
+        assert [r.request_id for r in responses] == [0, 1, 2]
         assert all(r.batch_seq == 0 for r in responses)
         assert report.as_dict()["mean_latency"] == 1.0
 
     def test_sequence_numbers_advance(self):
         b = Batcher(max_batch=8)
         b.execute([], admit_all, now=0.0)
-        report, _ = b.execute([open_req(0)], admit_all, now=1.0)
+        report = b.execute([open_req(0)], admit_all, now=1.0)
         assert report.seq == 1
         assert b.batches_run == 2
 

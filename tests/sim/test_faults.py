@@ -92,14 +92,6 @@ class TestInjectorValidation:
         with pytest.raises(ValueError, match="already alive"):
             FaultInjector(NET, script=script_of((1.0, (1, 0), False)))
 
-    def test_needs_horizon_for_stochastic(self):
-        with pytest.raises(ValueError, match="horizon"):
-            FaultInjector(NET, process=FaultProcessConfig())
-
-    def test_script_and_process_exclusive(self):
-        with pytest.raises(ValueError):
-            FaultInjector(NET, script=[], process=FaultProcessConfig())
-
     def test_double_start_rejected(self):
         injector = FaultInjector(NET, script=[])
         injector.start(EventLoop())

@@ -248,12 +248,56 @@ class TestInputValidation:
         ["cost", "--ports", "16,12"],
         ["bench-cluster", "--ports", "6"],
         ["serve", "--ports", "sixteen"],
+        ["sweep", "--chunk-size", "0"],
+        ["sweep", "--workers", "0"],
+        ["sweep", "--experiment", "worstcase", "--pool-size", "0"],
+        ["blocking", "--dilations", "0"],
+        ["blocking", "--dilations", "1,2,0"],
+        ["trace", "--capacity", "0"],
     ], ids=" ".join)
     def test_out_of_range_integer_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         assert argv[-2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["blocking", "--duration", "0"],
+        ["availability", "--duration", "0"],
+        ["trace", "--duration", "-5"],
+        ["availability", "--mttf", "0"],
+        ["availability", "--mttr", "inf"],
+        ["trace", "--mttf", "nan"],
+        ["bench-serve", "--arrival-rate", "0"],
+        ["bench-serve", "--mean-hold", "0"],
+        ["bench-serve", "--faults", "--mttr", "0"],
+        ["bench-cluster", "--faults", "--mttf", "-1"],
+        ["bench-serve", "--resize-prob", "2"],
+        ["bench-cluster", "--resize-prob", "-0.1"],
+        ["sweep", "--loads", "1.5"],
+        ["sweep", "--loads", "0.25,x"],
+    ], ids=" ".join)
+    def test_out_of_range_number_is_a_usage_error(self, capsys, argv):
+        flag = next(word for word in reversed(argv) if word.startswith("--"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_number_bounds(self):
+        args = build_parser().parse_args([
+            "bench-serve", "--arrival-rate", "0.5", "--mean-hold", "1e-3",
+            "--resize-prob", "0", "--mttf", "7", "--mttr", "0.25",
+        ])
+        assert (args.arrival_rate, args.mean_hold, args.resize_prob) == (0.5, 1e-3, 0.0)
+        assert (args.mttf, args.mttr) == (7.0, 0.25)
+        assert build_parser().parse_args(["bench-serve", "--resize-prob", "1"]).resize_prob == 1.0
+        assert build_parser().parse_args(["sweep", "--loads", "0,1"]).loads == [0.0, 1.0]
+        assert build_parser().parse_args(["blocking", "--dilations", "1,8"]).dilations == [1, 8]
+
+    def test_worstcase_on_a_one_stage_cube(self, capsys):
+        assert main(["worstcase", "--ports", "2"]) == 0
+        assert "cube adversarial witness (level 1): [[0, 1]]" in capsys.readouterr().out
 
     def test_integer_bounds_are_inclusive(self):
         args = build_parser().parse_args([
