@@ -130,6 +130,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _float_at_least(low: float):
+    """An argparse type for a finite number >= ``low``; anything else is a usage error."""
+
+    def parse(text: str) -> float:
+        value = _float(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite number >= {low:g}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _int_at_least(low: int):
     """An argparse type for an integer >= ``low``; anything else is a usage error."""
 
@@ -215,7 +227,10 @@ def _add_workload_flags(
         "--arrival-rate", type=_positive_float, default=4.0, help="mean conference opens per tick"
     )
     if mean_size:
-        cmd.add_argument("--mean-size", type=float, default=4.0, help="mean conference size (ports)")
+        cmd.add_argument(
+            "--mean-size", type=_float_at_least(2), default=4.0,
+            help="mean conference size (ports)",
+        )
     cmd.add_argument(
         "--mean-hold", type=_positive_float, default=20.0, help="mean session lifetime (ticks)"
     )

@@ -12,9 +12,12 @@ it owns exactly the cross-fabric concerns:
   session ids; the :class:`~repro.cluster.directory.SessionDirectory`
   maps them to whichever shard-local session currently realizes them.
 * **Lockstep time** — :meth:`tick` starts this tick's migration
-  allowance, then ticks every live shard in sorted id order, so all
-  shard clocks advance together and a seeded workload makes identical
-  admission decisions regardless of how sessions map onto shards.
+  allowance, routes every live shard's queued opens and first resizes
+  together (one kernel call per group of equally wired shards, parked
+  in each shard's primed store), then ticks every live shard in sorted
+  id order, so all shard clocks advance together and a seeded workload
+  makes identical admission decisions regardless of how sessions map
+  onto shards.
 * **Elastic rebalancing** — :meth:`scale_up` / :meth:`scale_down` /
   :meth:`rebalance` move only the placement-delta sessions (the HRW
   minimal-disruption bound), make-before-break, throttled by the
@@ -44,6 +47,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.cluster.directory import DirectoryEntry, EntryState, SessionDirectory
 from repro.cluster.placement import place_shard, rank_shards
 from repro.cluster.rebalance import MigrationQueue, Move, RebalancePlan, plan_rebalance
+from repro.core.batch import _route_batch
 from repro.perfmodel.capacity import DeliveryModel
 from repro.serve.protocol import Priority, RequestKind, ServiceResponse
 from repro.serve.service import TICK, FabricService, _SLOFeed
@@ -52,8 +56,10 @@ from repro.util.rng import ensure_rng
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
 
+    from repro.core.batch import BatchRouteOutcome
     from repro.core.churn import ChurnPolicy
-    from repro.core.healing import RetryPolicy
+    from repro.core.conference import Conference
+    from repro.core.healing import RetryPolicy, SelfHealingController
     from repro.core.network import ConferenceNetwork
     from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
@@ -226,6 +232,9 @@ class ClusterService:
         self._moving: dict[int, tuple[Move, str]] = {}
         # Open ``cluster.open`` trace spans awaiting their verdict.
         self._open_trace: dict[int, int] = {}
+        # Shard id -> routing identity, computed on the shard's first
+        # cross-shard prime (never at construction: see ``_wiring``).
+        self._wirings: dict[str, tuple] = {}
         for _ in range(shards):
             self.add_shard()
 
@@ -972,15 +981,21 @@ class ClusterService:
         """Advance one cluster interval across every live shard.
 
         Order: this tick's migration allowance starts first (targets
-        admit the moves in the same tick), then every live shard ticks
-        in sorted id order — lockstep virtual time — and finally any
-        drained-empty shard is retired.  Returns the per-shard batch
-        reports.
+        admit the moves in the same tick), then the cross-shard prime
+        routes every live shard's queued opens and first resizes in one
+        kernel call per wiring group (:meth:`_prime_shards`), then every
+        live shard ticks in sorted id order — lockstep virtual time —
+        and finally any drained-empty shard is retired.  A shard's own
+        prime keeps the routes parked for it and routes only its misses:
+        requests that arrive after the cross-shard prime, and any
+        conference whose shard fault set changed in between.  Returns
+        the per-shard batch reports.
         """
         if self._state == "closed":
             raise RuntimeError("cannot tick a closed cluster")
         for move in self._queue.start_batch():
             self._start_move(move)
+        self._prime_shards()
         reports: "dict[str, BatchReport]" = {}
         for shard_id in sorted(self._shards):
             shard = self._shards[shard_id]
@@ -998,6 +1013,77 @@ class ClusterService:
         if self._slo is not None:
             self._slo_tick()
         return reports
+
+    def _prime_shards(self) -> None:
+        """Route the live shards' next primes together, one kernel call per
+        group of shards that route alike.
+
+        Each live shard's prime list is read off a peek of its queue.
+        Shards with equal wiring and policy (:meth:`_wiring`) form a
+        group; a group with two or more busy shards routes all their
+        conferences in one ``_route_batch`` call, each conference under
+        its own shard's fault set as the kernel's per-conference overlay
+        (a shard with faults also gets its fault-free reference routes).
+        Each outcome is parked in its shard's primed store under
+        ``(conference, fault set)``.  Routing is a pure function of
+        wiring, policy, conference and fault set, so a parked outcome is
+        exactly the route the shard would compute.
+        """
+        groups: "dict[tuple, list[tuple[SelfHealingController, list[Conference]]]]" = {}
+        for shard_id in sorted(self._shards):
+            shard = self._shards[shard_id]
+            if shard.state in LIVE_SHARD_STATES:
+                conferences = shard.service._next_prime()
+                if conferences:
+                    groups.setdefault(self._wiring(shard), []).append(
+                        (shard.service.healing, conferences)
+                    )
+        for busy in groups.values():
+            if len(busy) < 2:
+                continue  # a lone busy shard primes itself
+            rows: "list[tuple[SelfHealingController, frozenset, Conference]]" = []
+            for healing, conferences in busy:
+                faults = healing.current_faults
+                for fs in (faults, frozenset()) if faults else (faults,):
+                    rows += [(healing, fs, conf) for conf in conferences]
+            # A faulted shard's fault-free rows share no dead point with
+            # anything, so the shared set is empty and every fault rides
+            # in its own row's overlay.
+            overlay = [fs for _, fs, _ in rows] if any(fs for _, fs, _ in rows) else None
+            network = busy[0][0].network
+            outcomes = _route_batch(
+                network.topology, [conf for _, _, conf in rows], network.policy,
+                frozenset(), overlay,
+            )
+            parked: "dict[SelfHealingController, dict[tuple, BatchRouteOutcome]]" = {
+                healing: {} for healing, _ in busy
+            }
+            for (healing, fs, conf), outcome in zip(rows, outcomes):
+                parked[healing][conf, fs] = outcome
+            for healing, entries in parked.items():
+                healing.park(entries)
+
+    def _wiring(self, shard: ShardInfo) -> tuple:
+        """What a shard's routes depend on: its network's ports, radix and
+        stage tables, and its routing policy.
+
+        The factory may build different networks, so shards are merged
+        only on equal keys.  A key is computed on the shard's first
+        cross-shard prime and cached; building it at construction would
+        add the table work to every service's set-up.
+        """
+        key = self._wirings.get(shard.shard_id)
+        if key is None:
+            network = shard.service.healing.network
+            topology = network.topology
+            key = self._wirings[shard.shard_id] = (
+                topology.n_ports,
+                topology.radix,
+                topology.successor_table.tobytes(),
+                topology.predecessor_table.tobytes(),
+                network.policy,
+            )
+        return key
 
     def _shard_quiescent(self, shard: ShardInfo) -> bool:
         if self._directory.on_shard(shard.shard_id):

@@ -273,9 +273,10 @@ class AdmissionController:
     def _busiest_links(self, route: Route, k: int) -> list[Point]:
         """Up to ``k`` of ``route``'s links, most-loaded first, ties in point
         order: one gather over the ledger for the route's cells (a cell's
-        order is its point's order)."""
+        order is its point's order).  One sort on the key
+        ``cell - load * size``, unique per cell, gives that order."""
         cells = route.cells
-        top = cells[np.lexsort((cells, -self._load[cells]))[:k]]
+        top = cells[np.argsort(cells - self._load[cells] * self._load.size)[:k]]
         return [divmod(cell, self._n_rows) for cell in top.tolist()]
 
     def _minus(self, cells: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -132,7 +132,6 @@ class BatchRouteOutcome:
         raise type(self.error)(*self.error.args)
 
 
-@timed("repro_route_batch")
 def route_batch(
     net: MultistageNetwork,
     conferences: "Sequence[Conference] | Iterable[Conference]",
@@ -157,6 +156,7 @@ def route_batch(
     )
 
 
+@timed("repro_route_batch")
 def _route_batch(
     net: MultistageNetwork,
     confs: "list[Conference]",

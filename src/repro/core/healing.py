@@ -306,7 +306,9 @@ class SelfHealingController:
         byte-identical to the per-object path — only the work moves.  With
         ``include_healthy``, the fault-free reference routes that
         :meth:`try_join` also needs under a live fault set are primed
-        too.
+        too.  An entry already parked under the same key (see
+        :meth:`park`) is kept and only the misses are routed; every
+        entry not asked for is dropped, so the store stays single-shot.
         """
         confs = [
             c if isinstance(c, Conference) else Conference.of(c) for c in conferences
@@ -316,10 +318,30 @@ class SelfHealingController:
         fault_sets = [frozenset(self._faults) if faults is None else frozenset(faults)]
         if include_healthy and fault_sets[0]:
             fault_sets.append(frozenset())
-        self._primed.clear()  # entries are single-shot; drop leftovers
+        parked, self._primed = self._primed, {}
         for fs in fault_sets:
-            for outcome in route_batch(self._network.topology, confs, self._network.policy, fs):
-                self._primed[outcome.conference, fs] = outcome
+            misses = []
+            for conf in confs:
+                hit = parked.get((conf, fs))
+                if hit is None:
+                    misses.append(conf)
+                else:
+                    self._primed[conf, fs] = hit
+            if misses:
+                for outcome in route_batch(
+                    self._network.topology, misses, self._network.policy, fs
+                ):
+                    self._primed[outcome.conference, fs] = outcome
+
+    def park(self, entries: "dict[tuple, BatchRouteOutcome]") -> None:
+        """Replace the primed store with outcomes routed elsewhere.
+
+        Each key is ``(conference, fault set)`` and its outcome must be
+        that conference's route on this network under that fault set;
+        :meth:`prime_batch` keeps the entries it asks for.  A fault that
+        fires meanwhile changes the fault set, so its entries miss.
+        """
+        self._primed = entries
 
     def link_load(self, link: Point) -> int:
         """Current channel load on one inter-stage link."""

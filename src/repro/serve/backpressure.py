@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 
 from repro.serve.protocol import Priority, RequestKind, SessionRequest
 
@@ -167,6 +168,13 @@ class AdmissionQueue:
             while lane and len(batch) < limit:
                 batch.append(lane.popleft())
         return batch
+
+    def peek(self, limit: int) -> list[SessionRequest]:
+        """What :meth:`take` would pop for ``limit``, in the same order,
+        leaving the queue untouched."""
+        if limit < 1:
+            return []
+        return list(islice(chain(self._control, *self._lanes.values()), limit))
 
     def drain_all(self) -> list[SessionRequest]:
         """Empty the queue completely (used at shutdown)."""

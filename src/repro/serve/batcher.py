@@ -12,6 +12,16 @@ back to back and answered together.  One
 pass per tick amortizes the fixed cost across the whole batch and keeps
 admission decisions deterministic — batch composition depends only on
 what was queued when the tick fired, never on wall-clock races.
+
+Under a :class:`~repro.cluster.controller.ClusterService` the routing
+moves one level up: before any shard ticks, the cluster peeks every
+live shard's queue (:meth:`~repro.serve.backpressure.AdmissionQueue.peek`
+returns exactly what the batch's ``take`` will), routes all of their
+opens and first resizes in one kernel call per group of equally wired
+shards, and parks each outcome in its shard's primed store under
+``(conference, fault set)``.  The shard's own prime then keeps those
+hits and routes only its misses — requests queued after the peek, and
+conferences whose shard's fault set changed in between.
 """
 
 from __future__ import annotations

@@ -557,11 +557,25 @@ class FabricService:
         The per-request admission walk in ``_handle`` then consumes the
         precomputed routes instead of routing one conference at a time;
         decisions are unchanged (the kernel is byte-identical to the
-        sequential path) — only the routing work is batched.  A session's
-        first join/leave of the batch is primed with the member set
-        ``_handle_resize`` will ask for; a later one starts from a route
-        the first may change, so it routes on its own.
+        sequential path) — only the routing work is batched.  Routes a
+        :class:`~repro.cluster.controller.ClusterService` already parked
+        for this shard are kept, and only the misses are routed here.
         """
+        conferences = self._prime_list(batch)
+        if conferences:
+            self._healing.prime_batch(conferences, include_healthy=True)
+
+    def _next_prime(self) -> "list[Conference]":
+        """What :meth:`_prime_batch` would route if this tick's batch were
+        drawn now, read off a peek of the queue (nothing is taken)."""
+        return self._prime_list(self._queue.peek(self._batcher.max_batch))
+
+    def _prime_list(self, batch: "list[SessionRequest]") -> "list[Conference]":
+        """The conferences ``batch``'s admission pass routes first: every
+        open whose session is still live, then each session's first
+        join/leave, primed with the member set ``_handle_resize`` will ask
+        for (a later one starts from a route the first may change, so it
+        routes on its own)."""
         conferences = []
         for request in self._batcher.open_requests(batch):
             session = self._sessions.get(self._pending[request.request_id].session)
@@ -583,8 +597,7 @@ class FabricService:
                 conferences.append(
                     Conference.of(wanted, conference_id=session.conference_id)
                 )
-        if conferences:
-            self._healing.prime_batch(conferences, include_healthy=True)
+        return conferences
 
     def _handle(self, request: SessionRequest, batch_seq: int) -> ServiceResponse:
         handler = {

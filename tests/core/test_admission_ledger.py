@@ -139,3 +139,26 @@ class TestBusiestLinks:
             want = sorted(route.links, key=lambda p: (-ctl.link_load(p), p))
             for k in (1, 2, 3, len(want), len(want) + 1):
                 assert ctl._busiest_links(route, k) == want[:k]
+
+    @pytest.mark.parametrize("topology", ("omega", "extra-stage-cube", "benes-cube"))
+    @pytest.mark.parametrize("fill", ("empty", "flat", "two-level", "sparse-peaks"))
+    def test_top_one_among_ties_is_the_smallest_point(self, topology, fill):
+        """``k = 1`` skips the sort: the smallest cell at the maximum load,
+        on ledgers where most or all of a route's links tie."""
+        rng = ensure_rng(11)
+        network = ConferenceNetwork.build(topology, 32)
+        ctl = AdmissionController(network)
+        n_links = len(ctl._load) - 32
+        for cid in range(16):
+            if fill == "flat":
+                ctl._load[32:] = 3
+            elif fill == "two-level":
+                ctl._load[32:] = rng.integers(0, 2, size=n_links)
+            elif fill == "sparse-peaks":
+                ctl._load[32:] = 1
+                ctl._load[32 + rng.choice(n_links, size=4, replace=False)] = 2
+            k = int(rng.integers(2, 17))
+            members = [int(m) for m in rng.choice(32, size=k, replace=False)]
+            route = network.route(Conference.of(members, cid))
+            want = min(route.links, key=lambda p: (-ctl.link_load(p), p))
+            assert ctl._busiest_links(route, 1) == [want]

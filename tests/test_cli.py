@@ -276,6 +276,9 @@ class TestInputValidation:
         ["bench-cluster", "--resize-prob", "-0.1"],
         ["sweep", "--loads", "1.5"],
         ["sweep", "--loads", "0.25,x"],
+        ["bench-serve", "--mean-size", "1.99"],
+        ["bench-cluster", "--mean-size", "-3"],
+        ["bench-serve", "--mean-size", "inf"],
     ], ids=" ".join)
     def test_out_of_range_number_is_a_usage_error(self, capsys, argv):
         flag = next(word for word in reversed(argv) if word.startswith("--"))
@@ -292,6 +295,7 @@ class TestInputValidation:
         assert (args.arrival_rate, args.mean_hold, args.resize_prob) == (0.5, 1e-3, 0.0)
         assert (args.mttf, args.mttr) == (7.0, 0.25)
         assert build_parser().parse_args(["bench-serve", "--resize-prob", "1"]).resize_prob == 1.0
+        assert build_parser().parse_args(["bench-cluster", "--mean-size", "2"]).mean_size == 2.0
         assert build_parser().parse_args(["sweep", "--loads", "0,1"]).loads == [0.0, 1.0]
         assert build_parser().parse_args(["blocking", "--dilations", "1,8"]).dilations == [1, 8]
 
