@@ -66,11 +66,6 @@ class LinkLoadModel:
     mean_route_links: float
     samples: int
 
-    @property
-    def hottest_link_usage(self) -> float:
-        """Usage probability of the most popular link."""
-        return max(self.usage.values(), default=0.0)
-
 
 def estimate_link_model(
     net: MultistageNetwork,

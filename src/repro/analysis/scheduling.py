@@ -9,8 +9,8 @@ multiplicity is exactly the largest hyperedge clique and hence a lower
 bound on the slot count, but colouring can need more because conflict
 relations overlap imperfectly.
 
-This module builds conflict graphs, colours them (greedy largest-first
-and DSATUR via networkx), and reports the slots/dilation gap that the
+This module builds conflict graphs, colours them (DSATUR via
+networkx), and reports the slots/dilation gap that the
 scheduling ablation bench measures.
 """
 
@@ -61,40 +61,25 @@ class ScheduleResult:
     slots: dict[int, int]
     n_slots: int
     clique_bound: int
-    strategy: str
 
     @property
     def optimal(self) -> bool:
         """True when the schedule meets the link-multiplicity bound."""
         return self.n_slots == self.clique_bound
 
-    def conferences_in_slot(self, slot: int) -> tuple[int, ...]:
-        """Conference ids assigned to one slot."""
-        return tuple(sorted(c for c, s in self.slots.items() if s == slot))
 
+def schedule_slots(routes: Sequence[Route]) -> ScheduleResult:
+    """Colour the conflict graph into time slots with greedy DSATUR.
 
-def schedule_slots(routes: Sequence[Route], strategy: str = "DSATUR") -> ScheduleResult:
-    """Colour the conflict graph into time slots.
-
-    ``strategy`` is any networkx ``greedy_color`` strategy name
-    (``DSATUR`` and ``largest_first`` are the useful ones here).
     Verifies the produced schedule: no two same-slot conferences share a
-    link.
+    link.  An empty route set (the TDM mode between sessions) gets an
+    empty schedule.
     """
     routes = list(routes)
-    # Validate the strategy before the empty-input early return: an
-    # unknown strategy is a caller bug whether or not there is anything
-    # to colour, and the TDM mode builds schedules from live route sets
-    # that are legitimately empty between sessions.
-    name_map = {"DSATUR": "DSATUR", "largest_first": "largest_first"}
-    try:
-        nx_strategy = name_map[strategy]
-    except KeyError:
-        raise ValueError(f"unknown strategy {strategy!r}; known: {sorted(name_map)}") from None
     graph = conflict_graph(routes)
     if len(routes) == 0:
-        return ScheduleResult(slots={}, n_slots=0, clique_bound=0, strategy=strategy)
-    colouring = nx.coloring.greedy_color(graph, strategy=nx_strategy)
+        return ScheduleResult(slots={}, n_slots=0, clique_bound=0)
+    colouring = nx.coloring.greedy_color(graph, strategy="DSATUR")
     n_slots = (max(colouring.values()) + 1) if colouring else 1
 
     by_id = {r.conference.conference_id: r for r in routes}
@@ -113,5 +98,4 @@ def schedule_slots(routes: Sequence[Route], strategy: str = "DSATUR") -> Schedul
         slots=dict(colouring),
         n_slots=n_slots,
         clique_bound=max(clique, 1),
-        strategy=strategy,
     )

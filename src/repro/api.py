@@ -91,16 +91,14 @@ from repro.topology.builders import PAPER_TOPOLOGIES, TOPOLOGY_BUILDERS, build
 from repro.topology.network import MultistageNetwork
 from repro.workloads.churn import (
     ChurnEvent,
-    diurnal_load,
     flash_crowd,
-    lurker_joins,
     replay_churn,
     zipf_sizes,
 )
 
 #: Version of the public surface (bumped on any additive change; the
 #: library version tracks releases, this tracks the API contract).
-API_VERSION = "6.0"
+API_VERSION = "7.0"
 
 
 @runtime_checkable
@@ -159,8 +157,6 @@ __all__ = [
     # churn workload timelines
     "ChurnEvent",
     "flash_crowd",
-    "diurnal_load",
-    "lurker_joins",
     "zipf_sizes",
     "replay_churn",
     # switching fabric

@@ -23,7 +23,6 @@ from repro.core.routing import (
     RoutingPolicy,
     TapPolicy,
     UnroutableError,
-    combine_at_level,
     delivered_members,
     route_conference,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "UnroutableError",
     "analyze_conflicts",
     "apply_churn",
-    "combine_at_level",
     "delivered_members",
     "extend_route",
     "prune_route",

@@ -232,11 +232,6 @@ class SelfHealingController:
         return self._stats
 
     @property
-    def retry_policy(self) -> "RetryPolicy | None":
-        """The retry policy, or ``None`` when blocked calls are lost."""
-        return self._retry
-
-    @property
     def protection(self) -> int:
         """The per-conference backup-plan budget F (0 = purely reactive)."""
         return self._plans.protection if self._plans is not None else 0
@@ -310,9 +305,7 @@ class SelfHealingController:
         :meth:`park`) is kept and only the misses are routed; every
         entry not asked for is dropped, so the store stays single-shot.
         """
-        confs = [
-            c if isinstance(c, Conference) else Conference.of(c) for c in conferences
-        ]
+        confs = list(conferences)
         if not confs:
             return
         fault_sets = [frozenset(self._faults) if faults is None else frozenset(faults)]

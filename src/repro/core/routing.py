@@ -166,13 +166,6 @@ class Route(_LinkAccounting):
             (t, r) for t, rows in enumerate(self.levels) for r in rows
         )
 
-    def stages_traversed(self, member: int) -> int:
-        """Switching stages member ``member``'s received signal crossed."""
-        try:
-            return self.taps[member]
-        except KeyError:
-            raise ValueError(f"port {member} is not a member of this route's conference") from None
-
     # -- fabric adapter (shared with GroupRoute) ------------------------
 
     @property
@@ -194,12 +187,6 @@ class Route(_LinkAccounting):
     def exclusive_ports(self) -> frozenset[int]:
         """Ports this connection claims exclusively."""
         return self.conference.member_set
-
-    def members_at(self, level: int, row: int) -> frozenset[int]:
-        """Member ports whose signal is mixed at ``(level, row)``."""
-        mask = self.mask_at(level, row)
-        mem = self.conference.members
-        return frozenset(mem[i] for i in range(len(mem)) if (mask >> i) & 1)
 
 
 def _unroutable(port: int, tap_policy: TapPolicy) -> UnroutableError:
@@ -332,10 +319,3 @@ def route_conference(
     from repro.core.batch import route_batch  # circular at module load
 
     return route_batch(net, [conference], policy, faults)[0].unwrap()
-
-
-def combine_at_level(route: Route, level: int) -> frozenset[int]:
-    """Rows at ``level`` carrying the *full* combination of the route's
-    conference — the rows whose muxes could tap at this level."""
-    full = route.conference.full_mask
-    return frozenset(r for r, mask in route.levels[level].items() if mask == full)

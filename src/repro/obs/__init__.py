@@ -41,8 +41,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     collecting,
-    collection_enabled,
-    default_registry,
     maybe_registry,
     timed,
 )
@@ -54,7 +52,7 @@ from repro.obs.slo import (
     default_serve_slos,
     log_bucket_edges,
 )
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = [
     "BurnWindow",
@@ -66,14 +64,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_TRACER",
     "SLOEvaluator",
     "SLOSpec",
     "Tracer",
     "WindowedHistogram",
     "collecting",
-    "collection_enabled",
-    "default_registry",
     "default_serve_slos",
     "log_bucket_edges",
     "maybe_registry",

@@ -18,11 +18,11 @@ switching stack.  The design goals mirror the tracer's:
   worker snapshots in chunk-submission order, so the combined registry
   is identical for every worker count.
 
-The module also keeps one **per-process default registry** behind an
-enable flag, which is what the :func:`timed` profiling hook and the
-experiment kernels write to when collection is on — worker processes
-of the parallel engine flip the flag per chunk (see
-``repro.parallel.runner``) and ship the delta back as a snapshot.
+The module also keeps one **per-process collection registry**, set only
+inside :func:`collecting`, which is what the :func:`timed` profiling
+hook and the experiment kernels write to — worker processes of the
+parallel engine collect per chunk (see ``repro.parallel.runner``) and
+ship the delta back as a snapshot.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "default_registry",
     "maybe_registry",
-    "collection_enabled",
     "collecting",
     "timed",
     "DEFAULT_TIME_BUCKETS",
@@ -371,24 +369,13 @@ class MetricsRegistry:
             fh.write(text)
 
 
-# -- the per-process default registry ---------------------------------------
+# -- the per-process collection registry ------------------------------------
 
-_process_registry = MetricsRegistry()
-_collection_on = False
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry behind :func:`timed` and the kernels."""
-    return _process_registry
-
-
-def collection_enabled() -> bool:
-    """Whether the default registry currently accepts recordings."""
-    return _collection_on
+_collector: "MetricsRegistry | None" = None
 
 
 def maybe_registry() -> "MetricsRegistry | None":
-    """The default registry iff collection is enabled, else ``None``.
+    """The collection registry inside :func:`collecting`, else ``None``.
 
     The one-line gate every opt-in instrumentation site uses::
 
@@ -396,26 +383,26 @@ def maybe_registry() -> "MetricsRegistry | None":
         if reg is not None:
             reg.counter("repro_trials_total").inc(kind="search")
     """
-    return _process_registry if _collection_on else None
+    return _collector
 
 
 @contextmanager
 def collecting(registry: "MetricsRegistry | None" = None):
     """Enable collection into ``registry`` (fresh by default) for a block.
 
-    Swaps the process default registry, so recordings inside the block
-    are isolated — the parallel runner uses exactly this to capture a
-    per-chunk delta in each worker.  Restores the previous default (and
-    enable flag) on exit.
+    Swaps the process collection registry, so recordings inside the
+    block are isolated — the parallel runner uses exactly this to capture
+    a per-chunk delta in each worker.  Restores the previous one (or
+    none) on exit.
     """
-    global _process_registry, _collection_on
-    saved_registry, saved_flag = _process_registry, _collection_on
+    global _collector
+    saved = _collector
     reg = registry if registry is not None else MetricsRegistry()
-    _process_registry, _collection_on = reg, True
+    _collector = reg
     try:
         yield reg
     finally:
-        _process_registry, _collection_on = saved_registry, saved_flag
+        _collector = saved
 
 
 # -- the profiling hook ------------------------------------------------------
@@ -433,9 +420,9 @@ class timed:
         def randomized_search(...): ...
 
     The registry is resolved *at entry time*: an explicit ``registry``
-    wins, otherwise the process default is used when collection is
-    enabled, otherwise the block runs untimed with near-zero overhead
-    (one flag check).
+    wins, otherwise the collection registry is used inside
+    :func:`collecting`, otherwise the block runs untimed with near-zero
+    overhead (one ``None`` check).
     """
 
     __slots__ = ("name", "registry", "labels", "_hist", "_start")
@@ -469,7 +456,7 @@ class timed:
 
         @wraps(fn)
         def wrapper(*args, **kwargs):
-            if registry is None and not _collection_on:
+            if registry is None and _collector is None:
                 return fn(*args, **kwargs)  # fast path: collection off
             with timed(name, registry, **labels):
                 return fn(*args, **kwargs)

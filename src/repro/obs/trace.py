@@ -54,7 +54,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from typing import Any, TextIO
 
-__all__ = ["Tracer", "NULL_TRACER"]
+__all__ = ["Tracer"]
 
 #: Record keys the tracer owns; attribute names may not collide with them.
 _RESERVED = frozenset(
@@ -274,17 +274,3 @@ def _jsonify(value: Any):
     if isinstance(value, tuple):
         return list(value)
     raise TypeError(f"not JSON serializable: {value!r}")
-
-
-class _NullTracer(Tracer):
-    """A tracer that records nothing (for call sites that want to skip
-    ``if tracer is not None`` guards).  Shared singleton: ``NULL_TRACER``."""
-
-    def __init__(self):
-        super().__init__(capacity=1)
-
-    def _append(self, record: dict) -> None:  # pragma: no cover - trivial
-        pass
-
-
-NULL_TRACER = _NullTracer()

@@ -22,7 +22,6 @@ from repro.parallel.runner import ExperimentRunner, NetworkSpec, run_tasks, run_
 from repro.parallel.seeds import (
     chunk_slices,
     chunk_tasks,
-    seed_fingerprint,
     spawn_seed_sequences,
     trial_seeds,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "run_trials",
     "chunk_slices",
     "chunk_tasks",
-    "seed_fingerprint",
     "spawn_seed_sequences",
     "trial_seeds",
 ]

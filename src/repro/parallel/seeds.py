@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "spawn_seed_sequences",
     "trial_seeds",
-    "seed_fingerprint",
     "chunk_slices",
     "chunk_tasks",
 ]
@@ -66,18 +65,6 @@ def trial_seeds(
             raise ValueError(f"need {count} per-trial seeds, got {len(seeds)}")
         return seeds
     return list(spawn_seed_sequences(0 if seed is None else seed, count))
-
-
-def seed_fingerprint(seed: "int | np.random.SeedSequence") -> tuple[int, ...]:
-    """A 128-bit digest of the stream a seed value denotes.
-
-    Two seed values with equal fingerprints initialize byte-identical
-    PCG64 generators; the property tests use this to assert shard
-    streams never collide.
-    """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return tuple(int(w) for w in seed.generate_state(4, np.uint64))
 
 
 def chunk_slices(count: int, chunk_size: int) -> list[slice]:

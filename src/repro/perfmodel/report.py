@@ -75,11 +75,6 @@ class PerfReport:
         return self.delivered_packets / self.cycles if self.cycles else 0.0
 
     @property
-    def offered_throughput(self) -> float:
-        """Offered packets per cycle, across all conferences."""
-        return self.offered_packets / self.cycles if self.cycles else 0.0
-
-    @property
     def delivery_ratio(self) -> float:
         """Delivered / offered packets (1.0 on an empty offer)."""
         return (
@@ -106,7 +101,7 @@ class PerfReport:
             "delivered_flits": self.delivered_flits,
             "in_fabric_flits": self.in_fabric_flits,
             "delivered_throughput": self.delivered_throughput,
-            "offered_throughput": self.offered_throughput,
+            "offered_throughput": self.offered_packets / self.cycles if self.cycles else 0.0,
             "delivery_ratio": self.delivery_ratio,
             "latency": dict(self.latency),
             "per_conference": {

@@ -227,10 +227,6 @@ class BackupPlanStore:
         """The stored plans of one conference (a copy), keyed by point."""
         return dict(self._plans.get(conference_id, {}))
 
-    def protected_points(self, conference_id: int) -> frozenset[Point]:
-        """The points one conference currently holds plans for."""
-        return frozenset(self._plans.get(conference_id, ()))
-
     def footprint(self) -> dict[str, int]:
         """Realized memory cost, for the memory-vs-F tradeoff table.
 

@@ -1,23 +1,11 @@
 """Text rendering of networks, routes and experiment tables."""
 
 from repro.report.ascii import render_network, render_routes, render_stage_profile
-from repro.report.serialize import (
-    conference_set_from_dict,
-    conference_set_to_dict,
-    conflict_report_to_dict,
-    load_conference_set,
-    route_to_dict,
-    save_json,
-)
+from repro.report.serialize import save_json
 from repro.report.tables import format_value, render_table, write_csv
 
 __all__ = [
-    "conference_set_from_dict",
-    "conference_set_to_dict",
-    "conflict_report_to_dict",
     "format_value",
-    "load_conference_set",
-    "route_to_dict",
     "save_json",
     "render_network",
     "render_routes",

@@ -175,9 +175,3 @@ class AdmissionQueue:
         if limit < 1:
             return []
         return list(islice(chain(self._control, *self._lanes.values()), limit))
-
-    def drain_all(self) -> list[SessionRequest]:
-        """Empty the queue completely (used at shutdown)."""
-        out = self.take(len(self))
-        assert not len(self)
-        return out

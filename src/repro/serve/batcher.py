@@ -78,11 +78,6 @@ class Batcher:
         """Upper bound on requests admitted per tick."""
         return self._max_batch
 
-    @property
-    def batches_run(self) -> int:
-        """Admission passes executed so far."""
-        return self._seq
-
     def next_batch(self, queue: AdmissionQueue) -> list[SessionRequest]:
         """This tick's workload, in service order (may be empty)."""
         return queue.take(self._max_batch)

@@ -208,10 +208,6 @@ class SessionTable:
         """
         return [s for s in self._open.values() if s.state in LIVE_STATES]
 
-    def in_state(self, state: SessionState) -> list[Session]:
-        """All sessions currently in ``state``, in id order."""
-        return [s for s in self._sessions.values() if s.state is state]
-
     def counts(self) -> dict[str, int]:
         """Session tally per lifecycle state (all states present)."""
         return {state.value: self._tally[state] for state in SessionState}

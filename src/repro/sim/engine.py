@@ -54,11 +54,6 @@ class EventLoop:
         return self._now
 
     @property
-    def processed(self) -> int:
-        """Events executed so far."""
-        return self._processed
-
-    @property
     def pending(self) -> int:
         """Events still scheduled."""
         return len(self._heap)

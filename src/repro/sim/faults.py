@@ -123,8 +123,9 @@ class FaultInjector:
 
     ``script`` is any iterable of :class:`FaultTransition` (a stochastic
     one comes from :func:`generate_fault_timeline`).  The timeline must
-    be consistent: per point, strictly alternating fail/repair starting
-    with a fail.
+    be consistent: every point lies on ``net``'s ``(level, row)`` grid
+    (``0 <= level <= n_stages``, ``0 <= row < n_ports``), and per point
+    the transitions strictly alternate fail/repair starting with a fail.
 
     Subscribers registered with :meth:`subscribe` are invoked *after*
     the injector's own fault-set update, in registration order, for
@@ -138,8 +139,7 @@ class FaultInjector:
         script: Iterable[FaultTransition],
         tracer=None,
     ):
-        self._net = net
-        self._timeline = self._validate(script)
+        self._timeline = self._validate(net, script)
         self._current: set[Point] = set()
         self._history: list[FaultTransition] = []
         self._listeners: list[FaultListener] = []
@@ -149,12 +149,20 @@ class FaultInjector:
         self.tracer = tracer
 
     @staticmethod
-    def _validate(script: Iterable[FaultTransition]) -> tuple[FaultTransition, ...]:
+    def _validate(
+        net: MultistageNetwork, script: Iterable[FaultTransition]
+    ) -> tuple[FaultTransition, ...]:
         timeline = tuple(script)
         if any(timeline[i].time > timeline[i + 1].time for i in range(len(timeline) - 1)):
             raise ValueError("fault script must be sorted by time")
         state: dict[Point, bool] = {}
         for tr in timeline:
+            level, row = tr.point
+            if not (0 <= level <= net.n_stages and 0 <= row < net.n_ports):
+                raise ValueError(
+                    f"fault point {tr.point} at t={tr.time} is off the network's grid: "
+                    f"level must lie in [0, {net.n_stages}] and row in [0, {net.n_ports})"
+                )
             if state.get(tr.point, False) == tr.failed:
                 kind = "fail" if tr.failed else "repair"
                 raise ValueError(
@@ -178,20 +186,6 @@ class FaultInjector:
     def history(self) -> tuple[FaultTransition, ...]:
         """Transitions already executed, in firing order."""
         return tuple(self._history)
-
-    def faults_at(self, time: float) -> frozenset[Point]:
-        """Replay the script: the fault set in force at ``time``.
-
-        This is the reference semantics the live state is property-tested
-        against — the union of all fail transitions at or before ``time``
-        minus the repairs at or before it.
-        """
-        dead: set[Point] = set()
-        for tr in self._timeline:
-            if tr.time > time:
-                break
-            (dead.add if tr.failed else dead.discard)(tr.point)
-        return frozenset(dead)
 
     def subscribe(self, listener: FaultListener) -> None:
         """Register a callback invoked on every executed transition."""

@@ -97,11 +97,6 @@ class ConferenceTrafficSource:
         """Accumulated counters (live view)."""
         return self._stats
 
-    @property
-    def live_calls(self) -> int:
-        """Number of conferences currently in progress."""
-        return len(self._live)
-
     # -- event-loop wiring -------------------------------------------------
 
     def start(self, loop: EventLoop) -> None:

@@ -1,21 +1,17 @@
 """Shared low-level utilities: bit math, RNG plumbing, validation."""
 
 from repro.util.bits import (
-    aligned_block,
     aligned_block_of,
     bit,
     bit_reverse,
     bit_window,
     common_prefix_len,
-    common_suffix_len,
     enclosing_block_exponent,
-    flip_bit,
     high_bits,
     ilog2,
     is_power_of_two,
     low_bits,
     mask_of,
-    popcount,
     rotate_left,
     rotate_right,
     same_high_bits,
@@ -32,7 +28,6 @@ from repro.util.validation import (
 )
 
 __all__ = [
-    "aligned_block",
     "aligned_block_of",
     "bit",
     "bit_reverse",
@@ -44,16 +39,13 @@ __all__ = [
     "check_probability",
     "check_stage",
     "common_prefix_len",
-    "common_suffix_len",
     "enclosing_block_exponent",
     "ensure_rng",
-    "flip_bit",
     "high_bits",
     "ilog2",
     "is_power_of_two",
     "low_bits",
     "mask_of",
-    "popcount",
     "rotate_left",
     "rotate_right",
     "same_high_bits",

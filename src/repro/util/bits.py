@@ -16,14 +16,12 @@ addresses sharing bits ``k..n-1``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 __all__ = [
     "is_power_of_two",
     "ilog2",
     "bit",
-    "set_bit",
-    "flip_bit",
     "low_bits",
     "high_bits",
     "bit_window",
@@ -33,12 +31,8 @@ __all__ = [
     "rotate_right",
     "bit_reverse",
     "common_prefix_len",
-    "common_suffix_len",
     "enclosing_block_exponent",
-    "aligned_block",
     "aligned_block_of",
-    "popcount",
-    "iter_bits",
     "mask_of",
     "pack_rows",
     "unpack_rows",
@@ -64,18 +58,6 @@ def ilog2(x: int) -> int:
 def bit(x: int, i: int) -> int:
     """The value (0 or 1) of bit ``i`` of ``x``."""
     return (x >> i) & 1
-
-
-def set_bit(x: int, i: int, value: int) -> int:
-    """Return ``x`` with bit ``i`` forced to ``value`` (0 or 1)."""
-    if value not in (0, 1):
-        raise ValueError(f"bit value must be 0 or 1, got {value!r}")
-    return (x & ~(1 << i)) | (value << i)
-
-
-def flip_bit(x: int, i: int) -> int:
-    """Return ``x`` with bit ``i`` toggled."""
-    return x ^ (1 << i)
 
 
 def mask_of(width: int) -> int:
@@ -170,20 +152,6 @@ def common_prefix_len(values: Iterable[int], n: int) -> int:
     return n - diff.bit_length()
 
 
-def common_suffix_len(values: Iterable[int], n: int) -> int:
-    """Length of the shared *low-bit* suffix of ``values``."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("need at least one value")
-    first = vals[0]
-    diff = 0
-    for v in vals[1:]:
-        diff |= v ^ first
-    if diff == 0:
-        return n
-    return (diff & -diff).bit_length() - 1
-
-
 def enclosing_block_exponent(members: Iterable[int], n: int) -> int:
     """Exponent ``k`` of the smallest aligned block containing ``members``.
 
@@ -196,32 +164,11 @@ def enclosing_block_exponent(members: Iterable[int], n: int) -> int:
     return n - common_prefix_len(members, n)
 
 
-def aligned_block(base: int, k: int) -> range:
-    """The aligned block of size ``2**k`` starting at ``base``.
-
-    ``base`` must itself be aligned (a multiple of ``2**k``).
-    """
-    size = 1 << k
-    if base % size:
-        raise ValueError(f"base {base} is not aligned to block size {size}")
-    return range(base, base + size)
-
-
 def aligned_block_of(x: int, k: int) -> range:
     """The aligned block of size ``2**k`` that contains address ``x``."""
     size = 1 << k
     base = (x >> k) << k
     return range(base, base + size)
-
-
-def popcount(x: int) -> int:
-    """Number of set bits of ``x`` (delegates to ``int.bit_count``)."""
-    return x.bit_count()
-
-
-def iter_bits(x: int, n: int) -> Sequence[int]:
-    """Bits of ``x`` as a tuple ``(bit 0, bit 1, ..., bit n-1)``."""
-    return tuple((x >> i) & 1 for i in range(n))
 
 
 def pack_rows(rows: Iterable[int]) -> int:

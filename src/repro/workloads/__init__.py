@@ -2,9 +2,7 @@
 
 from repro.workloads.churn import (
     ChurnEvent,
-    diurnal_load,
     flash_crowd,
-    lurker_joins,
     replay_churn,
     zipf_sizes,
 )
@@ -13,7 +11,6 @@ from repro.workloads.generators import (
     clustered,
     draw_sizes,
     interleaved,
-    sample_stream,
     uniform_partition,
 )
 from repro.workloads.partitions import (
@@ -29,15 +26,12 @@ __all__ = [
     "clustered",
     "conference_sets",
     "count_partial_partitions",
-    "diurnal_load",
     "draw_sizes",
     "flash_crowd",
     "interleaved",
-    "lurker_joins",
     "pair_families",
     "partial_partitions",
     "replay_churn",
-    "sample_stream",
     "uniform_partition",
     "zipf_sizes",
 ]

@@ -12,12 +12,6 @@ Shapes:
 * ``flash_crowd`` — a venue conference floods with joins over a couple
   of ticks, then drains; the worst case for tap churn because the route
   repeatedly outgrows its enclosing block.
-* ``diurnal_load`` — sinusoidal join/leave intensity over long-lived
-  conferences, the steady-state regime where in-block (hitless) churn
-  should dominate.
-* ``lurker_joins`` — one long-lived conference accreting single members
-  at a slow cadence: the long-tail audience pattern, and the workload
-  where pin-induced conflict drift accrues if it is going to.
 * ``zipf_sizes`` — heavy-tailed conference sizes (most conferences are
   tiny, a few are huge), the size mix the W1 benchmark churns over.
 
@@ -46,9 +40,7 @@ from repro.util.validation import check_network_size
 
 __all__ = [
     "ChurnEvent",
-    "diurnal_load",
     "flash_crowd",
-    "lurker_joins",
     "replay_churn",
     "zipf_sizes",
 ]
@@ -97,13 +89,11 @@ class ChurnEvent:
 class _Timeline:
     """Internal builder: a port ledger plus the growing event list.
 
-    Keeps every live conference port-disjoint (ports return to the free
-    pool on leave/close) and session membership consistent, so the
-    emitted timeline is valid by construction.
+    Keeps every live conference port-disjoint and session membership
+    consistent, so the emitted timeline is valid by construction.
     """
 
     def __init__(self, n_ports: int, rng: np.random.Generator) -> None:
-        self.n_ports = n_ports
         self.rng = rng
         self.free = list(range(n_ports))
         self.members: dict[int, list[int]] = {}
@@ -129,29 +119,13 @@ class _Timeline:
         self.events.append(ChurnEvent(tick, "open", session, ports))
         return session
 
-    def join(self, tick: int, session: int, count: int = 1) -> "tuple[int, ...] | None":
-        ports = self.grab(count)
+    def join(self, tick: int, session: int) -> "tuple[int, ...] | None":
+        ports = self.grab(1)
         if ports is None:
             return None
         self.members[session].extend(ports)
         self.events.append(ChurnEvent(tick, "join", session, ports))
         return ports
-
-    def leave(self, tick: int, session: int, count: int = 1) -> "tuple[int, ...] | None":
-        pool = self.members[session]
-        if len(pool) - count < 2:  # keep every conference a conference
-            return None
-        idx = self.rng.choice(len(pool), size=count, replace=False)
-        chosen = tuple(sorted(pool[int(i)] for i in idx))
-        for port in chosen:
-            pool.remove(port)
-        self.free = sorted(set(self.free) | set(chosen))
-        self.events.append(ChurnEvent(tick, "leave", session, chosen))
-        return chosen
-
-    def close(self, tick: int, session: int) -> None:
-        self.free = sorted(set(self.free) | set(self.members.pop(session)))
-        self.events.append(ChurnEvent(tick, "close", session))
 
 
 def zipf_sizes(
@@ -236,85 +210,6 @@ def flash_crowd(
             timeline.free = sorted(set(timeline.free) | {port})
             timeline.events.append(ChurnEvent(drain_tick, "leave", venue, (port,)))
         drain_tick += 1
-    return timeline.events
-
-
-def diurnal_load(
-    n_ports: int,
-    *,
-    conferences: int = 4,
-    size: int = 3,
-    period: int = 12,
-    cycles: int = 2,
-    intensity: "int | None" = None,
-    seed: "int | np.random.Generator | None" = None,
-) -> list[ChurnEvent]:
-    """Sinusoidal join/leave pressure over long-lived conferences.
-
-    ``conferences`` conferences of ``size`` members open at tick 0;
-    then for ``cycles`` periods of ``period`` ticks, joins peak at the
-    top of the sine wave and leaves at the bottom, each up to
-    ``intensity`` single-port operations per tick spread over uniformly
-    random conferences.  The steady-state regime: most churn lands
-    inside the current block and should be hitless.
-    """
-    check_network_size(n_ports)
-    if conferences < 1:
-        raise ValueError(f"conferences must be >= 1, got {conferences}")
-    if period < 2:
-        raise ValueError(f"period must be >= 2, got {period}")
-    if cycles < 1:
-        raise ValueError(f"cycles must be >= 1, got {cycles}")
-    rng = ensure_rng(seed)
-    timeline = _Timeline(n_ports, rng)
-    sessions = [s for _ in range(conferences) if (s := timeline.open(0, size)) is not None]
-    if not sessions:
-        return timeline.events
-    if intensity is None:
-        intensity = max(1, n_ports // 16)
-    for step in range(period * cycles):
-        tick = 2 + step
-        phase = math.sin(2.0 * math.pi * step / period)
-        joins = int(round(max(0.0, phase) * intensity))
-        leaves = int(round(max(0.0, -phase) * intensity))
-        for _ in range(joins):
-            timeline.join(tick, sessions[int(rng.integers(len(sessions)))])
-        for _ in range(leaves):
-            timeline.leave(tick, sessions[int(rng.integers(len(sessions)))])
-    return timeline.events
-
-
-def lurker_joins(
-    n_ports: int,
-    *,
-    core_size: int = 4,
-    lurkers: "int | None" = None,
-    gap: int = 2,
-    seed: "int | np.random.Generator | None" = None,
-) -> list[ChurnEvent]:
-    """One long-lived conference accreting single members at a slow cadence.
-
-    A ``core_size``-member conference opens at tick 0 and then a new
-    lurker joins every ``gap`` ticks (default: an eighth of the network
-    joins, one at a time).  Nobody leaves.  This is the workload where a
-    route carrying fault-era tap pins keeps getting extended — exactly
-    where conflict-multiplicity drift accrues if it is going to.
-    """
-    check_network_size(n_ports)
-    if core_size < 2:
-        raise ValueError(f"core_size must be >= 2, got {core_size}")
-    if gap < 1:
-        raise ValueError(f"gap must be >= 1, got {gap}")
-    rng = ensure_rng(seed)
-    timeline = _Timeline(n_ports, rng)
-    session = timeline.open(0, core_size)
-    if lurkers is None:
-        lurkers = max(1, n_ports // 8)
-    tick = 2
-    for _ in range(lurkers):
-        if timeline.join(tick, session) is None:
-            break
-        tick += gap
     return timeline.events
 
 

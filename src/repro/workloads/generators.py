@@ -20,8 +20,6 @@ Distributions:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
 
 from repro.core.admission import place_aligned
@@ -35,7 +33,6 @@ __all__ = [
     "clustered",
     "interleaved",
     "aligned_sets",
-    "sample_stream",
 ]
 
 
@@ -180,30 +177,3 @@ def aligned_sets(
             sizes.pop()  # shed the last conference and retry
     return ConferenceSet.of(n_ports, [])
 
-
-def sample_stream(
-    generator: str,
-    n_ports: int,
-    count: int,
-    seed: "int | np.random.Generator | None" = None,
-    **kwargs,
-) -> Iterator[ConferenceSet]:
-    """Yield ``count`` independent samples from a named generator.
-
-    ``generator`` is one of ``uniform``, ``clustered``, ``interleaved``,
-    ``aligned``.  Each sample gets its own child RNG stream, so the
-    stream is reproducible and order-independent.
-    """
-    table = {
-        "uniform": uniform_partition,
-        "clustered": clustered,
-        "interleaved": interleaved,
-        "aligned": aligned_sets,
-    }
-    try:
-        fn = table[generator]
-    except KeyError:
-        raise KeyError(f"unknown generator {generator!r}; known: {sorted(table)}") from None
-    rng = ensure_rng(seed)
-    for child in rng.spawn(count):
-        yield fn(n_ports, seed=child, **kwargs)

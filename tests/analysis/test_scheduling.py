@@ -1,6 +1,5 @@
 """Tests for time-slot scheduling (the TDM alternative to dilation)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +38,7 @@ class TestScheduleSlots:
     def test_empty(self):
         res = schedule_slots([])
         assert res.n_slots == 0 and res.slots == {}
+        assert res.clique_bound == 0
 
     def test_conflict_free_set_needs_one_slot(self):
         net = build("indirect-binary-cube", 16)
@@ -63,19 +63,9 @@ class TestScheduleSlots:
         res = schedule_slots(routes)
         by_id = {r.conference.conference_id: r for r in routes}
         for slot in range(res.n_slots):
-            group = [by_id[c] for c in res.conferences_in_slot(slot)]
+            group = [by_id[c] for c, s in res.slots.items() if s == slot]
             loads = link_loads(group)
             assert not loads or max(loads.values()) == 1
-
-    def test_strategies(self):
-        net = build("omega", 16)
-        routes = routes_for(net, uniform_partition(16, load=0.9, seed=1))
-        a = schedule_slots(routes, strategy="DSATUR")
-        b = schedule_slots(routes, strategy="largest_first")
-        assert a.n_slots >= a.clique_bound
-        assert b.n_slots >= b.clique_bound
-        with pytest.raises(ValueError):
-            schedule_slots(routes, strategy="rainbow")
 
     def test_random_sets_schedule_near_clique_bound(self):
         """Measured: greedy colouring stays within one slot of the
@@ -90,20 +80,6 @@ class TestScheduleSlots:
 class TestEdgeCases:
     """Edge inputs the TDM capacity model feeds in live operation."""
 
-    def test_empty_routes_with_explicit_strategy(self):
-        res = schedule_slots([], strategy="largest_first")
-        assert res.n_slots == 0 and res.slots == {}
-        assert res.clique_bound == 0
-        assert res.strategy == "largest_first"
-
-    def test_unknown_strategy_rejected_even_on_empty_input(self):
-        # Strategy validation must not be short-circuited by the
-        # empty-routes early return: between sessions the live route
-        # set is legitimately empty, and a typo'd strategy should fail
-        # loudly there too, not only under load.
-        with pytest.raises(ValueError, match="rainbow"):
-            schedule_slots([], strategy="rainbow")
-
     def test_single_conference_graph(self):
         net = build("indirect-binary-cube", 16)
         (route,) = routes_for(net, [Conference.of((0, 5, 9), 7)])
@@ -112,8 +88,6 @@ class TestEdgeCases:
         assert res.n_slots == 1
         assert res.clique_bound == 1
         assert res.optimal
-        assert res.conferences_in_slot(0) == (7,)
-        assert res.conferences_in_slot(1) == ()
 
     def test_single_conference_graph_has_no_edges(self):
         net = build("omega", 16)
@@ -134,14 +108,13 @@ class TestSlotCountProperty:
             max_size=10,
         ),
         topology=st.sampled_from(["omega", "indirect-binary-cube"]),
-        strategy=st.sampled_from(["DSATUR", "largest_first"]),
     )
-    def test_slots_at_least_max_link_multiplicity(self, groups, topology, strategy):
+    def test_slots_at_least_max_link_multiplicity(self, groups, topology):
         net = build(topology, 16)
         routes = routes_for(
             net, [Conference.of(sorted(g), cid) for cid, g in enumerate(groups)]
         )
-        res = schedule_slots(routes, strategy=strategy)
+        res = schedule_slots(routes)
         bound = analyze_conflicts(routes).max_multiplicity
         # A link shared by m conferences forces m distinct slots: no
         # valid colouring can be shorter than the largest multiplicity.

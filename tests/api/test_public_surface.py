@@ -141,10 +141,11 @@ class TestResultContract:
 
 
 #: Every keyword the forwarders pass to each fabric: an off-default value
-#: and its read-back.  ``FabricService`` exposes no batcher, so
-#: ``max_batch`` is read from the private one.
+#: and its read-back.  ``FabricService`` exposes no batcher and the
+#: healing controller no retry policy, so ``max_batch`` and ``retry`` are
+#: read from the private fields.
 _FABRIC_KEYWORDS = {
-    "retry": (api.RetryPolicy(max_retries=2), lambda f: f.healing.retry_policy),
+    "retry": (api.RetryPolicy(max_retries=2), lambda f: f.healing._retry),
     "tracer": (api.Tracer(), lambda f: f.tracer),
     "protection": (1, lambda f: f.protection),
     "churn": (api.ChurnPolicy(incremental=False, drift_limit=3), lambda f: f.churn_policy),
@@ -308,8 +309,8 @@ class TestRemovedIn20:
         assert params == ["self", "routes", "faults", "ranked"]
 
     def test_versions(self):
-        assert api.API_VERSION == "6.0"
-        assert repro.__version__ == "6.0.0"
+        assert api.API_VERSION == "7.0"
+        assert repro.__version__ == "7.0.0"
 
 
 class TestRemovedIn50:
@@ -404,6 +405,93 @@ class TestRemovedIn60:
         from repro.serve.batcher import BatchReport, Batcher
 
         assert isinstance(Batcher().execute([], lambda request, seq: None, 0.0), BatchReport)
+
+
+class TestRemovedIn70:
+    """The members only their own tests reached, dropped by 7.0, fail loudly."""
+
+    def test_versions(self):
+        assert api.API_VERSION == "7.0"
+        assert repro.__version__ == "7.0.0"
+
+    @pytest.mark.parametrize("name", ["diurnal_load", "lurker_joins"])
+    def test_churn_generator_gone(self, name):
+        import repro.workloads
+        import repro.workloads.churn
+
+        with pytest.raises(AttributeError, match="no attribute"):
+            getattr(repro, name)
+        assert not hasattr(repro.workloads, name)
+        assert not hasattr(repro.workloads.churn, name)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.core.routing", "combine_at_level"),
+            ("repro.obs.trace", "NULL_TRACER"),
+            ("repro.obs.metrics", "default_registry"),
+            ("repro.obs.metrics", "collection_enabled"),
+            ("repro.workloads.generators", "sample_stream"),
+            ("repro.report.serialize", "conference_set_to_dict"),
+            ("repro.report.serialize", "conference_set_from_dict"),
+            ("repro.report.serialize", "load_conference_set"),
+            ("repro.report.serialize", "route_to_dict"),
+            ("repro.report.serialize", "conflict_report_to_dict"),
+            ("repro.util.bits", "set_bit"),
+            ("repro.util.bits", "flip_bit"),
+            ("repro.util.bits", "popcount"),
+            ("repro.util.bits", "iter_bits"),
+            ("repro.util.bits", "common_suffix_len"),
+            ("repro.util.bits", "aligned_block"),
+            ("repro.parallel.seeds", "seed_fingerprint"),
+        ],
+    )
+    def test_module_name_gone(self, module, name):
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            (api.FaultInjector, "faults_at"),
+            (api.EventLoop, "processed"),
+            (api.AdmissionQueue, "drain_all"),
+            (api.SessionTable, "in_state"),
+            (api.SelfHealingController, "retry_policy"),
+            (api.BackupPlanStore, "protected_points"),
+            (api.PerfReport, "offered_throughput"),
+            (api.Route, "members_at"),
+            (api.Route, "stages_traversed"),
+        ],
+    )
+    def test_removed_attribute_is_gone(self, owner, name):
+        assert not hasattr(owner, name)
+
+    def test_helper_attributes_gone(self):
+        from repro.analysis.erlang import LinkLoadModel
+        from repro.analysis.scheduling import ScheduleResult
+        from repro.serve.batcher import Batcher
+        from repro.sim.traffic import ConferenceTrafficSource
+
+        assert not hasattr(Batcher, "batches_run")
+        assert not hasattr(ConferenceTrafficSource, "live_calls")
+        assert not hasattr(ScheduleResult, "conferences_in_slot")
+        assert not hasattr(LinkLoadModel, "hottest_link_usage")
+
+    def test_schedule_slots_takes_no_strategy(self):
+        from repro.analysis.scheduling import schedule_slots
+
+        with pytest.raises(TypeError, match="strategy"):
+            schedule_slots([], strategy="DSATUR")
+        assert not hasattr(schedule_slots([]), "strategy")
+
+    def test_perf_report_dict_keeps_offered_throughput(self):
+        net = api.build("indirect-binary-cube", 8)
+        route = api.route_conference(net, api.Conference.of([0, 1], 0))
+        report = api.simulate_delivery([route], cycles=20, offered_load=0.5)
+        assert report.offered_packets > 0
+        assert report.as_dict()["offered_throughput"] == report.offered_packets / report.cycles
 
 
 class TestDeprecations:

@@ -8,7 +8,6 @@ from repro.core.conference import Conference
 from repro.core.routing import (
     RoutingPolicy,
     TapPolicy,
-    combine_at_level,
     delivered_members,
     route_conference,
 )
@@ -111,23 +110,23 @@ class TestRouteShape:
         net = build("indirect-binary-cube", 16)
         route = route_conference(net, Conference.of(range(16)))
         assert route.depth == 4
-        assert combine_at_level(route, 4) == frozenset(range(16))
+        full = route.conference.full_mask
+        assert {r for r, mask in route.levels[4].items() if mask == full} == set(range(16))
 
     def test_members_at_helpers(self):
         net = build("indirect-binary-cube", 16)
         conf = Conference.of([4, 5])
         route = route_conference(net, conf)
-        assert route.members_at(0, 4) == frozenset({4})
-        assert route.members_at(1, 4) == frozenset({4, 5})
-        assert route.members_at(1, 9) == frozenset()
+        assert route.mask_at(0, 4) == 0b01  # bit i is conference member i
+        assert route.mask_at(1, 4) == 0b11
         assert route.mask_at(1, 9) == 0
 
     def test_stages_traversed(self):
+        """A member's tap level is the number of stages its signal crossed."""
         net = build("indirect-binary-cube", 16)
         route = route_conference(net, Conference.of([4, 5]))
-        assert route.stages_traversed(4) == 1
-        with pytest.raises(ValueError):
-            route.stages_traversed(9)
+        assert route.taps[4] == 1
+        assert 9 not in route.taps
 
     def test_cube_depth_is_block_exponent(self):
         net = build("indirect-binary-cube", 32)

@@ -31,7 +31,7 @@ def batch_for(seed, size=12):
 
 
 def outcome_to_record(outcome):
-    """Order-preserving JSON view (repr-faithful, unlike route_to_dict)."""
+    """Order-preserving, repr-faithful JSON view of one outcome."""
     if not outcome.ok:
         return {
             "conference": list(outcome.conference.members),

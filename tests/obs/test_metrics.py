@@ -8,8 +8,6 @@ from repro.obs.metrics import (
     DEFAULT_OCCUPANCY_BUCKETS,
     MetricsRegistry,
     collecting,
-    collection_enabled,
-    default_registry,
     maybe_registry,
     timed,
 )
@@ -179,19 +177,16 @@ class TestMerge:
 
 class TestCollection:
     def test_disabled_by_default(self):
-        assert not collection_enabled()
         assert maybe_registry() is None
 
     def test_collecting_swaps_default_registry(self):
-        outer = default_registry()
-        with collecting() as reg:
-            assert collection_enabled()
-            assert maybe_registry() is reg
-            assert default_registry() is reg
-            reg.counter("c").inc()
-        assert not collection_enabled()
-        assert default_registry() is outer
-        assert "c" not in outer
+        with collecting() as outer:
+            with collecting() as reg:
+                assert maybe_registry() is reg
+                reg.counter("c").inc()
+            assert maybe_registry() is outer
+            assert "c" not in outer
+        assert maybe_registry() is None
 
     def test_collecting_into_explicit_registry(self):
         mine = MetricsRegistry()
@@ -202,7 +197,7 @@ class TestCollection:
         with pytest.raises(RuntimeError):
             with collecting():
                 raise RuntimeError
-        assert not collection_enabled()
+        assert maybe_registry() is None
 
 
 class TestTimed:
@@ -215,10 +210,10 @@ class TestTimed:
         assert h.count(stage="2") == 1
 
     def test_untimed_without_registry(self):
-        before = len(default_registry())
-        with timed("repro_nothing"):
-            pass
-        assert len(default_registry()) == before
+        timer = timed("repro_nothing")
+        with timer:
+            assert timer._hist is None
+        assert maybe_registry() is None
 
     def test_decorator_records_under_collection(self):
         @timed("repro_fn")

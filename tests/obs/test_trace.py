@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 
 pytestmark = pytest.mark.tier1
 
@@ -126,11 +126,3 @@ class TestExport:
         buf = io.StringIO()
         assert tr.write_jsonl(buf) == 1
         assert json.loads(buf.getvalue())["name"] == "e"
-
-
-class TestNullTracer:
-    def test_records_nothing(self):
-        NULL_TRACER.event("e")
-        sid = NULL_TRACER.span_open("s")
-        NULL_TRACER.span_close(sid)
-        assert len(NULL_TRACER) == 0

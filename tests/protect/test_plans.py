@@ -47,7 +47,7 @@ class TestStoreLifecycle:
         route = router(conf)
         stored = s.protect([route], frozenset())
         assert stored == min(2, len(route.links))
-        assert s.protected_points(1) <= route.links
+        assert set(s.plans_of(1)) <= route.links
         assert len(s) == stored
 
     def test_budget_larger_than_route_plans_every_link(self):
@@ -55,7 +55,7 @@ class TestStoreLifecycle:
         conf = Conference.of([0, 5], 2)
         route = router(conf)
         assert s.protect([route], frozenset()) == len(route.links)
-        assert s.protected_points(2) == route.links
+        assert set(s.plans_of(2)) == route.links
 
     def test_load_ranking_prefers_most_loaded_links(self):
         s, router = store(protection=1)
@@ -68,7 +68,7 @@ class TestStoreLifecycle:
             [route], frozenset(),
             ranked=lambda r, k: sorted(r.links, key=lambda p: (-load.get(p, 0), p))[:k],
         )
-        assert s.protected_points(3) == frozenset({hot})
+        assert set(s.plans_of(3)) == frozenset({hot})
 
     def test_hit_returns_route_bit_identical_to_reactive(self):
         s, router = store(protection=64)
@@ -109,7 +109,7 @@ class TestStoreLifecycle:
         extra = (route.n_stages, N_PORTS - 1)
         status, payload = s.lookup(conf, point, frozenset({point, extra}))
         assert status == "stale" and payload is None
-        assert point in s.protected_points(6)  # a stale plan is kept
+        assert point in s.plans_of(6)  # a stale plan is kept
 
     def test_membership_churn_reports_stale(self):
         s, router = store(protection=64)

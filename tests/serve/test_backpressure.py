@@ -113,5 +113,5 @@ class TestServiceOrder:
         for rid in range(3):
             q.offer(open_req(rid))
         q.offer(close_req(9))
-        assert len(q.drain_all()) == 4
+        assert len(q.take(len(q))) == 4
         assert len(q) == 0

@@ -52,7 +52,7 @@ class TestBatcher:
         b.execute([], admit_all, now=0.0)
         report = b.execute([open_req(0)], admit_all, now=1.0)
         assert report.seq == 1
-        assert b.batches_run == 2
+        assert b.execute([], admit_all, now=2.0).seq == 2
 
     def test_max_batch_validated(self):
         with pytest.raises(ValueError, match="max_batch"):

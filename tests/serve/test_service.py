@@ -268,6 +268,21 @@ class TestFaults:
     # unroutable: the healing ladder must drop it, and the service must
     # bring it back once the wire is repaired — one way or another.
 
+    def test_off_grid_fault_raises_before_anything_is_scheduled(self):
+        svc = service()
+        sid = svc.submit_open([0, 1, 2, 3])
+        pending = svc._loop.pending
+        with pytest.raises(ValueError, match=r"\(99, 0\)"):
+            svc.attach_faults([FaultTransition(2.0, (99, 0), True)])
+        assert svc._loop.pending == pending
+        for _ in range(4):
+            svc.tick()
+        assert svc.sessions.require(sid).state is SessionState.ACTIVE
+        # Nothing was attached, so a valid timeline still can be.
+        injector = svc.attach_faults([FaultTransition(svc.now + 0.5, (1, 0), True)])
+        svc.tick()
+        assert injector.current_faults == {(1, 0)}
+
     def test_drop_restore_round_trip_via_healing_retries(self):
         svc = service(retry=RetryPolicy(max_retries=10, base_delay=1.0, jitter=0.0))
         svc.attach_faults(

@@ -1,6 +1,6 @@
 """Oracle tests for the session table's incremental indexes.
 
-``SessionTable`` answers ``live()``, ``in_state()`` and ``counts()``
+``SessionTable`` answers ``live()`` and ``counts()``
 from an open-session index and a per-state tally kept current by
 ``Session.transition``.  Every answer must equal a full scan of the
 table, in id order, after every step of any legal lifecycle sequence.
@@ -30,8 +30,6 @@ def assert_matches_full_scan(table: SessionTable) -> None:
     # The open index holds exactly the non-terminal sessions (no leak).
     assert list(table._open.values()) == [s for s in everything if s.state not in _TERMINAL_STATES]
     assert table.live() == [s for s in everything if s.state in LIVE_STATES]
-    for state in SessionState:
-        assert table.in_state(state) == [s for s in everything if s.state is state]
     tally = Counter(s.state.value for s in everything)
     assert table.counts() == {state.value: tally[state.value] for state in SessionState}
 
@@ -62,5 +60,4 @@ def test_activation_out_of_id_order_keeps_id_order():
     assert table.live() == [low, high]
     high.transition(SessionState.CLOSED, 3.0)
     assert table.live() == [low]
-    assert table.in_state(SessionState.CLOSED) == [high]
     assert_matches_full_scan(table)

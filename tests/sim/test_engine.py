@@ -15,7 +15,6 @@ class TestEventLoop:
         loop.run()
         assert seen == ["a", "b", "c"]
         assert loop.now == 3.0
-        assert loop.processed == 3
 
     def test_fifo_among_ties(self):
         loop = EventLoop()
@@ -59,13 +58,15 @@ class TestEventLoop:
 
     def test_max_events_budget(self):
         loop = EventLoop()
+        fired = []
 
         def forever(lp):
+            fired.append(lp.now)
             lp.schedule(1.0, forever)
 
         loop.schedule(0.0, forever)
         loop.run(max_events=10)
-        assert loop.processed == 10
+        assert len(fired) == 10
 
     def test_until_advances_clock_when_heap_drains_early(self):
         # Regression: the heap running dry before the horizon used to
@@ -85,13 +86,15 @@ class TestEventLoop:
         # A budget stop with work still pending must not teleport the
         # clock past the unprocessed events.
         loop = EventLoop()
+        fired = []
 
         def forever(lp):
+            fired.append(lp.now)
             lp.schedule(1.0, forever)
 
         loop.schedule(0.0, forever)
         loop.run(until=100.0, max_events=5)
-        assert loop.processed == 5
+        assert len(fired) == 5
         assert loop.pending == 1
         assert loop.now == 4.0
 

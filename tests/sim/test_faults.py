@@ -77,6 +77,12 @@ class TestTimelineGeneration:
     def test_validates_as_script(self):
         timeline = generate_fault_timeline(NET, horizon=400.0, seed=5)
         FaultInjector(NET, script=timeline)  # must not raise
+        # Level-0 injection wires are on the grid too.
+        timeline = generate_fault_timeline(
+            NET, FaultProcessConfig(include_injections=True), horizon=400.0, seed=5
+        )
+        assert any(tr.point[0] == 0 for tr in timeline)
+        FaultInjector(NET, script=timeline)
 
 
 class TestInjectorValidation:
@@ -91,6 +97,25 @@ class TestInjectorValidation:
     def test_repair_of_healthy_point_rejected(self):
         with pytest.raises(ValueError, match="already alive"):
             FaultInjector(NET, script=script_of((1.0, (1, 0), False)))
+
+    @pytest.mark.parametrize("point", [(99, 0), (-1, 3), (1, 999), (5, 0), (1, 16), (0, -1)])
+    def test_off_grid_point_rejected(self, point):
+        with pytest.raises(ValueError, match=r"off the network's grid") as info:
+            FaultInjector(NET, script=script_of((2.0, point, True)))
+        assert str(point) in str(info.value)
+
+    def test_off_grid_repair_rejected(self):
+        with pytest.raises(ValueError, match=r"\(4, 99\) at t=2.0 is off the network's grid"):
+            FaultInjector(NET, script=script_of((1.0, (1, 0), True), (2.0, (4, 99), False)))
+
+    @pytest.mark.parametrize("point", [(0, 0), (0, 15), (4, 0), (4, 15)])
+    def test_grid_edges_accepted(self, point):
+        """Level 0 (an injection wire) and the last level are on the grid."""
+        injector = FaultInjector(NET, script=script_of((2.0, point, True)))
+        loop = EventLoop()
+        injector.start(loop)
+        loop.run()
+        assert injector.current_faults == {point}
 
     def test_double_start_rejected(self):
         injector = FaultInjector(NET, script=[])
@@ -128,14 +153,28 @@ class TestInjectorExecution:
         assert seen == [(1.0, (1, 0), frozenset({(1, 0)}))]
 
     def test_faults_at_reference_semantics(self):
+        """The fault set at ``t`` counts every transition at or before it."""
         script = script_of(
             (1.0, (1, 0), True), (3.0, (1, 0), False), (3.0, (2, 2), True)
         )
         injector = FaultInjector(NET, script=script)
-        assert injector.faults_at(0.5) == frozenset()
-        assert injector.faults_at(1.0) == {(1, 0)}
-        assert injector.faults_at(2.9) == {(1, 0)}
-        assert injector.faults_at(3.0) == {(2, 2)}
+        loop = EventLoop()
+        injector.start(loop)
+        for probe, expected in [(0.5, set()), (1.0, {(1, 0)}), (2.9, {(1, 0)}), (3.0, {(2, 2)})]:
+            loop.run(until=probe)
+            assert injector.current_faults == expected
+            assert scripted_faults(script, probe) == expected
+
+
+def scripted_faults(script, time):
+    """Reference replay: the union of the fail transitions at or before
+    ``time`` minus the repairs at or before it."""
+    dead = set()
+    for tr in script:
+        if tr.time > time:
+            break
+        (dead.add if tr.failed else dead.discard)(tr.point)
+    return frozenset(dead)
 
 
 @st.composite
@@ -174,13 +213,13 @@ class TestLiveStateMatchesScript:
     def test_live_fault_set_equals_scripted_union(self, script, probe):
         """The satellite property: at any time, the injector's live
         fault set equals the union of scripted failures minus repairs up
-        to that time (the ``faults_at`` reference replay)."""
+        to that time (the ``scripted_faults`` reference replay)."""
         injector = FaultInjector(NET, script=script)
         loop = EventLoop()
         injector.start(loop)
         loop.run(until=probe)
-        assert injector.current_faults == injector.faults_at(probe)
+        assert injector.current_faults == scripted_faults(script, probe)
         # And running to completion drains the whole script.
         loop.run()
-        assert injector.current_faults == injector.faults_at(float("inf"))
+        assert injector.current_faults == scripted_faults(script, float("inf"))
         assert len(injector.history) == len(script)

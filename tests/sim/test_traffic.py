@@ -44,7 +44,7 @@ class TestAccounting:
         stats = src.stats
         assert stats.offered == stats.admitted + stats.blocked_total
         assert stats.completed <= stats.admitted
-        assert stats.admitted - stats.completed == src.live_calls
+        assert stats.admitted - stats.completed == len(src._controller.live_conferences)
 
     def test_determinism_by_seed(self):
         a = run_source(seed=99).stats.summary()

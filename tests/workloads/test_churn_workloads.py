@@ -8,14 +8,12 @@ from repro.core.network import ConferenceNetwork
 from repro.serve.service import FabricService
 from repro.workloads.churn import (
     ChurnEvent,
-    diurnal_load,
     flash_crowd,
-    lurker_joins,
     replay_churn,
     zipf_sizes,
 )
 
-GENERATORS = [flash_crowd, diurnal_load, lurker_joins]
+GENERATORS = [flash_crowd]
 
 
 class TestChurnEvent:
@@ -91,19 +89,6 @@ class TestGenerators:
         venue = joins[0].session
         assert all(e.session == venue for e in joins + leaves)
 
-    def test_diurnal_load_has_both_joins_and_leaves(self):
-        kinds = {e.kind for e in diurnal_load(32, seed=7)}
-        assert {"open", "join", "leave"} <= kinds
-
-    def test_lurkers_accrete_one_at_a_time(self):
-        events = lurker_joins(32, core_size=4, lurkers=6, gap=2, seed=1)
-        joins = [e for e in events if e.kind == "join"]
-        assert len(joins) == 6
-        assert all(len(e.ports) == 1 for e in joins)
-        ticks = [e.tick for e in joins]
-        assert ticks == sorted(ticks)
-        assert all(b - a == 2 for a, b in zip(ticks, ticks[1:]))
-
     @settings(max_examples=30, deadline=None)
     @given(count=st.integers(0, 64), seed=st.integers(0, 1000))
     def test_zipf_sizes_stay_in_range(self, count, seed):
@@ -127,10 +112,10 @@ class TestGenerators:
     def test_generator_validation(self):
         with pytest.raises(ValueError, match="burst_start"):
             flash_crowd(32, burst_start=0)
-        with pytest.raises(ValueError, match="period"):
-            diurnal_load(32, period=1)
-        with pytest.raises(ValueError, match="gap"):
-            lurker_joins(32, gap=0)
+        with pytest.raises(ValueError, match="burst_ticks"):
+            flash_crowd(32, burst_ticks=0)
+        with pytest.raises(ValueError, match="drain_per_tick"):
+            flash_crowd(32, drain_per_tick=0)
 
 
 class TestReplay:
@@ -149,7 +134,7 @@ class TestReplay:
             assert record["status"] in ("admitted", "applied", "closed")
 
     def test_membership_records_carry_the_disruption_detail(self):
-        events = lurker_joins(32, lurkers=4, seed=2)
+        events = flash_crowd(32, crowd=4, seed=2)
         records = replay_churn(self._service(), events)
         joins = [r for r in records if r["kind"] == "join"]
         assert joins

@@ -10,7 +10,6 @@ from repro.workloads.generators import (
     clustered,
     draw_sizes,
     interleaved,
-    sample_stream,
     uniform_partition,
 )
 from repro.util.rng import ensure_rng
@@ -97,18 +96,3 @@ class TestAlignedSets:
     def test_never_raises_even_at_full_load(self):
         cs = aligned_sets(16, load=1.0, mean_size=5.0, seed=8)
         assert isinstance(cs, ConferenceSet)
-
-
-class TestSampleStream:
-    def test_yields_requested_count(self):
-        sets = list(sample_stream("uniform", 32, 5, seed=0))
-        assert len(sets) == 5
-
-    def test_deterministic_stream(self):
-        a = [tuple(c.members for c in cs) for cs in sample_stream("uniform", 32, 3, seed=1)]
-        b = [tuple(c.members for c in cs) for cs in sample_stream("uniform", 32, 3, seed=1)]
-        assert a == b
-
-    def test_unknown_generator(self):
-        with pytest.raises(KeyError, match="uniform"):
-            list(sample_stream("zipf", 32, 1))
